@@ -55,12 +55,16 @@ _TOP_KEYS = {
 }
 _TARGET_KEYS = {"name", "mixture_json", "dim", "n_components", "separation"}
 _GOLA_KEYS = {"n_starts", "max_local_iters", "gradient_tol", "dedup_threshold",
-              "n_weight_samples", "method"}
+              "n_weight_samples"}
 _VI_KEYS = {"n_mc_samples", "step_size", "beta1", "beta2", "max_epochs",
             "report_interval", "baseline", "jsd_samples"}
 _FACTOR_KEYS = {"preset", "d", "M", "omega", "c", "lambda"}
 _EXEMPLAR_KEYS = {"c1_true", "c2_true", "n_obs", "horizon", "noise_sigma",
                   "obs_seed", "n_pushforward"}
+# Flags that set a key inside a config section, as flag -> (section, key).
+_SECTION_FLAGS = {"target": ("target", "name"),
+                  "mixture_json": ("target", "mixture_json"),
+                  "preset": ("factors", "preset")}
 
 
 class ConfigError(PostmixError):
@@ -108,7 +112,8 @@ def parse_config(path: Optional[str] = None,
 
     Unknown keys are hard errors with a closest-match suggestion; when a
     flag conflicts with a file value, the flag wins and a notice goes to
-    stderr.
+    stderr. Flags name top-level keys, except those in ``_SECTION_FLAGS``,
+    which set a key inside a section (``--target`` sets ``target.name``).
     """
     doc: dict = {}
     if path is not None:
@@ -129,11 +134,13 @@ def parse_config(path: Optional[str] = None,
             _reject_unknown(doc[section], allowed, f"config section {section!r}")
 
     flags = {k: v for k, v in (flags or {}).items() if v is not None}
-    for key, value in flags.items():
-        if key in doc and doc[key] != value and key != "command":
-            print(f"notice: flag --{key}={value!r} overrides config value "
-                  f"{doc[key]!r}", file=sys.stderr)
-        doc[key] = value
+    for flag, value in flags.items():
+        section, key = _SECTION_FLAGS.get(flag, (None, flag))
+        dest = doc.setdefault(section, {}) if section else doc
+        if key in dest and dest[key] != value and key != "command":
+            print(f"notice: flag --{flag.replace('_', '-')}={value!r} overrides "
+                  f"config value {dest[key]!r}", file=sys.stderr)
+        dest[key] = value
 
     if "command" not in doc:
         raise ConfigError("no command given")
@@ -452,15 +459,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         "n_cases": getattr(args, "n_cases", None),
         "n_design": getattr(args, "n_design", None),
         "replicates": getattr(args, "replicates", None),
+        "target": getattr(args, "target", None),
+        "mixture_json": getattr(args, "mixture_json", None),
+        "preset": getattr(args, "preset", None),
     }
     try:
         cfg = parse_config(getattr(args, "config", None), flags)
-        if getattr(args, "target", None):
-            cfg.target.setdefault("name", args.target)
-        if getattr(args, "mixture_json", None):
-            cfg.target["mixture_json"] = args.mixture_json
-        if getattr(args, "preset", None):
-            cfg.factors["preset"] = args.preset
     except ConfigError as exc:
         print(json.dumps({"error": "ConfigError", "message": str(exc)}),
               file=sys.stderr)

@@ -59,7 +59,6 @@ class GolaConfig:
     dedup_threshold: float = 0.01
     n_weight_samples: Optional[int] = None
     master_seed: int = 0
-    method: str = "gd"  # "gd" (Armijo line-search descent) or "bfgs"
     workers: int = 1
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class GolaConfig:
             raise ValueError("dedup_threshold must lie in (0, 1)")
         if self.gradient_tol <= 0.0:
             raise ValueError("gradient_tol must be positive")
-        if self.method not in ("gd", "bfgs"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +139,8 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     """Descend ``-log phi`` from one start with a backtracking line search.
 
     Iterates stay clamped to the search box and the objective never
-    increases across accepted steps. Trial step sizes follow a safeguarded
-    Barzilai-Borwein estimate ("gd") or a BFGS direction ("bfgs").
+    increases across accepted steps. Steps go along the negative gradient,
+    with trial step sizes from a safeguarded Barzilai-Borwein estimate.
 
     Raises
     ------
@@ -156,7 +153,6 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     if not np.isfinite(f):
         raise RejectedStartError(f"zero density at start point {z}")
     grad = -eval_gradient(target, z)
-    hess_inv = np.eye(target.dim) if cfg.method == "bfgs" else None
 
     step = 1.0
     for _ in range(cfg.max_local_iters):
@@ -164,20 +160,10 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
         if pg_norm <= cfg.gradient_tol:
             return LocalMinimum(z, f, pg_norm, True, start_index)
 
-        if hess_inv is not None:
-            direction = -hess_inv @ grad
-            if direction @ grad >= 0.0:  # not a descent direction; reset
-                hess_inv = np.eye(target.dim)
-                direction = -grad
-            trial = 1.0
-        else:
-            direction = -grad
-            trial = step
-
-        alpha = trial
+        alpha = step
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            z_new = np.clip(z + alpha * direction, lo, hi)
+            z_new = np.clip(z - alpha * grad, lo, hi)
             decrease = float(grad @ (z - z_new))
             if decrease <= 0.0:
                 alpha *= _BACKTRACK
@@ -195,21 +181,10 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
         grad_new = -eval_gradient(target, z_new)
         s = z_new - z
         y = grad_new - grad
-        if hess_inv is not None:
-            sy = float(s @ y)
-            clamped = np.any(z_new == lo) or np.any(z_new == hi)
-            if clamped:
-                hess_inv = np.eye(target.dim)
-            elif sy > 1e-12:
-                rho = 1.0 / sy
-                eye = np.eye(target.dim)
-                left = eye - rho * np.outer(s, y)
-                hess_inv = left @ hess_inv @ left.T + rho * np.outer(s, s)
-        else:
-            # Barzilai-Borwein trial step for the next iteration.
-            sy = float(s @ y)
-            step = float(s @ s) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
-            step = float(np.clip(step, 1e-12, 1e6))
+        # Barzilai-Borwein trial step for the next iteration.
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
+        step = float(np.clip(step, 1e-12, 1e6))
         z, f, grad = z_new, f_new, grad_new
 
     pg_norm = _projected_gradient_norm(z, grad, lo, hi)

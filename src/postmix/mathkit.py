@@ -1,10 +1,12 @@
 """Self-contained numerical kernels used throughout the package.
 
 Provides an SPD Cholesky factorization with an escalating jitter ladder,
-a scaling-and-squaring matrix exponential, the Sobol low-discrepancy
-sequence, the chi-square survival function, Mahalanobis distances, and a
-nonnegative least-squares solver. Everything here is a pure function of
-its inputs and safe for unrestricted concurrent use.
+the Sobol low-discrepancy sequence, the closed-form chi-square survival
+function at integer degrees of freedom, Mahalanobis distances, and a
+nonnegative least-squares solver. (Matrix exponentials come from
+``scipy.linalg.expm`` at their one call site, the shear-frame
+simulator.) Everything here is a pure function of its inputs and safe
+for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -98,79 +100,6 @@ def cholesky_spd(a: NDArray, sym_tol: float = 1e-10) -> SpdMatrix:
     )
 
 
-# Pade-13 numerator coefficients for the matrix exponential and the
-# scaling threshold theta_13 from Higham's analysis.
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def matrix_exponential(a: NDArray) -> NDArray[np.float64]:
-    """Compute ``exp(a)`` by scaling and squaring with a Pade-13 approximant.
-
-    Parameters
-    ----------
-    a : ndarray, shape (d, d)
-        Square matrix with finite entries.
-
-    Returns
-    -------
-    ndarray, shape (d, d)
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix exponential requires finite entries")
-    return _expm_batch(a[np.newaxis])[0]
-
-
-def _expm_batch(a: NDArray) -> NDArray[np.float64]:
-    """Pade-13 scaling-and-squaring applied over a stack of matrices.
-
-    One scaling exponent (the largest needed in the stack) is shared by
-    the whole batch; extra squarings of already-small blocks are benign.
-    """
-    a = np.asarray(a, dtype=float)
-    d = a.shape[-1]
-    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)  # 1-norm per matrix
-    max_norm = float(np.max(norm1)) if norm1.size else 0.0
-    squarings = max(0, int(math.ceil(math.log2(max_norm / _PADE13_THETA))) if max_norm > _PADE13_THETA else 0)
-    a = a / (2.0**squarings)
-
-    b = _PADE13_B
-    eye = np.broadcast_to(np.eye(d), a.shape)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
-
-
 def _sobol_direction_table(dim: int) -> NDArray[np.uint64]:
     """Direction integers ``V[j, k]``, k = 1.._SOBOL_BITS, for dims 1..dim."""
     v = np.zeros((dim, _SOBOL_BITS + 1), dtype=np.uint64)
@@ -234,58 +163,22 @@ def sobol_points(dim: int, n: int, skip_initial: bool = True) -> NDArray[np.floa
     return points.astype(float) / 2.0**_SOBOL_BITS
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series."""
-    if x <= 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(500):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi_square_survival(x: float, dof: int) -> float:
     """Survival function P(Q >= x) of a chi-square variable.
 
-    Evaluates the regularized upper incomplete gamma Q(dof/2, x/2), using
-    the power series for the lower tail and a continued fraction for the
-    upper tail (the usual split at x = a + 1).
+    Evaluates the regularized upper incomplete gamma Q(dof/2, x/2) by its
+    finite closed form at integer degrees of freedom: for even dof,
+    e^{-x/2} sum_{k < dof/2} (x/2)^k / k!; for odd dof,
+    erfc(sqrt(x/2)) + e^{-x/2} sum_{k=1}^{(dof-1)/2} (x/2)^{k-1/2} / Gamma(k+1/2).
+    The factor e^{-x/2} rides in the first term, so a far tail underflows
+    to 0 instead of overflowing the sum.
 
     Parameters
     ----------
     x : float
         Nonnegative test statistic.
     dof : int
-        Degrees of freedom, positive.
+        Degrees of freedom, a positive integer.
 
     Returns
     -------
@@ -295,13 +188,22 @@ def chi_square_survival(x: float, dof: int) -> float:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    a = 0.5 * dof
-    xs = 0.5 * x
-    if xs == 0.0:
-        return 1.0
-    if xs < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, xs)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, xs)))
+    half = 0.5 * x
+    if dof % 2 == 0:
+        head = 0.0
+        term = total = math.exp(-half)
+        for k in range(1, dof // 2):
+            term *= half / k
+            total += term
+    else:
+        root = math.sqrt(half)
+        head = math.erfc(root)
+        term = 2.0 * root / math.sqrt(math.pi) * math.exp(-half)  # k = 1
+        total = 0.0
+        for k in range(1, dof // 2 + 1):
+            total += term
+            term *= half / (k + 0.5)
+    return min(1.0, head + total)
 
 
 def mahalanobis_distance(z: NDArray, mean: NDArray, chol_cov: NDArray) -> float:

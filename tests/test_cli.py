@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from postmix import cli
 from postmix.cli import ConfigError, OUTPUT_DIR_ENV, main, parse_config
 from postmix.density import mixture_from_dict
 
@@ -66,6 +67,41 @@ class TestParseConfig:
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
         cfg = parse_config(None, {"command": "fit"})
         assert cfg.out == str(tmp_path)
+
+
+def _main_config(monkeypatch, argv):
+    """The RunConfig that ``main`` hands to ``run`` for these arguments."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+class TestSectionFlagOverrides:
+    def test_target_flag_overrides_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"name": "sinh", "dim": 3}}))
+        cfg = _main_config(monkeypatch, ["fit", "--config", str(path),
+                                         "--target", "gauss2d"])
+        assert cfg.target == {"name": "gauss2d", "dim": 3}
+        assert "--target='gauss2d' overrides config value 'sinh'" in capsys.readouterr().err
+
+    def test_mixture_json_flag_overrides_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"mixture_json": str(DATA / "mixture_q.json")}}))
+        flag = str(DATA / "mixture_p.json")
+        cfg = _main_config(monkeypatch, ["refine", "--config", str(path),
+                                         "--mixture-json", flag])
+        assert cfg.target == {"mixture_json": flag}
+        assert "--mixture-json=" in capsys.readouterr().err
+
+    def test_preset_flag_overrides_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"factors": {"preset": "hard", "d": [2, 3]}}))
+        cfg = _main_config(monkeypatch, ["robustness", "--config", str(path),
+                                         "--preset", "broad"])
+        assert cfg.factors == {"preset": "broad", "d": [2, 3]}
+        assert "--preset='broad' overrides config value 'hard'" in capsys.readouterr().err
 
 
 class TestFitCommand:

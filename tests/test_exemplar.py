@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from postmix.density import GaussianComponent, MixtureModel, eval_log_density_batch
 from postmix.exemplar import (
     ObservationSet,
     ShearFrame,
+    _is_uniform_grid,
+    _simulate_batch,
     assemble_state_matrix,
     damping_log_likelihood,
     default_scenario,
@@ -62,6 +66,11 @@ class TestAssembleStateMatrix:
             ShearFrame(0.0, 1.0, 1.0, 1.0, 0.1, 0.1)
         with pytest.raises(ValueError):
             ShearFrame(1.0, 1.0, 1.0, 1.0, -0.1, 0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ShearFrame(1.0, 1.0, 1.0, 1.0, bad, 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                ShearFrame(1.0, bad, 1.0, 1.0, 0.1, 0.1)
 
 
 class TestSimulate:
@@ -70,6 +79,19 @@ class TestSimulate:
         u0 = np.array([0.0, 1.0, 0.0, 0.0])
         states = simulate(frame, u0, np.array([0.0, 1.0]))
         np.testing.assert_array_equal(states[0], u0)
+        np.testing.assert_array_equal(simulate(frame, u0, np.zeros(3)), np.tile(u0, (3, 1)))
+
+    def test_semigroup(self):
+        # u(t + s) is the state reached by simulating from u(t) over s
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            frame = _random_frame(rng)
+            u0 = rng.standard_normal(4)
+            t = float(rng.uniform(0.1, 10.0))
+            later = np.sort(rng.uniform(0.0, 10.0, size=8))
+            u_t = simulate(frame, u0, np.array([t]))[0]
+            np.testing.assert_allclose(simulate(frame, u_t, later),
+                                       simulate(frame, u0, t + later), atol=1e-10)
 
     def test_undamped_energy_conserved(self):
         frame = ShearFrame(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
@@ -124,6 +146,12 @@ class TestSimulate:
         slow = simulate(frame, u0, jittered)
         np.testing.assert_allclose(fast[0], slow[0], atol=1e-9)
         np.testing.assert_allclose(fast[-1], slow[-1], atol=1e-9)
+        # on the same grid the repeated one-step propagator and one
+        # exponential per time agree at every time
+        pairs = np.array([[0.15, 0.25], [0.01, 0.9], [0.6, 0.05]])
+        stepped = _simulate_batch(pairs, (1.0, 1.0, 1.0, 1.0), u0, uniform, True)
+        direct = _simulate_batch(pairs, (1.0, 1.0, 1.0, 1.0), u0, uniform, False)
+        np.testing.assert_allclose(stepped, direct, atol=1e-12)
 
 
 class TestObservations:
@@ -228,7 +256,47 @@ class TestDampingLikelihood:
         pts = rng.uniform(0.05, 0.9, size=(16, 2))
         batch = eval_log_density_batch(target, pts)
         single = np.array([target.log_phi(p) for p in pts])
-        np.testing.assert_allclose(batch, single, rtol=1e-12)
+        np.testing.assert_array_equal(batch, single)
+
+
+_damping = st.floats(-0.2, 1.5, allow_nan=False)
+
+
+@st.composite
+def _observation_grids(draw):
+    """Uniform grids starting at their own spacing, or jittered ones."""
+    n_obs = draw(st.integers(2, 12))
+    horizon = draw(st.floats(1.0, 40.0))
+    times = np.linspace(horizon / n_obs, horizon, n_obs)
+    if draw(st.booleans()):
+        jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=n_obs, max_size=n_obs))
+        times = times + np.array(jitter) * (horizon / n_obs)
+    return times
+
+
+class TestBatchedSimulatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(times=_observation_grids(),
+           points=st.lists(st.tuples(_damping, _damping), min_size=1, max_size=12))
+    def test_log_phi_batch_equals_per_point(self, times, points):
+        scenario = default_scenario()
+        obs = ObservationSet(times, np.cos(times), 0.05, scenario.u0)
+        target = damping_log_likelihood(obs, scenario.constants(), scenario.search_box)
+        pts = np.array(points)
+        single = np.array([target.log_phi(p) for p in pts])
+        np.testing.assert_array_equal(target.log_phi_batch(pts), single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(times=_observation_grids(),
+           pairs=st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+                          min_size=1, max_size=8),
+           constants=st.tuples(*[st.floats(0.5, 3.0)] * 4))
+    def test_rows_equal_simulate(self, times, pairs, constants):
+        u0 = np.array([0.3, 1.0, -0.2, 0.1])
+        rows = _simulate_batch(np.array(pairs), constants, u0, times,
+                               _is_uniform_grid(times))
+        for (c1, c2), row in zip(pairs, rows):
+            np.testing.assert_array_equal(row, simulate(ShearFrame(*constants, c1, c2), u0, times))
 
 
 class TestPushforward:
@@ -266,6 +334,16 @@ class TestPushforward:
                               np.linspace(0.5, 5.0, 5), 100, seed=2)
         assert summary.high_rejection_warning
         assert summary.n_rejections > 0
+
+    def test_invalid_inputs_rejected(self):
+        comp = GaussianComponent(np.array([0.3, 0.2]), 0.02 * np.eye(2))
+        posterior = MixtureModel((comp,), np.ones(1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            pushforward(posterior, (1.0, 1.0, 1.0, 1.0), np.array([0.0, 1.0, 0.0, 0.0]),
+                        np.array([-1.0, 1.0]), 100, seed=0)
+        with pytest.raises(ValueError, match="length-4"):
+            pushforward(posterior, (1.0, 1.0, 1.0, 1.0), np.zeros(3),
+                        np.array([1.0, 2.0]), 100, seed=0)
 
     def test_csv_schema(self, tmp_path):
         comp = GaussianComponent(np.array([0.3, 0.2]), 0.02 * np.eye(2))

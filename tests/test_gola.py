@@ -91,13 +91,12 @@ class TestLocalMinimize:
             local_minimize(target, np.array([2.0]), GolaConfig())
 
     def test_methods_reach_a_minimum_from_far_start(self):
-        # large early steps may hop basins; both methods must still land on
+        # large early steps may hop basins; the descent must still land on
         # one of the two true minima
-        for method in ("gd", "bfgs"):
-            cfg = GolaConfig(gradient_tol=1e-9, method=method)
-            result = local_minimize(_double_well_target(), np.array([1.9]), cfg)
-            assert result.converged
-            assert abs(result.location[0]) == pytest.approx(1.0, abs=1e-6)
+        cfg = GolaConfig(gradient_tol=1e-9)
+        result = local_minimize(_double_well_target(), np.array([1.9]), cfg)
+        assert result.converged
+        assert abs(result.location[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMultistart:

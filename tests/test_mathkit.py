@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.special
 import scipy.stats
 from scipy.optimize import nnls as scipy_nnls
@@ -14,7 +13,6 @@ from postmix.mathkit import (
     chi_square_survival,
     cholesky_spd,
     mahalanobis_distance,
-    matrix_exponential,
     nnls,
     sobol_points,
 )
@@ -71,61 +69,6 @@ class TestCholeskySpd:
     def test_negative_definite_fails(self):
         with pytest.raises(SingularMatrixError):
             cholesky_spd(-np.eye(2))
-
-
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3),
-                                   atol=1e-15)
-
-    def test_diagonal(self):
-        out = matrix_exponential(np.diag([1.0, -2.0]))
-        np.testing.assert_allclose(out, np.diag([math.e, math.exp(-2.0)]), rtol=1e-14)
-
-    def test_rotation_against_taylor_series(self):
-        theta = math.pi / 2.0
-        a = np.array([[0.0, -theta], [theta, 0.0]])
-        series = np.zeros((2, 2))
-        term = np.eye(2)
-        for k in range(30):  # truncated Taylor oracle
-            series = series + term
-            term = term @ a / (k + 1)
-        out = matrix_exponential(a)
-        np.testing.assert_allclose(out, series, atol=1e-14)
-        np.testing.assert_allclose(out, np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-14)
-
-    def test_inverse_identity_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            d = int(rng.integers(1, 7))
-            a = rng.standard_normal((d, d))
-            a *= 5.0 / max(1.0, np.linalg.norm(a, 2))
-            prod = matrix_exponential(a) @ matrix_exponential(-a)
-            assert np.linalg.norm(prod - np.eye(d), "fro") < 1e-9
-
-    def test_semigroup_commuting(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.standard_normal((4, 4))
-            t, s = rng.uniform(0.1, 2.0, size=2)
-            lhs = matrix_exponential(a * (t + s))
-            rhs = matrix_exponential(a * t) @ matrix_exponential(a * s)
-            assert np.linalg.norm(lhs - rhs, "fro") < 1e-9 * max(
-                1.0, np.linalg.norm(lhs, "fro")
-            )
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            d = int(rng.integers(1, 9))
-            a = rng.standard_normal((d, d)) * rng.uniform(0.1, 3.0)
-            ours = matrix_exponential(a)
-            ref = scipy.linalg.expm(a)
-            np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def _star_discrepancy_estimate(points, grid=24):
