@@ -92,6 +92,9 @@ def _checked_inputs(u0: NDArray, times: NDArray) -> tuple[NDArray, NDArray]:
     times = np.asarray(times, dtype=float)
     if u0.shape != (4,):
         raise ValueError(f"u0 must be a length-4 state vector, got {u0.shape}")
+    if not np.all(np.isfinite(times)):
+        # scipy.linalg.expm turns a non-finite exponent into NaN silently
+        raise ValueError("times must be finite")
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
     return u0, times

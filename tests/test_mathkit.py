@@ -8,6 +8,7 @@ from scipy.optimize import nnls as scipy_nnls
 from scipy.stats import qmc
 
 from postmix.exceptions import SingularMatrixError
+from postmix.exemplar import ShearFrame, matrix_exponential, simulate
 from postmix.mathkit import (
     SOBOL_MAX_DIM,
     chi_square_survival,
@@ -69,6 +70,23 @@ class TestCholeskySpd:
     def test_negative_definite_fails(self):
         with pytest.raises(SingularMatrixError):
             cholesky_spd(-np.eye(2))
+
+
+class TestMatrixExponential:
+    # mathkit has no exponential; these pin the one the frame simulator uses
+    def test_zero_matrix(self):
+        np.testing.assert_allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3),
+                                   atol=1e-15)
+
+    def test_nonfinite_rejected(self):
+        # the exponential itself returns NaN, so non-finite exponents are
+        # rejected before they reach it: in the frame and in the times
+        with pytest.raises(ValueError):
+            ShearFrame(1.0, 1.0, 1.0, 1.0, np.nan, 0.1)
+        frame = ShearFrame(1.0, 1.0, 1.0, 1.0, 0.1, 0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate(frame, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5, bad]))
 
 
 def _star_discrepancy_estimate(points, grid=24):
