@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,20 +44,14 @@ from .sensibench import (
 )
 from .vi import ViConfig, refine
 
-COMMANDS = ("fit", "refine", "eval", "robustness", "sensitivity", "exemplar", "generate")
 OUTPUT_DIR_ENV = "POSTMIX_OUT"
 
-# Config keys accepted at the top level and inside each section.
-_TOP_KEYS = {
-    "command", "seed", "out", "workers", "target", "gola", "vi", "factors",
-    "exemplar", "init", "reference", "n", "n_cases", "n_design", "replicates",
-    "jsd_samples", "p", "q",
-}
+# Config keys accepted inside the sections that no dataclass mirrors; the
+# top-level, gola and vi keys are the fields of RunConfig, GolaConfig and
+# ViConfig (defined after RunConfig below).
 _TARGET_KEYS = {"name", "mixture_json", "dim", "n_components", "separation"}
-_GOLA_KEYS = {"n_starts", "max_local_iters", "gradient_tol", "dedup_threshold",
-              "n_weight_samples"}
-_VI_KEYS = {"n_mc_samples", "step_size", "beta1", "beta2", "max_epochs",
-            "report_interval", "baseline", "jsd_samples"}
+# The two keys that select the target; a config names at most one of them.
+_TARGET_SELECTORS = ("name", "mixture_json")
 _FACTOR_KEYS = {"preset", "d", "M", "omega", "c", "lambda"}
 _EXEMPLAR_KEYS = {"c1_true", "c2_true", "n_obs", "horizon", "noise_sigma",
                   "obs_seed", "n_pushforward"}
@@ -78,7 +72,6 @@ class RunConfig:
     command: str
     seed: int = 0
     out: Optional[str] = None
-    workers: int = 1
     target: dict = field(default_factory=dict)
     gola: dict = field(default_factory=dict)
     vi: dict = field(default_factory=dict)
@@ -98,6 +91,16 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
 
+def _field_names(cls, *exclude: str) -> set:
+    return {f.name for f in dataclass_fields(cls)} - set(exclude)
+
+
+_TOP_KEYS = _field_names(RunConfig)
+# The run's seed feeds both sections' seeds, so they are not section keys.
+_GOLA_KEYS = _field_names(GolaConfig, "master_seed")
+_VI_KEYS = _field_names(ViConfig, "seed")
+
+
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     for key in doc:
         if key not in allowed:
@@ -114,6 +117,8 @@ def parse_config(path: Optional[str] = None,
     flag conflicts with a file value, the flag wins and a notice goes to
     stderr. Flags name top-level keys, except those in ``_SECTION_FLAGS``,
     which set a key inside a section (``--target`` sets ``target.name``).
+    ``--target`` and ``--mixture-json`` each replace either target selector
+    in the file; a file or flag set naming both selectors is an error.
     """
     doc: dict = {}
     if path is not None:
@@ -132,14 +137,22 @@ def parse_config(path: Optional[str] = None,
             if not isinstance(doc[section], dict):
                 raise ConfigError(f"config section {section!r} must be an object")
             _reject_unknown(doc[section], allowed, f"config section {section!r}")
+    if all(key in doc.get("target", {}) for key in _TARGET_SELECTORS):
+        raise ConfigError("config section 'target' names both 'name' and "
+                          "'mixture_json'; keep one")
 
     flags = {k: v for k, v in (flags or {}).items() if v is not None}
+    if "target" in flags and "mixture_json" in flags:
+        raise ConfigError("give --target or --mixture-json, not both")
     for flag, value in flags.items():
         section, key = _SECTION_FLAGS.get(flag, (None, flag))
         dest = doc.setdefault(section, {}) if section else doc
-        if key in dest and dest[key] != value and key != "command":
-            print(f"notice: flag --{flag.replace('_', '-')}={value!r} overrides "
-                  f"config value {dest[key]!r}", file=sys.stderr)
+        # A target flag replaces whichever selector the file names.
+        for old_key in _TARGET_SELECTORS if section == "target" else (key,):
+            old = dest.pop(old_key, None)
+            if old is not None and (old_key, old) != (key, value) and key != "command":
+                print(f"notice: flag --{flag.replace('_', '-')}={value!r} overrides "
+                      f"config value {old!r}", file=sys.stderr)
         dest[key] = value
 
     if "command" not in doc:
@@ -176,7 +189,6 @@ def _load_mixture(path: str) -> MixtureModel:
 def _gola_config(cfg: RunConfig, **overrides) -> GolaConfig:
     kwargs = dict(cfg.gola)
     kwargs.setdefault("master_seed", cfg.seed)
-    kwargs.setdefault("workers", cfg.workers)
     kwargs.update(overrides)
     return GolaConfig(**kwargs)
 
@@ -363,11 +375,13 @@ def _cmd_generate(cfg: RunConfig, out: Path) -> list[str]:
 _RUNNERS = {
     "fit": _cmd_fit,
     "refine": _cmd_refine,
+    "eval": _cmd_eval,
     "robustness": _cmd_robustness,
     "sensitivity": _cmd_sensitivity,
     "exemplar": _cmd_exemplar,
     "generate": _cmd_generate,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig) -> int:
@@ -385,10 +399,7 @@ def run(cfg: RunConfig) -> int:
             out = Path(cfg.out)
             out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        if cfg.command == "eval":
-            artifacts = _cmd_eval(cfg, out)
-        else:
-            artifacts = _RUNNERS[cfg.command](cfg, out)
+        artifacts = _RUNNERS[cfg.command](cfg, out)
         if out is not None:
             import scipy
 
@@ -422,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--out", help=f"output directory (or ${OUTPUT_DIR_ENV})")
-        cmd.add_argument("--workers", type=int)
         if name in ("fit", "refine"):
             cmd.add_argument("--target", help="built-in target name")
             cmd.add_argument("--mixture-json", dest="mixture_json",
@@ -445,26 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    flags: dict[str, Any] = {
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "workers": getattr(args, "workers", None),
-        "init": getattr(args, "init", None),
-        "reference": getattr(args, "reference", None),
-        "p": getattr(args, "p", None),
-        "q": getattr(args, "q", None),
-        "n": getattr(args, "n", None),
-        "n_cases": getattr(args, "n_cases", None),
-        "n_design": getattr(args, "n_design", None),
-        "replicates": getattr(args, "replicates", None),
-        "target": getattr(args, "target", None),
-        "mixture_json": getattr(args, "mixture_json", None),
-        "preset": getattr(args, "preset", None),
-    }
+    flags = vars(_build_parser().parse_args(argv))
     try:
-        cfg = parse_config(getattr(args, "config", None), flags)
+        cfg = parse_config(flags.pop("config"), flags)
     except ConfigError as exc:
         print(json.dumps({"error": "ConfigError", "message": str(exc)}),
               file=sys.stderr)

@@ -1,9 +1,8 @@
 """Target densities: unnormalized log-posteriors, Gaussian mixtures, and
 sinh-arcsinh synthetic posteriors.
 
-All objects are immutable after construction and safe to evaluate from
-multiple threads. Sampling always takes an explicit seed and owns a
-private generator per call.
+All objects are immutable after construction. Sampling always takes an
+explicit seed and owns a private generator per call.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
 
-from .exceptions import DerivativeError
+from .exceptions import DerivativeError, NonFiniteDensityError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -38,7 +37,8 @@ class UnnormalizedTarget:
     log_phi : callable
         Maps a length-``dim`` vector to the unnormalized log-density.
         May return ``-inf`` as an out-of-support sentinel so optimizers
-        can reject points without exception handling in hot loops.
+        can reject points without exception handling in hot loops; the
+        evaluators raise ``NonFiniteDensityError`` on NaN or ``+inf``.
     search_box : ndarray, shape (dim, 2)
         Per-coordinate [lower, upper] bounds for global search.
     gradient : callable, optional
@@ -75,7 +75,10 @@ def eval_log_density(target: UnnormalizedTarget, z: NDArray) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (target.dim,):
         raise ValueError(f"expected a length-{target.dim} vector, got shape {z.shape}")
-    return float(target.log_phi(z))
+    value = float(target.log_phi(z))
+    if math.isnan(value) or value == math.inf:
+        raise NonFiniteDensityError(z)
+    return value
 
 
 def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArray:
@@ -84,8 +87,13 @@ def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArr
     if points.ndim != 2 or points.shape[1] != target.dim:
         raise ValueError(f"expected an (n, {target.dim}) array, got {points.shape}")
     if target.log_phi_batch is not None:
-        return np.asarray(target.log_phi_batch(points), dtype=float)
-    return np.array([target.log_phi(p) for p in points], dtype=float)
+        values = np.asarray(target.log_phi_batch(points), dtype=float)
+    else:
+        values = np.array([target.log_phi(p) for p in points], dtype=float)
+    bad = np.isnan(values) | (values == np.inf)
+    if bad.any():
+        raise NonFiniteDensityError(points[np.argmax(bad)])
+    return values
 
 
 def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
@@ -279,11 +287,6 @@ class MixtureModel:
             hessian=lambda z: mixture_log_pdf_hessian(self, z),
             log_phi_batch=lambda pts: mixture_log_pdf(self, pts),
         )
-
-
-def _component_log_pdfs(m: MixtureModel, pts: NDArray) -> NDArray:
-    """Stack of component log-densities, shape (K, n)."""
-    return np.array([c.log_pdf(pts) for c in m.components])
 
 
 def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:

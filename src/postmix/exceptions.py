@@ -21,6 +21,18 @@ class DerivativeError(PostmixError):
         self.point = point
 
 
+class NonFiniteDensityError(PostmixError):
+    """A target's log-density was NaN or ``+inf`` at ``.point``.
+
+    Only ``-inf`` means out of support; other non-finite values are faults.
+    """
+
+    def __init__(self, point):
+        super().__init__(f"log-density is NaN or +inf at {point}; only -inf "
+                         "means out of support")
+        self.point = point
+
+
 class SingularMatrixError(PostmixError):
     """Cholesky factorization failed even at the maximum jitter level."""
 

@@ -11,7 +11,6 @@ normalizing constant of ``phi``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +58,6 @@ class GolaConfig:
     dedup_threshold: float = 0.01
     n_weight_samples: Optional[int] = None
     master_seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_starts is not None and self.n_starts < 1:
@@ -197,26 +195,20 @@ def multistart_minimize(target: UnnormalizedTarget,
 
     Returns the converged minima sorted by objective (ties broken
     lexicographically by location), which makes the result independent of
-    execution order. Starts that land on zero density or break the
+    the order of the starts. Starts that land on zero density or break the
     derivative stencils are skipped.
     """
     n_starts = cfg.n_starts if cfg.n_starts is not None else 32 * target.dim
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
     starts = lo + sobol_points(target.dim, n_starts) * (hi - lo)
 
-    def attempt(item):
-        idx, start = item
+    def attempt(idx, start):
         try:
             return local_minimize(target, start, cfg, start_index=idx)
         except (RejectedStartError, DerivativeError):
             return None
 
-    items = list(enumerate(starts))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(attempt, items))
-    else:
-        results = [attempt(item) for item in items]
+    results = [attempt(idx, start) for idx, start in enumerate(starts)]
 
     converged = [r for r in results if r is not None and r.converged]
     if not converged:

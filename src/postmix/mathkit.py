@@ -5,8 +5,7 @@ the Sobol low-discrepancy sequence, the closed-form chi-square survival
 function at integer degrees of freedom, Mahalanobis distances, and a
 nonnegative least-squares solver. (Matrix exponentials come from
 ``scipy.linalg.expm`` at their one call site, the shear-frame
-simulator.) Everything here is a pure function of its inputs and safe
-for unrestricted concurrent use.
+simulator.) Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -223,8 +222,7 @@ def mahalanobis_distance(z: NDArray, mean: NDArray, chol_cov: NDArray) -> float:
     return float(np.sqrt(y @ y))
 
 
-def nnls(a: NDArray, b: NDArray, max_iter: int | None = None,
-         tol: float | None = None) -> tuple[NDArray[np.float64], float]:
+def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:
     """Solve ``min ||a x - b||_2`` subject to ``x >= 0``.
 
     Lawson-Hanson active-set iteration: variables enter the passive set by
@@ -237,11 +235,6 @@ def nnls(a: NDArray, b: NDArray, max_iter: int | None = None,
     ----------
     a : ndarray, shape (m, n)
     b : ndarray, shape (m,)
-    max_iter : int, optional
-        Iteration cap, default ``3 * n``.
-    tol : float, optional
-        Dual tolerance for entering variables; defaults to a multiple of
-        machine epsilon scaled by the problem data.
 
     Returns
     -------
@@ -257,10 +250,9 @@ def nnls(a: NDArray, b: NDArray, max_iter: int | None = None,
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"incompatible shapes: a {a.shape}, b {b.shape}")
-    if max_iter is None:
-        max_iter = max(3 * n, 30)
-    if tol is None:
-        tol = 10 * np.finfo(float).eps * np.linalg.norm(a, 1) * (max(m, n) + 1)
+    max_iter = max(3 * n, 30)
+    # Dual tolerance for entering variables, scaled by the problem data.
+    tol = 10 * np.finfo(float).eps * np.linalg.norm(a, 1) * (max(m, n) + 1)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

@@ -13,12 +13,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .density import GaussianComponent, MixtureModel
-from .exceptions import GenerationError
+from .exceptions import GenerationError, PostmixError
 from .gola import GolaConfig, run_gola
 from .mathkit import sobol_points
 from .metrics import dice_overlap, jsd_normalized
-
-FACTOR_NAMES = ("d", "M", "omega", "c", "lambda")
 
 
 @dataclass(frozen=True)
@@ -197,6 +195,8 @@ class SobolDesign:
 
     ``ab[i]`` equals ``a`` except in column ``i``, which comes from ``b``;
     filling all outputs costs ``n * (k + 2)`` model evaluations.
+    ``retried_rows`` holds a ``(block, row)`` pair for each row whose first
+    model call failed, with block ``"A"``, ``"B"`` or ``"AB<i>"``.
     """
 
     factor_names: tuple[str, ...]
@@ -206,7 +206,7 @@ class SobolDesign:
     f_a: NDArray[np.float64]        # (n,)
     f_b: NDArray[np.float64]        # (n,)
     f_ab: NDArray[np.float64]       # (k, n)
-    retried_rows: tuple[int, ...] = ()
+    retried_rows: tuple[tuple[str, int], ...] = ()
 
 
 def _as_factors(spec: Union[FactorSpec, Sequence[Factor]]) -> list[Factor]:
@@ -247,21 +247,21 @@ def sobol_design(spec: Union[FactorSpec, Sequence[Factor]], n: int, seed: int,
         ab[i] = a
         ab[i][:, i] = b[:, i]
 
-    retried: list[int] = []
+    retried: list[tuple[str, int]] = []
 
-    def evaluate(rows: NDArray) -> NDArray:
+    def evaluate(block_name: str, rows: NDArray) -> NDArray:
         out = np.empty(rows.shape[0])
         for r in range(rows.shape[0]):
             try:
                 out[r] = float(model(rows[r]))
             except Exception:
-                retried.append(r)
+                retried.append((block_name, r))
                 out[r] = float(model(rows[r]))  # second failure propagates
         return out
 
-    f_a = evaluate(a)
-    f_b = evaluate(b)
-    f_ab = np.array([evaluate(ab[i]) for i in range(k)])
+    f_a = evaluate("A", a)
+    f_b = evaluate("B", b)
+    f_ab = np.array([evaluate(f"AB{i}", ab[i]) for i in range(k)])
     return SobolDesign(
         factor_names=tuple(f.name for f in factors),
         a=a, b=b, ab=ab, f_a=f_a, f_b=f_b, f_ab=f_ab,
@@ -409,8 +409,10 @@ def evaluate_case(factors: ProblemFactors, gola_cfg: GolaConfig,
                   jsd_samples: int, seed: int) -> tuple[float, str]:
     """Score one synthetic case: normalized JSD between truth and the fit.
 
-    Failures score 1 (the worst value) with a status tag rather than being
-    dropped, so ensemble statistics keep their full design size.
+    Pipeline failures (a ``PostmixError`` or ``LinAlgError``) score 1, the
+    worst value, with the exception's name as the status rather than being
+    dropped, so ensemble statistics keep their full design size. Any other
+    exception is a fault in the program and propagates.
     """
     seeds = np.random.SeedSequence(seed).generate_state(4)
     try:
@@ -423,7 +425,7 @@ def evaluate_case(factors: ProblemFactors, gola_cfg: GolaConfig,
         fit = run_gola(target, cfg).mixture
         score = jsd_normalized(truth, fit, jsd_samples, int(seeds[3])).value
         return float(score), "ok"
-    except Exception as exc:  # any failure is an informative worst case
+    except (PostmixError, np.linalg.LinAlgError) as exc:
         return 1.0, type(exc).__name__
 
 

@@ -136,8 +136,7 @@ def _mixture_internals(params: VariationalParams, points: NDArray):
     return log_q, resp, v_all, w_all, chol
 
 
-def _f_values(params: VariationalParams, target: UnnormalizedTarget,
-              points: NDArray, log_q: NDArray):
+def _f_values(target: UnnormalizedTarget, points: NDArray, log_q: NDArray):
     """Per-sample integrand f = log q - log phi with finite penalties."""
     log_phi = eval_log_density_batch(target, points)
     in_support = np.isfinite(log_phi)
@@ -157,23 +156,19 @@ def negative_elbo_estimate(params: VariationalParams,
         raise ValueError("n must be at least 1")
     points = mixture_sample(to_mixture(params), n, seed)
     log_q, *_ = _mixture_internals(params, points)
-    f, _ = _f_values(params, target, points, log_q)
+    f, _ = _f_values(target, points, log_q)
     return float(np.mean(f))
 
 
 def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
-                        n: int, seed: int, baseline: bool):
+                        n: int, seed: int):
     """Score-function gradient plus the per-sample f statistics."""
+    if n < 2:
+        raise ValueError("the leave-one-out baseline requires n >= 2")
     points = mixture_sample(to_mixture(params), n, seed)
     log_q, resp, v_all, w_all, chol = _mixture_internals(params, points)
-    f, violations = _f_values(params, target, points, log_q)
-    if baseline:
-        if n < 2:
-            raise ValueError("the leave-one-out baseline requires n >= 2")
-        total = np.sum(f)
-        coeff = (n * f - total) / (n - 1)
-    else:
-        coeff = f
+    f, violations = _f_values(target, points, log_q)
+    coeff = (n * f - np.sum(f)) / (n - 1)
 
     k, d = params.means.shape
     pi = params.weights()
@@ -194,17 +189,17 @@ def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
 
 
 def score_function_gradient(params: VariationalParams,
-                            target: UnnormalizedTarget, n: int, seed: int,
-                            baseline: bool = True) -> VariationalParams:
+                            target: UnnormalizedTarget, n: int,
+                            seed: int) -> VariationalParams:
     """Score-function estimator of the negative-ELBO gradient.
 
     Computes ``(1/n) sum_i f(z_i) grad_theta log q_theta(z_i)`` with
-    ``f = log q - log phi`` and, when ``baseline`` is set, a leave-one-out
-    mean baseline subtracted from f. The log-density gradient is exact
-    through the unconstrained parameterization. The returned object holds
-    the gradient in the same container shape as the parameters.
+    ``f = log q - log phi`` less a leave-one-out mean baseline, so ``n``
+    must be at least 2. The log-density gradient is exact through the
+    unconstrained parameterization. The returned object holds the gradient
+    in the same container shape as the parameters.
     """
-    grad, _, _ = _score_gradient_raw(params, target, n, seed, baseline)
+    grad, _, _ = _score_gradient_raw(params, target, n, seed)
     return grad
 
 
@@ -253,7 +248,6 @@ class ViConfig:
     max_epochs: int = 200
     report_interval: int = 10
     seed: int = 0
-    baseline: bool = True
     jsd_samples: int = 4096
 
     def __post_init__(self):
@@ -261,8 +255,9 @@ class ViConfig:
             raise ValueError("moment decay rates must lie in (0, 1)")
         if self.step_size <= 0.0:
             raise ValueError("step_size must be positive")
-        if self.n_mc_samples < 1:
-            raise ValueError("n_mc_samples must be at least 1")
+        if self.n_mc_samples < 2:
+            raise ValueError("n_mc_samples must be at least 2 for the "
+                             "leave-one-out baseline")
 
 
 @dataclass(frozen=True)
@@ -325,9 +320,7 @@ def refine(init: MixtureModel, target: UnnormalizedTarget, cfg: ViConfig,
             trace.diverged = True
             break
         grad, neg_elbo, violations = _score_gradient_raw(
-            params, target, cfg.n_mc_samples, int(seeds[2 * epoch]),
-            cfg.baseline,
-        )
+            params, target, cfg.n_mc_samples, int(seeds[2 * epoch]))
         if not np.isfinite(neg_elbo):
             trace.diverged = True
             break

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 from postmix import cli
 from postmix.cli import ConfigError, OUTPUT_DIR_ENV, main, parse_config
 from postmix.density import mixture_from_dict
+from postmix.gola import GolaConfig
+from postmix.vi import ViConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,13 +27,34 @@ class TestParseConfig:
     def test_defaults_applied(self, tmp_path):
         cfg = parse_config(None, {"command": "fit", "out": str(tmp_path)})
         assert cfg.seed == 0
-        assert cfg.workers == 1
 
     def test_unknown_key_suggestion(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gola": {"n_stars": 4}}))
         with pytest.raises(ConfigError, match="n_starts"):
             parse_config(str(path), {"command": "fit"})
+
+    @pytest.mark.parametrize("doc, key", [({"workers": 2}, "workers"),
+                                          ({"vi": {"baseline": False}}, "baseline")])
+    def test_retired_keys_rejected(self, tmp_path, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(str(path), {"command": "fit"})
+
+    def test_workers_flag_retired(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--target", "gauss2d", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_section_keys_are_config_fields(self):
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert cli._GOLA_KEYS == names(GolaConfig) - {"master_seed"}
+        assert cli._VI_KEYS == names(ViConfig) - {"seed"}
+        assert cli._TOP_KEYS == names(cli.RunConfig)
 
     def test_unknown_top_level_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -102,6 +126,39 @@ class TestSectionFlagOverrides:
                                          "--preset", "broad"])
         assert cfg.factors == {"preset": "broad", "d": [2, 3]}
         assert "--preset='broad' overrides config value 'hard'" in capsys.readouterr().err
+
+    def test_target_flag_replaces_file_mixture_json(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        mixture = str(DATA / "mixture_p.json")
+        path.write_text(json.dumps({"target": {"mixture_json": mixture}}))
+        cfg = _main_config(monkeypatch, ["fit", "--config", str(path),
+                                         "--target", "gauss2d"])
+        assert cfg.target == {"name": "gauss2d"}
+        assert cli._build_target(cfg).dim == 2
+        assert (f"--target='gauss2d' overrides config value {mixture!r}"
+                in capsys.readouterr().err)
+
+    def test_mixture_json_flag_replaces_file_name(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"name": "gauss2d"}}))
+        flag = str(DATA / "mixture_p.json")
+        cfg = _main_config(monkeypatch, ["fit", "--config", str(path),
+                                         "--mixture-json", flag])
+        assert cfg.target == {"mixture_json": flag}
+        assert cli._build_target(cfg).dim == 1
+        assert "overrides config value 'gauss2d'" in capsys.readouterr().err
+
+    def test_file_naming_both_selectors_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"name": "gauss2d",
+                                               "mixture_json": str(DATA / "mixture_p.json")}}))
+        with pytest.raises(ConfigError, match="names both"):
+            parse_config(str(path), {"command": "fit"})
+
+    def test_both_selector_flags_rejected(self):
+        with pytest.raises(ConfigError, match="not both"):
+            parse_config(None, {"command": "fit", "target": "gauss2d",
+                                "mixture_json": str(DATA / "mixture_p.json")})
 
 
 class TestFitCommand:

@@ -23,7 +23,7 @@ from postmix.density import (
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
 )
-from postmix.exceptions import DerivativeError
+from postmix.exceptions import DerivativeError, NonFiniteDensityError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -69,6 +69,21 @@ class TestEvalLogDensity:
         target = _gaussian_target(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             eval_log_density(target, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_plus_inf_raises_with_point(self, bad):
+        target = _simple_target(1, lambda z: bad if z[0] > 1.0 else -math.inf)
+        assert eval_log_density(target, np.array([0.0])) == -math.inf
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_log_density(target, np.array([2.0]))
+        assert exc.value.point[0] == 2.0
+        points = np.array([[0.0], [3.0], [4.0]])
+        for batched in (target, _simple_target(
+                1, target.log_phi,
+                log_phi_batch=lambda pts: np.where(pts[:, 0] > 1.0, bad, -math.inf))):
+            with pytest.raises(NonFiniteDensityError) as exc:
+                eval_log_density_batch(batched, points)
+            assert exc.value.point[0] == 3.0
 
 
 class TestEvalGradient:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from postmix.density import (
 )
 from postmix.exceptions import (
     NoModesFoundError,
+    NonFiniteDensityError,
     RejectedStartError,
     WeightUnderflowError,
 )
@@ -157,16 +157,17 @@ class TestMultistart:
         minima = multistart_minimize(target, GolaConfig(n_starts=4))
         assert all(m.location[0] == 5.0 for m in minima)
 
-    def test_workers_do_not_change_result(self):
-        _, target = _gaussian_mixture_target(
-            [[-2.0, 0.0], [2.0, 0.0]], [0.3 * np.eye(2), 0.4 * np.eye(2)], [0.5, 0.5]
+    def test_nan_density_raises_with_point(self):
+        # NaN is a fault in the target, not a rejected start
+        target = UnnormalizedTarget(
+            dim=1,
+            log_phi=lambda z: math.nan if z[0] > 0.0 else -0.5 * float(z @ z),
+            search_box=_box(1),
+            gradient=lambda z: -z,
         )
-        seq = multistart_minimize(target, GolaConfig(n_starts=24, workers=1))
-        par = multistart_minimize(target, GolaConfig(n_starts=24, workers=4))
-        assert len(seq) == len(par)
-        for a, b in zip(seq, par):
-            np.testing.assert_array_equal(a.location, b.location)
-            assert a.objective == b.objective
+        with pytest.raises(NonFiniteDensityError) as exc:
+            multistart_minimize(target, GolaConfig(n_starts=8))
+        assert exc.value.point[0] > 0.0
 
 
 class TestLaplace:
@@ -315,6 +316,21 @@ class TestSolveWeights:
         with pytest.raises(WeightUnderflowError):
             solve_weights(target, [comp], 128, seed=4)
 
+    def test_nan_at_one_point_is_not_underflow(self):
+        comp = GaussianComponent(np.zeros(1), np.eye(1))
+
+        def log_phi_batch(pts):
+            out = comp.log_pdf(pts)
+            out[5] = math.nan
+            return out
+
+        target = UnnormalizedTarget(dim=1, log_phi=lambda z: float(comp.log_pdf(z)),
+                                    search_box=_box(1), log_phi_batch=log_phi_batch)
+        with pytest.raises(NonFiniteDensityError) as exc:
+            solve_weights(target, [comp], 128, seed=4)
+        points = mixture_sample(MixtureModel((comp,), np.ones(1)), 128, 4)
+        np.testing.assert_array_equal(exc.value.point, points[5])
+
 
 class TestRunGola:
     def test_unimodal_exact_recovery_and_evidence(self):
@@ -365,14 +381,12 @@ class TestRunGola:
             assert comp.mean[0] == pytest.approx(-3.0, abs=1e-4)
         assert report.mixture.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_bitwise_determinism_across_workers(self):
+    def test_bitwise_determinism_across_runs(self):
         mix, target = _gaussian_mixture_target(
             [[-2.0, 0.5], [2.0, -0.5]], [0.4 * np.eye(2), 0.6 * np.eye(2)], [0.45, 0.55]
         )
         cfg = GolaConfig(n_starts=32, master_seed=5)
-        r1 = run_gola(target, cfg)
-        r2 = run_gola(target, replace(cfg, workers=4))
-        assert r1.to_dict() == r2.to_dict()
+        assert run_gola(target, cfg).to_dict() == run_gola(target, cfg).to_dict()
 
     def test_evidence_consistency_many_seeds(self):
         mean = np.array([0.3])

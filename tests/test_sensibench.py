@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from postmix import sensibench
 from postmix.density import MixtureModel
+from postmix.exceptions import NoModesFoundError
 from postmix.gola import GolaConfig
 from postmix.metrics import dice_overlap
 from postmix.sensibench import (
@@ -12,6 +14,7 @@ from postmix.sensibench import (
     ProblemFactors,
     bootstrap_ci,
     estimate_indices,
+    evaluate_case,
     generate_test_gmm,
     robustness_study,
     sobol_design,
@@ -134,13 +137,28 @@ class TestSobolDesign:
 
         factors = [Factor("x1", 0.0, 1.0)]
         design = sobol_design(factors, 4, seed=4, model=flaky)
-        assert len(design.retried_rows) == 1
+        assert design.retried_rows == (("A", 0),)
 
         def always_fails(row):
             raise RuntimeError("permanent")
 
         with pytest.raises(RuntimeError, match="permanent"):
             sobol_design(factors, 4, seed=4, model=always_fails)
+
+    def test_retried_rows_name_their_block(self):
+        calls = []
+
+        def flaky(row):
+            calls.append(None)
+            # Calls run A, B, AB0, AB1 with 4 rows each; a retry is one more
+            # call, so call 5 is B row 1 and call 15 is AB1 row 2.
+            if len(calls) - 1 in (5, 15):
+                raise RuntimeError("transient")
+            return float(row[0])
+
+        factors = [Factor("x1", 0.0, 1.0), Factor("x2", 0.0, 1.0)]
+        design = sobol_design(factors, 4, seed=4, model=flaky)
+        assert design.retried_rows == (("B", 1), ("AB1", 2))
 
     def test_seed_changes_design(self):
         factors = [Factor("x1", 0.0, 1.0)]
@@ -267,3 +285,21 @@ class TestRobustnessStudy:
         for case in table.cases:
             if case.status != "ok":
                 assert case.score == 1.0
+
+    def test_pipeline_error_scores_worst_with_its_name(self, monkeypatch):
+        def no_modes(target, cfg):
+            raise NoModesFoundError("none converged")
+
+        monkeypatch.setattr(sensibench, "run_gola", no_modes)
+        factors = ProblemFactors(2, 2, 1.0, 0.0, 1e-4)
+        assert evaluate_case(factors, GolaConfig(n_starts=8), 512, 3) == (
+            1.0, "NoModesFoundError")
+
+    def test_program_fault_propagates(self, monkeypatch):
+        def broken(target, cfg):
+            raise TypeError("a bug, not a hard case")
+
+        monkeypatch.setattr(sensibench, "run_gola", broken)
+        factors = ProblemFactors(2, 2, 1.0, 0.0, 1e-4)
+        with pytest.raises(TypeError, match="a bug"):
+            evaluate_case(factors, GolaConfig(n_starts=8), 512, 3)

@@ -12,6 +12,7 @@ from postmix.density import (
     UnnormalizedTarget,
     random_sinh_arcsinh_mixture,
 )
+from postmix.exceptions import NonFiniteDensityError
 from postmix.gola import GolaConfig, run_gola
 from postmix.metrics import jsd_normalized
 from postmix.vi import (
@@ -119,6 +120,17 @@ class TestNegativeElbo:
         est = negative_elbo_estimate(from_mixture(q), target, 256, seed=3)
         assert est > 1e5  # most samples hit the penalty
 
+    def test_nan_density_is_not_a_support_violation(self):
+        q = _gaussian_mixture([[0.0]], [np.eye(1)], [1.0])
+        target = UnnormalizedTarget(
+            dim=1,
+            log_phi=lambda z: math.nan if z[0] > 1.0 else 0.0,
+            search_box=np.array([[-5.0, 5.0]]),
+        )
+        with pytest.raises(NonFiniteDensityError) as exc:
+            negative_elbo_estimate(from_mixture(q), target, 256, seed=3)
+        assert exc.value.point[0] > 1.0
+
 
 class TestScoreFunctionGradient:
     def test_exactly_zero_at_normalized_fixed_point(self):
@@ -208,6 +220,8 @@ class TestScoreFunctionGradient:
         mix = _gaussian_mixture([[0.0]], [np.eye(1)], [1.0])
         with pytest.raises(ValueError):
             score_function_gradient(from_mixture(mix), mix.as_target(), 1, 0)
+        with pytest.raises(ValueError, match="at least 2"):
+            ViConfig(n_mc_samples=1)
 
 
 class TestReparamGradient:
