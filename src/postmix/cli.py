@@ -356,17 +356,8 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
 
 
 def _cmd_generate(cfg: RunConfig, out: Path) -> list[str]:
-    # pinned factors (collapsed [v, v] ranges) override the sampled draw
-    spec = _factor_spec(cfg)
-    sampled = spec.sample(np.random.default_rng(cfg.seed))
-    doc = dict(cfg.factors)
-    factors = ProblemFactors(
-        d=int(doc["d"][0]) if "d" in doc else sampled.d,
-        n_components=int(doc["M"][0]) if "M" in doc else sampled.n_components,
-        weight_decay=float(doc["omega"][0]) if "omega" in doc else sampled.weight_decay,
-        correlation=float(doc["c"][0]) if "c" in doc else sampled.correlation,
-        max_overlap=float(doc["lambda"][0]) if "lambda" in doc else sampled.max_overlap,
-    )
+    # a collapsed [v, v] range in the config pins its factor
+    factors = _factor_spec(cfg).sample(np.random.default_rng(cfg.seed))
     mixture = generate_test_gmm(factors, cfg.seed)
     _json_dump(mixture_to_dict(mixture), out / "mixture.json")
     return ["mixture.json"]

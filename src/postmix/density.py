@@ -172,6 +172,33 @@ def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     return 0.5 * (neg + neg.T)
 
 
+def gaussian_log_pdfs(means: NDArray, chols: NDArray, pts: NDArray):
+    """Log-densities of K Gaussians at n points, and the whitened residuals.
+
+    ``means`` is (K, d), ``chols`` the (K, d, d) lower Cholesky factors of
+    the covariances and ``pts`` (n, d). Returns the (n, K) log-densities
+    and the (K, d, n) residuals ``L_k^-1 (z - mu_k)``.
+    """
+    k, d = means.shape
+    log_n = np.empty((pts.shape[0], k))
+    whitened = np.empty((k, d, pts.shape[0]))
+    for i in range(k):
+        y = solve_triangular(chols[i], (pts - means[i]).T, lower=True)
+        whitened[i] = y
+        log_det = np.sum(np.log(np.diag(chols[i])))
+        log_n[:, i] = -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=0)) - log_det
+    return log_n, whitened
+
+
+def log_sum_exp(stacked: NDArray):
+    """Row-wise log-sum-exp of an (n, K) array, and the responsibilities
+    ``exp(s - max) / sum(exp(s - max))``, shape (n, K)."""
+    peak = stacked.max(axis=1, keepdims=True)
+    scaled = np.exp(stacked - peak)
+    total = scaled.sum(axis=1, keepdims=True)
+    return (peak + np.log(total))[:, 0], scaled / total
+
+
 @dataclass(frozen=True)
 class GaussianComponent:
     """A Gaussian density stored as mean plus lower Cholesky factor.
@@ -213,12 +240,8 @@ class GaussianComponent:
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = points[np.newaxis] if single else points
-        diff = pts - self.mean
-        y = solve_triangular(self.chol_cov, diff.T, lower=True)
-        quad = np.sum(y * y, axis=0)
-        log_det = np.sum(np.log(np.diag(self.chol_cov)))
-        out = -0.5 * (self.dim * _LOG_2PI + quad) - log_det
-        return float(out[0]) if single else out
+        log_n, _ = gaussian_log_pdfs(self.mean[np.newaxis], self.chol_cov[np.newaxis], pts)
+        return float(log_n[0, 0]) if single else log_n[:, 0]
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
         rng = np.random.default_rng(seed)
@@ -251,6 +274,11 @@ class MixtureModel:
             raise ValueError(f"components have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", weights)
+        # the positive-weight components, stacked once for the kernels
+        active = [c for c, w in zip(comps, weights) if w > 0.0]
+        object.__setattr__(self, "_means", np.array([c.mean for c in active]))
+        object.__setattr__(self, "_chols", np.array([c.chol_cov for c in active]))
+        object.__setattr__(self, "_log_weights", np.log(weights[weights > 0.0]))
 
     @property
     def dim(self) -> int:
@@ -292,7 +320,7 @@ class MixtureModel:
 def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:
     """Log-density of the mixture via a log-sum-exp over the components.
 
-    Components with zero weight are dropped before taking logs, so they
+    Components with zero weight were dropped at construction, so they
     contribute nothing rather than a NaN. Stable far into the tails: the
     result stays finite 40 sigma and beyond from every mean.
     """
@@ -301,12 +329,8 @@ def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:
     pts = z[np.newaxis] if single else z
     if pts.shape[1] != m.dim:
         raise ValueError(f"expected points of dimension {m.dim}, got {pts.shape[1]}")
-    active = m.weights > 0.0
-    logs = np.array([c.log_pdf(pts) for c, a in zip(m.components, active) if a])
-    logw = np.log(m.weights[active])[:, np.newaxis]
-    stacked = logs + logw
-    peak = np.max(stacked, axis=0)
-    out = peak + np.log(np.sum(np.exp(stacked - peak), axis=0))
+    log_n, _ = gaussian_log_pdfs(m._means, m._chols, pts)
+    out, _ = log_sum_exp(log_n + m._log_weights)
     return float(out[0]) if single else out
 
 
@@ -322,36 +346,23 @@ def mixture_log_pdf_hessian(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
     z = np.asarray(z, dtype=float)
     resp, grads = _responsibilities_and_grads(m, z)
     d = m.dim
+    eye = np.eye(d)
     total = np.zeros((d, d))
     mean_grad = grads.T @ resp
-    active = np.where(m.weights > 0.0)[0]
-    for r, k, g in zip(resp, active, grads):
-        comp = m.components[k]
-        eye = np.eye(d)
-        prec = solve_triangular(
-            comp.chol_cov.T,
-            solve_triangular(comp.chol_cov, eye, lower=True),
-            lower=False,
-        )
+    for r, chol, g in zip(resp, m._chols, grads):
+        prec = solve_triangular(chol.T, solve_triangular(chol, eye, lower=True),
+                                lower=False)
         total += r * (-prec + np.outer(g, g))
     return total - np.outer(mean_grad, mean_grad)
 
 
 def _responsibilities_and_grads(m: MixtureModel, z: NDArray):
     """Posterior component responsibilities and per-component score vectors."""
-    active = np.where(m.weights > 0.0)[0]
-    logs = np.array([m.components[k].log_pdf(z) for k in active])
-    logw = np.log(m.weights[active])
-    stacked = logs + logw
-    stacked -= np.max(stacked)
-    resp = np.exp(stacked)
-    resp /= resp.sum()
-    grads = np.empty((len(active), m.dim))
-    for i, k in enumerate(active):
-        comp = m.components[k]
-        y = solve_triangular(comp.chol_cov, z - comp.mean, lower=True)
-        grads[i] = -solve_triangular(comp.chol_cov.T, y, lower=False)
-    return resp, grads
+    log_n, whitened = gaussian_log_pdfs(m._means, m._chols, z[np.newaxis])
+    _, resp = log_sum_exp(log_n + m._log_weights)
+    grads = np.array([-solve_triangular(chol.T, y[:, 0], lower=False)
+                      for chol, y in zip(m._chols, whitened)])
+    return resp[0], grads
 
 
 def mixture_sample(m: MixtureModel, n: int, seed: int) -> NDArray[np.float64]:
@@ -495,19 +506,14 @@ class SinhArcsinhMixture:
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = points[np.newaxis] if single else points
-        comp = self._component_log_pdfs(pts) + np.log(self.weights)
-        peak = np.max(comp, axis=1)
-        out = peak + np.log(np.sum(np.exp(comp - peak[:, np.newaxis]), axis=1))
+        out, _ = log_sum_exp(self._component_log_pdfs(pts) + np.log(self.weights))
         return float(out[0]) if single else out
 
     def gradient(self, z: NDArray) -> NDArray[np.float64]:
         z = np.asarray(z, dtype=float)
         pts = z[np.newaxis]
         x, u, zz = self._coordinate_terms(pts)
-        comp = self._component_log_pdfs(pts) + np.log(self.weights)
-        comp -= np.max(comp)
-        resp = np.exp(comp)
-        resp /= resp.sum()
+        _, resp = log_sum_exp(self._component_log_pdfs(pts) + np.log(self.weights))
         w = 1.0 / (self.tail * self.scale * np.sqrt(1.0 + x * x))
         dlogp = w * (np.tanh(u) - zz * np.cosh(u)) - x / (self.scale * (1.0 + x * x))
         return np.einsum("nk,nkd->nd", resp, dlogp)[0]
@@ -520,14 +526,15 @@ class SinhArcsinhMixture:
         skew, tail = self.skew[ks], self.tail[ks]
         return loc + scale * np.sinh((np.arcsinh(eps) + skew) * tail)
 
-    def default_search_box(self, z_range: float = 6.0,
-                           pad_fraction: float = 0.1) -> NDArray[np.float64]:
-        """Bounding box of the +-``z_range`` quantile images across components."""
-        lo_img = self.loc + self.scale * np.sinh((np.arcsinh(-z_range) + self.skew) * self.tail)
-        hi_img = self.loc + self.scale * np.sinh((np.arcsinh(z_range) + self.skew) * self.tail)
+    def default_search_box(self) -> NDArray[np.float64]:
+        """Bounding box of the +-6 standard-normal quantile images across
+        components, padded by a tenth of its width on each side."""
+        z = 6.0
+        lo_img = self.loc + self.scale * np.sinh((np.arcsinh(-z) + self.skew) * self.tail)
+        hi_img = self.loc + self.scale * np.sinh((np.arcsinh(z) + self.skew) * self.tail)
         lo = np.min(np.minimum(lo_img, hi_img), axis=0)
         hi = np.max(np.maximum(lo_img, hi_img), axis=0)
-        pad = pad_fraction * (hi - lo)
+        pad = 0.1 * (hi - lo)
         return np.column_stack([lo - pad, hi + pad])
 
     def as_target(self, search_box: NDArray | None = None) -> UnnormalizedTarget:

@@ -49,16 +49,14 @@ class SpdMatrix:
     jitter_applied: float
 
 
-def cholesky_spd(a: NDArray, sym_tol: float = 1e-10) -> SpdMatrix:
+def cholesky_spd(a: NDArray) -> SpdMatrix:
     """Factor a symmetric matrix, escalating diagonal jitter until SPD.
 
     Parameters
     ----------
     a : ndarray, shape (d, d)
-        Symmetric matrix; symmetry is required to ``sym_tol`` relative
+        Symmetric matrix; symmetry is required to 1e-10 relative
         tolerance and enforced exactly by averaging with the transpose.
-    sym_tol : float
-        Maximum allowed relative asymmetry.
 
     Returns
     -------
@@ -78,7 +76,7 @@ def cholesky_spd(a: NDArray, sym_tol: float = 1e-10) -> SpdMatrix:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = np.max(np.abs(a))
     asym = np.max(np.abs(a - a.T))
-    if scale > 0 and asym > sym_tol * scale:
+    if scale > 0 and asym > 1e-10 * scale:
         raise ValueError(
             f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
         )

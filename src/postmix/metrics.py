@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import GaussianComponent, UnnormalizedTarget, eval_log_density_batch
+from .density import (
+    GaussianComponent,
+    UnnormalizedTarget,
+    eval_log_density_batch,
+    log_sum_exp,
+)
 from .mathkit import cholesky_spd
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Log-ratio clamp just below the IEEE double overflow threshold for exp.
 _LOG_RATIO_CLAMP = 700.0
@@ -83,13 +86,7 @@ def jsd_normalized(p, q, n: int, seed: int) -> DivergenceEstimate:
 
 def _log_gaussian_at_zero(delta: NDArray, cov: NDArray) -> float:
     """log N(delta; 0, cov) evaluated through a Cholesky factorization."""
-    spd = cholesky_spd(cov)
-    d = delta.shape[0]
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(spd.chol, delta, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(spd.chol))))
-    return -0.5 * (d * _LOG_2PI + log_det + float(y @ y))
+    return GaussianComponent(np.zeros_like(delta), cholesky_spd(cov).chol).log_pdf(delta)
 
 
 def dice_overlap(p1: GaussianComponent, p2: GaussianComponent) -> float:
@@ -137,12 +134,10 @@ class GridDensity2D:
         wx[[0, -1]] = 0.5
         wy = wx.copy()
         weighted = log_phi + np.log(wx)[:, None] + np.log(wy)[None, :]
-        peak = np.max(weighted)
-        self.log_z = peak + math.log(float(np.sum(np.exp(weighted - peak)))) \
-            + math.log(self.dx * self.dy)
+        log_sum, _ = log_sum_exp(weighted.reshape(1, -1))
+        self.log_z = float(log_sum[0]) + math.log(self.dx * self.dy)
         self._log_phi_grid = log_phi
-        masses = np.exp(log_phi - np.max(log_phi)).ravel()
-        self._cell_probs = masses / masses.sum()
+        self._cell_probs = log_sum_exp(log_phi.reshape(1, -1))[1][0]
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
         points = np.asarray(points, dtype=float)

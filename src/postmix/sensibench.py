@@ -19,6 +19,10 @@ from .mathkit import sobol_points
 from .metrics import dice_overlap, jsd_normalized
 
 
+# Coverage of the percentile bootstrap intervals.
+_CI_LEVEL = 0.95
+
+
 @dataclass(frozen=True)
 class Factor:
     """One input factor with a uniform (discrete or continuous) distribution."""
@@ -312,10 +316,10 @@ def estimate_indices(design: SobolDesign) -> SensitivityResult:
     by the sample variance of ``f(A)``. Values are reported exactly as
     estimated, without clipping into [0, 1].
     """
-    f0 = float(np.mean(design.f_a))
-    if float(np.mean((design.f_a - f0) ** 2)) <= 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first, total, variance = _indices_from_outputs(design.f_a, design.f_b, design.f_ab)
+    if variance <= 0.0:
         raise ValueError("the model output has zero variance over the design")
-    first, total, variance = _indices_from_outputs(design.f_a, design.f_b, design.f_ab)
     return SensitivityResult(
         factor_names=design.factor_names,
         first_order=first, total_order=total,
@@ -323,9 +327,9 @@ def estimate_indices(design: SobolDesign) -> SensitivityResult:
     )
 
 
-def bootstrap_ci(design: SobolDesign, replicates: int, level: float = 0.95,
+def bootstrap_ci(design: SobolDesign, replicates: int,
                  seed: int = 0) -> SensitivityResult:
-    """Percentile bootstrap intervals for both index families.
+    """Percentile bootstrap intervals (95%) for both index families.
 
     Rows are resampled with replacement jointly across ``f(A)``, ``f(B)``,
     and every ``f(AB_i)``, preserving their coupling; zero-variance
@@ -347,18 +351,16 @@ def bootstrap_ci(design: SobolDesign, replicates: int, level: float = 0.95,
         fa = design.f_a[idx]
         fb = design.f_b[idx]
         fab = np.stack([design.f_ab[i][idx] for i in range(k)], axis=1)  # (size, k, n)
-        f0 = fa.mean(axis=1, keepdims=True)
-        variance = np.mean((fa - f0) ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first, total, variance = _indices_from_outputs(fa, fb, fab)
         ok = variance > 0.0
         skipped += int(np.sum(~ok))
-        first = np.mean(fb[:, None, :] * (fab - fa[:, None, :]), axis=2)
-        total = 0.5 * np.mean((fa[:, None, :] - fab) ** 2, axis=2)
-        first_reps.append(first[ok] / variance[ok, None])
-        total_reps.append(total[ok] / variance[ok, None])
+        first_reps.append(first[ok])
+        total_reps.append(total[ok])
         done += size
     first_all = np.concatenate(first_reps)
     total_all = np.concatenate(total_reps)
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - _CI_LEVEL) / 2.0
     first_ci = np.percentile(first_all, [tail, 100.0 - tail], axis=0).T
     total_ci = np.percentile(total_all, [tail, 100.0 - tail], axis=0).T
     return SensitivityResult(

@@ -26,13 +26,17 @@ from .density import (
     UnnormalizedTarget,
     eval_gradient,
     eval_log_density_batch,
+    gaussian_log_pdfs,
+    log_sum_exp,
     mixture_sample,
 )
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 # Finite stand-in for the infinite penalty of a zero-density sample.
 _SUPPORT_PENALTY = 1e6
+
+# Adam's decay rates for the first and second moment estimates.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,7 @@ class VariationalParams:
         return self.means.shape[1]
 
     def weights(self) -> NDArray[np.float64]:
-        shifted = self.logits - np.max(self.logits)
-        w = np.exp(shifted)
-        return w / w.sum()
+        return log_sum_exp(self.logits[np.newaxis])[1][0]
 
     def chol_factors(self) -> NDArray[np.float64]:
         chol = np.tril(self.chol_params, -1)
@@ -114,25 +116,11 @@ def _mixture_internals(params: VariationalParams, points: NDArray):
     ``v[k] = L_k^-1 (z - mu_k)`` and ``w[k] = Sigma_k^-1 (z - mu_k)``,
     each of shape (d, n).
     """
-    k, d = params.means.shape
-    n = points.shape[0]
     chol = params.chol_factors()
-    log_w = params.logits - (np.max(params.logits)
-                             + math.log(np.sum(np.exp(params.logits - np.max(params.logits)))))
-    log_n = np.empty((n, k))
-    v_all = np.empty((k, d, n))
-    w_all = np.empty((k, d, n))
-    for i in range(k):
-        u = (points - params.means[i]).T
-        v = solve_triangular(chol[i], u, lower=True)
-        w = solve_triangular(chol[i].T, v, lower=False)
-        v_all[i], w_all[i] = v, w
-        log_det = np.sum(np.log(np.diag(chol[i])))
-        log_n[:, i] = -0.5 * (d * _LOG_2PI + np.sum(v * v, axis=0)) - log_det
-    stacked = log_n + log_w
-    peak = np.max(stacked, axis=1)
-    log_q = peak + np.log(np.sum(np.exp(stacked - peak[:, None]), axis=1))
-    resp = np.exp(stacked - log_q[:, None])
+    log_n, v_all = gaussian_log_pdfs(params.means, chol, points)
+    log_w = params.logits - log_sum_exp(params.logits[np.newaxis])[0]
+    log_q, resp = log_sum_exp(log_n + log_w)
+    w_all = np.array([solve_triangular(c.T, v, lower=False) for c, v in zip(chol, v_all)])
     return log_q, resp, v_all, w_all, chol
 
 
@@ -243,16 +231,12 @@ class ViConfig:
 
     n_mc_samples: int = 128
     step_size: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
     max_epochs: int = 200
     report_interval: int = 10
     seed: int = 0
     jsd_samples: int = 4096
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("moment decay rates must lie in (0, 1)")
         if self.step_size <= 0.0:
             raise ValueError("step_size must be positive")
         if self.n_mc_samples < 2:
@@ -344,10 +328,10 @@ def refine(init: MixtureModel, target: UnnormalizedTarget, cfg: ViConfig,
             break
 
         g = _pack(grad)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** (epoch + 1))
-        v_hat = v / (1.0 - cfg.beta2 ** (epoch + 1))
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - _ADAM_BETA1 ** (epoch + 1))
+        v_hat = v / (1.0 - _ADAM_BETA2 ** (epoch + 1))
         theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     trace.best_epoch = best[2]

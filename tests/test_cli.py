@@ -35,7 +35,9 @@ class TestParseConfig:
             parse_config(str(path), {"command": "fit"})
 
     @pytest.mark.parametrize("doc, key", [({"workers": 2}, "workers"),
-                                          ({"vi": {"baseline": False}}, "baseline")])
+                                          ({"vi": {"baseline": False}}, "baseline"),
+                                          ({"vi": {"beta1": 0.9}}, "beta1"),
+                                          ({"vi": {"beta2": 0.999}}, "beta2")])
     def test_retired_keys_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -286,6 +288,30 @@ class TestGenerateCommand:
         assert mixture.n_components == 3
         np.testing.assert_allclose(mixture.weights,
                                    np.array([9.0, 6.0, 4.0]) / 19.0, rtol=1e-9)
+
+    def _generate(self, tmp_path, factors, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"factors": factors}))
+        out = tmp_path / f"out{seed}"
+        assert main(["generate", "--config", str(cfg), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        return mixture_from_dict(_read_json(out / "mixture.json"))
+
+    def test_factor_ranges_are_sampled(self, tmp_path):
+        # the draws of FactorSpec(d_range=(2, 6), m_range=(2, 4)).sample
+        # under default_rng(seed), not the low end of each range
+        shapes = []
+        for seed in range(5):
+            mixture = self._generate(tmp_path, {"d": [2, 6], "M": [2, 4]}, seed)
+            shapes.append((mixture.dim, mixture.n_components))
+        assert shapes == [(6, 3), (4, 3), (6, 2), (6, 2), (5, 4)]
+
+    def test_collapsed_range_pins_its_factor(self, tmp_path):
+        shapes = {(m.dim, m.n_components) for m in (
+            self._generate(tmp_path, {"d": [3, 3], "M": [2, 4]}, seed)
+            for seed in range(5))}
+        assert {d for d, _ in shapes} == {3}
+        assert len(shapes) > 1
 
 
 class TestRobustnessCommand:

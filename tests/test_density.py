@@ -1,21 +1,28 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.stats import multivariate_normal, skew
 
+from postmix import vi
 from postmix.density import (
     GaussianComponent,
     MixtureModel,
     SinhArcsinhMixture,
     SinhArcsinhSpec,
     UnnormalizedTarget,
+    _responsibilities_and_grads,
     eval_gradient,
     eval_hessian,
     eval_log_density,
     eval_log_density_batch,
+    gaussian_log_pdfs,
+    log_sum_exp,
     make_sinh_arcsinh_mixture,
     mixture_from_dict,
     mixture_log_pdf,
@@ -238,6 +245,78 @@ class TestMixtureLogPdf:
             -8.0, 8.0, -8.0, 8.0, epsabs=1e-6,
         )
         assert total == pytest.approx(1.0, abs=1e-4)
+
+    def test_kernels_match_scipy(self):
+        rng = np.random.default_rng(15)
+        means = rng.standard_normal((3, 4))
+        chols = np.array([np.linalg.cholesky(a @ a.T + np.eye(4))
+                          for a in rng.standard_normal((3, 4, 4))])
+        pts = rng.standard_normal((20, 4))
+        log_n, whitened = gaussian_log_pdfs(means, chols, pts)
+        for k in range(3):
+            ref = multivariate_normal(means[k], chols[k] @ chols[k].T).logpdf(pts)
+            np.testing.assert_allclose(log_n[:, k], ref, rtol=1e-12)
+            np.testing.assert_allclose(chols[k] @ whitened[k], (pts - means[k]).T,
+                                       atol=1e-12)
+        total, resp = log_sum_exp(log_n)
+        np.testing.assert_allclose(total, np.logaddexp.reduce(log_n, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(resp, np.exp(log_n - total[:, None]), rtol=1e-12)
+
+
+@st.composite
+def _mixtures(draw):
+    """Random mixtures in d = 1..10 with K = 1..5, sometimes with a zero weight."""
+    d = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for _ in range(k):
+        chol = np.tril(0.5 * rng.standard_normal((d, d)), -1)
+        chol[np.diag_indices(d)] = np.exp(rng.uniform(-1.0, 1.0, d))
+        comps.append(GaussianComponent(3.0 * rng.standard_normal(d), chol))
+    weights = rng.uniform(0.1, 1.0, k)
+    if k > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, k - 1))] = 0.0
+    mixture = MixtureModel(tuple(comps), weights / weights.sum())
+    points = 4.0 * rng.standard_normal((draw(st.integers(1, 16)), d))
+    return mixture, points
+
+
+class TestMixtureKernelProperties:
+    @given(_mixtures())
+    def test_batched_log_pdf_equals_per_point(self, case):
+        mixture, points = case
+        per_point = np.array([mixture_log_pdf(mixture, z) for z in points])
+        np.testing.assert_allclose(mixture_log_pdf(mixture, points), per_point,
+                                   rtol=1e-13, atol=1e-13)
+
+    @given(_mixtures())
+    def test_vi_log_q_equals_mixture_log_pdf(self, case):
+        mixture, points = case
+        # logits are defined up to a constant; shift them off the normalized ones
+        params = vi.from_mixture(mixture)
+        params = dataclasses.replace(params, logits=params.logits + 3.0)
+        log_q = vi._mixture_internals(params, points)[0]
+        np.testing.assert_allclose(log_q, vi.to_mixture(params).log_pdf(points),
+                                   rtol=1e-13, atol=1e-13)
+
+    @given(_mixtures())
+    def test_responsibilities_sum_to_one(self, case):
+        mixture, points = case
+        resp = vi._mixture_internals(vi.from_mixture(mixture), points)[1]
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-14)
+        for z in points:
+            assert _responsibilities_and_grads(mixture, z)[0].sum() == pytest.approx(
+                1.0, rel=1e-14)
+
+    @given(_mixtures())
+    def test_dict_round_trip_bitwise(self, case):
+        mixture, _ = case
+        back = mixture_from_dict(mixture_to_dict(mixture))
+        np.testing.assert_array_equal(back.weights, mixture.weights)
+        for a, b in zip(back.components, mixture.components):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.chol_cov, b.chol_cov)
 
 
 class TestMixtureSample:

@@ -275,7 +275,7 @@ def _observation_grids(draw):
 
 
 class TestBatchedSimulatorProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(times=_observation_grids(),
            points=st.lists(st.tuples(_damping, _damping), min_size=1, max_size=12))
     def test_log_phi_batch_equals_per_point(self, times, points):
@@ -286,7 +286,7 @@ class TestBatchedSimulatorProperties:
         single = np.array([target.log_phi(p) for p in pts])
         np.testing.assert_array_equal(target.log_phi_batch(pts), single)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(times=_observation_grids(),
            pairs=st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
                           min_size=1, max_size=8),
