@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .exceptions import DerivativeError, NonFiniteDensityError
 
@@ -172,22 +172,29 @@ def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     return 0.5 * (neg + neg.T)
 
 
-def gaussian_log_pdfs(means: NDArray, chols: NDArray, pts: NDArray):
+def gaussian_log_pdfs(means: NDArray, chol_invs: NDArray, pts: NDArray):
     """Log-densities of K Gaussians at n points, and the whitened residuals.
 
-    ``means`` is (K, d), ``chols`` the (K, d, d) lower Cholesky factors of
-    the covariances and ``pts`` (n, d). Returns the (n, K) log-densities
-    and the (K, d, n) residuals ``L_k^-1 (z - mu_k)``.
+    ``means`` is (K, d), ``chol_invs`` the (K, d, d) inverses of the lower
+    Cholesky factors of the covariances (each component caches its own at
+    construction) and ``pts`` (n, d). One stacked matmul whitens every
+    residual, and the log-determinants come from the inverses' diagonals.
+    Returns the (n, K) log-densities and the (K, d, n) residuals
+    ``L_k^-1 (z - mu_k)``.
     """
-    k, d = means.shape
-    log_n = np.empty((pts.shape[0], k))
-    whitened = np.empty((k, d, pts.shape[0]))
-    for i in range(k):
-        y = solve_triangular(chols[i], (pts - means[i]).T, lower=True)
-        whitened[i] = y
-        log_det = np.sum(np.log(np.diag(chols[i])))
-        log_n[:, i] = -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=0)) - log_det
+    d = means.shape[1]
+    whitened = chol_invs @ (pts - means[:, np.newaxis, :]).transpose(0, 2, 1)
+    log_det_inv = np.log(chol_invs.diagonal(0, 1, 2)).sum(axis=1)
+    log_n = log_det_inv - 0.5 * (d * _LOG_2PI + (whitened * whitened).sum(axis=1).T)
     return log_n, whitened
+
+
+def _inverse_lower(chol: NDArray) -> NDArray[np.float64]:
+    """Inverse of a lower-triangular factor with a positive diagonal."""
+    inverse, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular Cholesky factor (LAPACK info {info})")
+    return inverse
 
 
 def log_sum_exp(stacked: NDArray):
@@ -202,6 +209,9 @@ def log_sum_exp(stacked: NDArray):
 @dataclass(frozen=True)
 class GaussianComponent:
     """A Gaussian density stored as mean plus lower Cholesky factor.
+
+    The factor's inverse is computed once, at construction, and every
+    evaluation whitens with a matmul by it.
 
     Attributes
     ----------
@@ -226,6 +236,7 @@ class GaussianComponent:
             raise ValueError("chol_cov requires a strictly positive diagonal")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "chol_cov", chol)
+        object.__setattr__(self, "_chol_inv", _inverse_lower(chol))
 
     @property
     def dim(self) -> int:
@@ -240,7 +251,7 @@ class GaussianComponent:
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = points[np.newaxis] if single else points
-        log_n, _ = gaussian_log_pdfs(self.mean[np.newaxis], self.chol_cov[np.newaxis], pts)
+        log_n, _ = gaussian_log_pdfs(self.mean[np.newaxis], self._chol_inv[np.newaxis], pts)
         return float(log_n[0, 0]) if single else log_n[:, 0]
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
@@ -277,7 +288,7 @@ class MixtureModel:
         # the positive-weight components, stacked once for the kernels
         active = [c for c, w in zip(comps, weights) if w > 0.0]
         object.__setattr__(self, "_means", np.array([c.mean for c in active]))
-        object.__setattr__(self, "_chols", np.array([c.chol_cov for c in active]))
+        object.__setattr__(self, "_chol_invs", np.array([c._chol_inv for c in active]))
         object.__setattr__(self, "_log_weights", np.log(weights[weights > 0.0]))
 
     @property
@@ -329,7 +340,7 @@ def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:
     pts = z[np.newaxis] if single else z
     if pts.shape[1] != m.dim:
         raise ValueError(f"expected points of dimension {m.dim}, got {pts.shape[1]}")
-    log_n, _ = gaussian_log_pdfs(m._means, m._chols, pts)
+    log_n, _ = gaussian_log_pdfs(m._means, m._chol_invs, pts)
     out, _ = log_sum_exp(log_n + m._log_weights)
     return float(out[0]) if single else out
 
@@ -345,23 +356,18 @@ def mixture_log_pdf_hessian(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
     """Analytic Hessian of the mixture log-density at a single point."""
     z = np.asarray(z, dtype=float)
     resp, grads = _responsibilities_and_grads(m, z)
-    d = m.dim
-    eye = np.eye(d)
-    total = np.zeros((d, d))
+    precisions = m._chol_invs.transpose(0, 2, 1) @ m._chol_invs
     mean_grad = grads.T @ resp
-    for r, chol, g in zip(resp, m._chols, grads):
-        prec = solve_triangular(chol.T, solve_triangular(chol, eye, lower=True),
-                                lower=False)
-        total += r * (-prec + np.outer(g, g))
+    total = (grads.T * resp) @ grads - np.einsum("k,kij->ij", resp, precisions)
     return total - np.outer(mean_grad, mean_grad)
 
 
 def _responsibilities_and_grads(m: MixtureModel, z: NDArray):
-    """Posterior component responsibilities and per-component score vectors."""
-    log_n, whitened = gaussian_log_pdfs(m._means, m._chols, z[np.newaxis])
+    """Posterior component responsibilities and per-component score vectors
+    ``-L_k^-T L_k^-1 (z - mu_k)``, shape (K, d)."""
+    log_n, whitened = gaussian_log_pdfs(m._means, m._chol_invs, z[np.newaxis])
     _, resp = log_sum_exp(log_n + m._log_weights)
-    grads = np.array([-solve_triangular(chol.T, y[:, 0], lower=False)
-                      for chol, y in zip(m._chols, whitened)])
+    grads = -(m._chol_invs.transpose(0, 2, 1) @ whitened)[:, :, 0]
     return resp[0], grads
 
 

@@ -337,7 +337,7 @@ def solve_weights(target: UnnormalizedTarget,
             "would not help)"
         )
     y = np.exp(log_phi - offset)
-    design = np.exp(gaussian_log_pdfs(sampler._means, sampler._chols, points)[0])
+    design = np.exp(gaussian_log_pdfs(sampler._means, sampler._chol_invs, points)[0])
     x, rnorm = nnls(design, y)
     pi_tilde = np.where(x > 0.0, np.exp(np.log(np.where(x > 0.0, x, 1.0)) + offset), 0.0)
     return pi_tilde, rnorm / np.sqrt(n)

@@ -291,12 +291,12 @@ class SensitivityResult:
             writer = csv.writer(handle)
             writer.writerow(["factor", "S", "S_lo", "S_hi", "ST", "ST_lo", "ST_hi"])
             for i, name in enumerate(self.factor_names):
-                s_lo = repr(self.first_ci[i, 0]) if self.first_ci is not None else ""
-                s_hi = repr(self.first_ci[i, 1]) if self.first_ci is not None else ""
-                t_lo = repr(self.total_ci[i, 0]) if self.total_ci is not None else ""
-                t_hi = repr(self.total_ci[i, 1]) if self.total_ci is not None else ""
-                writer.writerow([name, repr(self.first_order[i]), s_lo, s_hi,
-                                 repr(self.total_order[i]), t_lo, t_hi])
+                s_lo = repr(float(self.first_ci[i, 0])) if self.first_ci is not None else ""
+                s_hi = repr(float(self.first_ci[i, 1])) if self.first_ci is not None else ""
+                t_lo = repr(float(self.total_ci[i, 0])) if self.total_ci is not None else ""
+                t_hi = repr(float(self.total_ci[i, 1])) if self.total_ci is not None else ""
+                writer.writerow([name, repr(float(self.first_order[i])), s_lo, s_hi,
+                                 repr(float(self.total_order[i])), t_lo, t_hi])
 
 
 def _indices_from_outputs(f_a: NDArray, f_b: NDArray, f_ab: NDArray):

@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 
 from .density import (
     GaussianComponent,
     MixtureModel,
     UnnormalizedTarget,
+    _inverse_lower,
     eval_gradient,
     eval_log_density_batch,
     gaussian_log_pdfs,
@@ -117,10 +117,11 @@ def _mixture_internals(params: VariationalParams, points: NDArray):
     each of shape (d, n).
     """
     chol = params.chol_factors()
-    log_n, v_all = gaussian_log_pdfs(params.means, chol, points)
+    chol_inv = np.array([_inverse_lower(c) for c in chol])
+    log_n, v_all = gaussian_log_pdfs(params.means, chol_inv, points)
     log_w = params.logits - log_sum_exp(params.logits[np.newaxis])[0]
     log_q, resp = log_sum_exp(log_n + log_w)
-    w_all = np.array([solve_triangular(c.T, v, lower=False) for c, v in zip(chol, v_all)])
+    w_all = chol_inv.transpose(0, 2, 1) @ v_all
     return log_q, resp, v_all, w_all, chol
 
 

@@ -347,6 +347,10 @@ class TestSensitivityCommand:
         lines = (out / "sensitivity.csv").read_text().strip().splitlines()
         assert lines[0] == "factor,S,S_lo,S_hi,ST,ST_lo,ST_hi"
         assert [l.split(",")[0] for l in lines[1:]] == ["d", "M", "omega", "c", "lambda"]
+        for line in lines[1:]:
+            for field in line.split(",")[1:7]:
+                if field:
+                    float(field)
 
 
 class TestExemplarCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal, skew
 
 from postmix import vi
@@ -16,6 +17,7 @@ from postmix.density import (
     SinhArcsinhMixture,
     SinhArcsinhSpec,
     UnnormalizedTarget,
+    _inverse_lower,
     _responsibilities_and_grads,
     eval_gradient,
     eval_hessian,
@@ -26,6 +28,8 @@ from postmix.density import (
     make_sinh_arcsinh_mixture,
     mixture_from_dict,
     mixture_log_pdf,
+    mixture_log_pdf_gradient,
+    mixture_log_pdf_hessian,
     mixture_sample,
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
@@ -91,6 +95,18 @@ class TestEvalLogDensity:
             with pytest.raises(NonFiniteDensityError) as exc:
                 eval_log_density_batch(batched, points)
             assert exc.value.point[0] == 3.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_of_mixture_raises_with_point(self, bad):
+        comp = GaussianComponent(np.zeros(2), np.array([[1.0, 0.0], [0.5, 2.0]]))
+        target = MixtureModel((comp,), np.ones(1)).as_target()
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteDensityError) as exc:
+                eval_log_density(target, np.array([bad, 0.0]))
+            np.testing.assert_array_equal(exc.value.point, [bad, 0.0])
+            with pytest.raises(NonFiniteDensityError) as exc:
+                eval_log_density_batch(target, np.array([[0.0, 0.0], [bad, 1.0]]))
+            np.testing.assert_array_equal(exc.value.point, [bad, 1.0])
 
 
 class TestEvalGradient:
@@ -252,7 +268,8 @@ class TestMixtureLogPdf:
         chols = np.array([np.linalg.cholesky(a @ a.T + np.eye(4))
                           for a in rng.standard_normal((3, 4, 4))])
         pts = rng.standard_normal((20, 4))
-        log_n, whitened = gaussian_log_pdfs(means, chols, pts)
+        chol_invs = np.array([solve_triangular(c, np.eye(4), lower=True) for c in chols])
+        log_n, whitened = gaussian_log_pdfs(means, chol_invs, pts)
         for k in range(3):
             ref = multivariate_normal(means[k], chols[k] @ chols[k].T).logpdf(pts)
             np.testing.assert_allclose(log_n[:, k], ref, rtol=1e-12)
@@ -261,6 +278,21 @@ class TestMixtureLogPdf:
         total, resp = log_sum_exp(log_n)
         np.testing.assert_allclose(total, np.logaddexp.reduce(log_n, axis=1), rtol=1e-13)
         np.testing.assert_allclose(resp, np.exp(log_n - total[:, None]), rtol=1e-12)
+
+    def test_cached_inverse_whitens_ill_conditioned_covariance(self):
+        # cond(Sigma) = 1e6: multiplying by the cached inverse factor must
+        # keep the squared Mahalanobis terms of a triangular solve
+        rng = np.random.default_rng(16)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        cov = (q * np.logspace(0.0, -6.0, 5)) @ q.T
+        chol = np.linalg.cholesky(cov)
+        assert np.linalg.cond(cov) == pytest.approx(1e6, rel=1e-6)
+        comp = GaussianComponent(rng.standard_normal(5), chol)
+        pts = comp.mean + rng.standard_normal((50, 5))
+        _, whitened = gaussian_log_pdfs(comp.mean[None], comp._chol_inv[None], pts)
+        ref = solve_triangular(chol, (pts - comp.mean).T, lower=True)
+        np.testing.assert_allclose(np.sum(whitened[0] ** 2, axis=0),
+                                   np.sum(ref ** 2, axis=0), rtol=1e-12)
 
 
 @st.composite
@@ -282,7 +314,42 @@ def _mixtures(draw):
     return mixture, points
 
 
+def _solve_triangular_derivatives(mixture, z):
+    """Gradient and Hessian of the mixture log-density from per-component
+    triangular solves: a reference that does not use the cached inverse
+    factors."""
+    d = mixture.dim
+    log_terms, scores, precisions = [], [], []
+    for comp, weight in zip(mixture.components, mixture.weights):
+        if weight == 0.0:
+            continue
+        y = solve_triangular(comp.chol_cov, z - comp.mean, lower=True)
+        log_terms.append(math.log(weight) - 0.5 * (d * LOG_2PI + y @ y)
+                         - np.sum(np.log(np.diag(comp.chol_cov))))
+        scores.append(-solve_triangular(comp.chol_cov.T, y, lower=False))
+        half = solve_triangular(comp.chol_cov, np.eye(d), lower=True)
+        precisions.append(solve_triangular(comp.chol_cov.T, half, lower=False))
+    resp = np.exp(np.array(log_terms) - np.logaddexp.reduce(log_terms))
+    grad = sum(r * g for r, g in zip(resp, scores))
+    hess = sum(r * (-p + np.outer(g, g)) for r, g, p in zip(resp, scores, precisions))
+    # the largest summand of each result: an entry that cancels to near
+    # zero still carries rounding of this size
+    g_scale = max(np.abs(g).max() for g in scores)
+    h_scale = max(np.abs(p).max() for p in precisions) + g_scale ** 2
+    return grad, hess - np.outer(grad, grad), g_scale, h_scale
+
+
 class TestMixtureKernelProperties:
+    @given(_mixtures())
+    def test_derivatives_equal_triangular_solves(self, case):
+        mixture, points = case
+        for z in points:
+            grad, hess, g_scale, h_scale = _solve_triangular_derivatives(mixture, z)
+            np.testing.assert_allclose(mixture_log_pdf_gradient(mixture, z), grad,
+                                       rtol=1e-10, atol=1e-10 * g_scale)
+            np.testing.assert_allclose(mixture_log_pdf_hessian(mixture, z), hess,
+                                       rtol=1e-10, atol=1e-10 * h_scale)
+
     @given(_mixtures())
     def test_batched_log_pdf_equals_per_point(self, case):
         mixture, points = case
@@ -383,6 +450,10 @@ class TestValidation:
             GaussianComponent(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             GaussianComponent(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_singular_factor_has_no_inverse(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse_lower(np.array([[1.0, 0.0], [0.3, 0.0]]))
 
     def test_chol_roundtrip_tight(self):
         rng = np.random.default_rng(13)
