@@ -237,8 +237,12 @@ def _factor_spec(cfg: RunConfig) -> FactorSpec:
                "c": "corr_range", "lambda": "overlap_range"}
     for key, attr in mapping.items():
         if key in doc:
-            lo, hi = doc[key]
-            kwargs[attr] = (lo, hi)
+            pair = doc[key]
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                    or not all(type(v) in (int, float) for v in pair)):
+                raise ConfigError(f"factors.{key} must be a [low, high] pair "
+                                  f"of numbers, got {pair!r}")
+            kwargs[attr] = tuple(pair)
     if kwargs:
         from dataclasses import replace
         spec = replace(spec, **kwargs)

@@ -47,7 +47,7 @@ class UnnormalizedTarget:
         Analytic Hessian of ``log_phi``; finite differences otherwise.
     log_phi_batch : callable, optional
         Vectorized evaluation mapping an (n, dim) array to an (n,) array;
-        used by samplers and grid scans when present.
+        used by samplers, grid scans and finite-difference Hessians when present.
     """
 
     dim: int
@@ -102,7 +102,9 @@ def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]
     Raises
     ------
     DerivativeError
-        If any stencil point evaluates to a non-finite log-density.
+        If a stencil point has ``log_phi = -inf``; ``.point`` is that point.
+    NonFiniteDensityError
+        If a stencil point evaluates to NaN or ``+inf``.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (target.dim,):
@@ -115,9 +117,9 @@ def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]
         zp, zm = z.copy(), z.copy()
         zp[i] += h
         zm[i] -= h
-        fp, fm = target.log_phi(zp), target.log_phi(zm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            bad = zp if not np.isfinite(fp) else zm
+        fp, fm = eval_log_density(target, zp), eval_log_density(target, zm)
+        if fp == -math.inf or fm == -math.inf:
+            bad = zp if fp == -math.inf else zm
             raise DerivativeError(
                 f"non-finite log-density in gradient stencil at {bad}", point=bad
             )
@@ -129,7 +131,10 @@ def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     """Hessian of ``-log_phi`` (note the sign), symmetrized.
 
     Analytic when the target carries a Hessian of ``log_phi``; otherwise
-    central second differences of ``log_phi``.
+    central second differences of ``log_phi`` over a stencil of
+    ``1 + 2d + 2d(d-1)`` points evaluated in one batched call. A stencil
+    point at ``-inf`` raises ``DerivativeError`` carrying that point; NaN
+    or ``+inf`` raises ``NonFiniteDensityError``.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (target.dim,):
@@ -140,34 +145,26 @@ def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
         return 0.5 * (neg + neg.T)
 
     d = target.dim
-    steps = np.array([_HESS_STEP * max(1.0, abs(z[i])) for i in range(d)])
-
-    def f(point):
-        val = target.log_phi(point)
-        if not np.isfinite(val):
-            raise DerivativeError(
-                f"non-finite log-density in Hessian stencil at {point}", point=point
-            )
-        return val
-
-    f0 = f(z)
-    hess = np.empty((d, d))
-    for i in range(d):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += steps[i]
-        zm[i] -= steps[i]
-        hess[i, i] = (f(zp) - 2.0 * f0 + f(zm)) / steps[i] ** 2
-        for j in range(i + 1, d):
-            zpp, zpm, zmp, zmm = z.copy(), z.copy(), z.copy(), z.copy()
-            zpp[[i, j]] += [steps[i], steps[j]]
-            zpm[i] += steps[i]
-            zpm[j] -= steps[j]
-            zmp[i] -= steps[i]
-            zmp[j] += steps[j]
-            zmm[[i, j]] -= [steps[i], steps[j]]
-            val = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4.0 * steps[i] * steps[j])
-            hess[i, j] = val
-            hess[j, i] = val
+    steps = _HESS_STEP * np.maximum(1.0, np.abs(z))
+    axis = np.diag(steps)
+    rows, cols = np.triu_indices(d, 1)
+    up, across = axis[rows], axis[cols]
+    # centre, the 2d axis points, then the four corner blocks of each i < j
+    stencil = np.vstack([z, z + axis, z - axis, z + up + across, z + up - across,
+                         z - up + across, z - up - across])
+    values = eval_log_density_batch(target, stencil)
+    minus_inf = np.isneginf(values)
+    if minus_inf.any():
+        bad = stencil[np.argmax(minus_inf)]
+        raise DerivativeError(
+            f"non-finite log-density in Hessian stencil at {bad}", point=bad
+        )
+    f0, fp, fm = values[0], values[1:d + 1], values[d + 1:2 * d + 1]
+    fpp, fpm, fmp, fmm = values[2 * d + 1:].reshape(4, -1)
+    hess = np.diag((fp - 2.0 * f0 + fm) / steps ** 2)
+    off = (fpp - fpm - fmp + fmm) / (4.0 * steps[rows] * steps[cols])
+    hess[rows, cols] = off
+    hess[cols, rows] = off
     neg = -hess
     return 0.5 * (neg + neg.T)
 

@@ -16,12 +16,12 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 
 from .density import (
     GaussianComponent,
     MixtureModel,
     UnnormalizedTarget,
+    _inverse_lower,
     eval_gradient,
     eval_hessian,
     eval_log_density,
@@ -38,7 +38,7 @@ from .exceptions import (
     SingularMatrixError,
     WeightUnderflowError,
 )
-from .mathkit import chi_square_survival, cholesky_spd, mahalanobis_distance, nnls, sobol_points
+from .mathkit import chi_square_survival, cholesky_spd, nnls, sobol_points
 
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
@@ -221,18 +221,16 @@ def multistart_minimize(target: UnnormalizedTarget,
     return converged
 
 
-def _component_from_hessian(mode: NDArray, hess: NDArray,
-                            dim: int) -> GaussianComponent:
-    """Covariance = inverse of the (regularized) Hessian, via triangular solves."""
+def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:
+    """Covariance = inverse of the (regularized) Hessian, as L^-T L^-1."""
     try:
         spd = cholesky_spd(hess)
     except SingularMatrixError as exc:
         raise DegenerateModeError(
             f"singular Hessian at mode {mode}", mode=mode
         ) from exc
-    eye = np.eye(dim)
-    half = solve_triangular(spd.chol, eye, lower=True)
-    sigma = solve_triangular(spd.chol.T, half, lower=False)
+    inv = _inverse_lower(spd.chol)
+    sigma = inv.T @ inv
     sigma = 0.5 * (sigma + sigma.T)
     try:
         chol_sigma = cholesky_spd(sigma)
@@ -248,8 +246,8 @@ def laplace_at_mode(target: UnnormalizedTarget,
     """Local Gaussian at a mode: covariance = inverse Hessian of -log phi.
 
     The caller must supply a converged local minimum; the Hessian is
-    regularized through the jitter ladder and inverted via two triangular
-    solves, never an explicit matrix inverse.
+    regularized through the jitter ladder and inverted through the inverse
+    of its Cholesky factor, never a general matrix inverse.
 
     Raises
     ------
@@ -257,7 +255,7 @@ def laplace_at_mode(target: UnnormalizedTarget,
         If the Hessian cannot be regularized into an SPD matrix.
     """
     mode = np.asarray(mode, dtype=float)
-    return _component_from_hessian(mode, eval_hessian(target, mode), target.dim)
+    return _component_from_hessian(mode, eval_hessian(target, mode))
 
 
 def _is_indefinite(hess: NDArray) -> bool:
@@ -272,11 +270,11 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     """Reduce candidate minima to distinct modes by a greedy Mahalanobis test.
 
     Candidates must arrive sorted by objective ascending so the deepest
-    modes anchor the accepted set. For each candidate the squared
-    Mahalanobis distance to every accepted component is referred to a
-    chi-square with ``dim`` degrees of freedom; a candidate that is typical
-    under any existing component (survival probability >= threshold) is a
-    duplicate, and one improbably far from all of them is a new mode.
+    modes anchor the accepted set. Each candidate is whitened against all
+    accepted components at once, and its smallest squared Mahalanobis
+    distance is referred to a chi-square with ``dim`` degrees of freedom; a
+    candidate typical under the nearest component (survival >= threshold)
+    is a duplicate, and one improbably far from all of them is a new mode.
 
     Descent can legitimately stop on a saddle (any stationary start point
     converges in place), so distinct candidates whose Hessian shows
@@ -287,10 +285,13 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     decisions: list[DedupDecision] = []
     for idx, cand in enumerate(candidates):
         survival = 0.0
-        for comp in accepted:
-            dist = mahalanobis_distance(cand.location, comp.mean, comp.chol_cov)
-            survival = max(survival,
-                           chi_square_survival(dist * dist, target.dim))
+        if accepted:
+            _, whitened = gaussian_log_pdfs(
+                np.array([c.mean for c in accepted]),
+                np.array([c._chol_inv for c in accepted]),
+                cand.location[np.newaxis])
+            nearest = float((whitened * whitened).sum(axis=1).min())
+            survival = chi_square_survival(nearest, target.dim)
         if survival >= threshold:
             decisions.append(DedupDecision(idx, survival, False, "duplicate"))
             continue
@@ -298,7 +299,7 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
         if _is_indefinite(hess):
             decisions.append(DedupDecision(idx, survival, False, "saddle"))
             continue
-        accepted.append(_component_from_hessian(cand.location, hess, target.dim))
+        accepted.append(_component_from_hessian(cand.location, hess))
         decisions.append(DedupDecision(idx, survival, True))
     return accepted, decisions
 

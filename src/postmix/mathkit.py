@@ -2,10 +2,10 @@
 
 Provides an SPD Cholesky factorization with an escalating jitter ladder,
 the Sobol low-discrepancy sequence, the closed-form chi-square survival
-function at integer degrees of freedom, Mahalanobis distances, and a
-nonnegative least-squares solver. (Matrix exponentials come from
-``scipy.linalg.expm`` at their one call site, the shear-frame
-simulator.) Everything here is a pure function of its inputs.
+function at integer degrees of freedom, and a nonnegative least-squares
+solver. (Matrix exponentials come from ``scipy.linalg.expm`` at their one
+call site, the shear-frame simulator.) Everything here is a pure function
+of its inputs.
 """
 
 from __future__ import annotations
@@ -201,23 +201,6 @@ def chi_square_survival(x: float, dof: int) -> float:
             total += term
             term *= half / (k + 0.5)
     return min(1.0, head + total)
-
-
-def mahalanobis_distance(z: NDArray, mean: NDArray, chol_cov: NDArray) -> float:
-    """Covariance-weighted distance sqrt((z-mu)^T Sigma^-1 (z-mu)).
-
-    Computed from one triangular solve against the lower Cholesky factor
-    of Sigma; no inverse is formed.
-    """
-    z = np.asarray(z, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    chol_cov = np.asarray(chol_cov, dtype=float)
-    if z.shape != mean.shape:
-        raise ValueError(f"shape mismatch: z {z.shape} vs mean {mean.shape}")
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(chol_cov, z - mean, lower=True)
-    return float(np.sqrt(y @ y))
 
 
 def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:

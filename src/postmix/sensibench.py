@@ -70,6 +70,9 @@ class FactorSpec:
         for name, (lo, hi) in (("d_range", self.d_range), ("m_range", self.m_range)):
             if lo > hi or lo < 1:
                 raise ValueError(f"{name} must be a nonempty positive range")
+        if not (0.0 < self.omega_range[0] <= self.omega_range[1]):
+            raise ValueError("omega interval must be a nonempty range of "
+                             "positive decay factors")
         if not (0.0 <= self.corr_range[0] <= self.corr_range[1] < 1.0):
             raise ValueError("correlation interval must lie inside [0, 1)")
         if not (0.0 < self.overlap_range[0] <= self.overlap_range[1] < 1.0):

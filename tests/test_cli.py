@@ -314,6 +314,25 @@ class TestGenerateCommand:
         assert len(shapes) > 1
 
 
+    def _generate_error(self, tmp_path, factors):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"factors": factors}))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        return _read_json(out / "error.json")
+
+    @pytest.mark.parametrize("value", [5, [2], [2, 3, 4], ["2", 3], [True, 3]])
+    def test_malformed_factor_range_names_its_key(self, tmp_path, value):
+        err = self._generate_error(tmp_path, {"d": value})
+        assert err["error"] == "ConfigError"
+        assert "factors.d" in err["message"]
+
+    def test_reversed_omega_range_rejected(self, tmp_path):
+        err = self._generate_error(tmp_path, {"omega": [2.0, 0.5]})
+        assert err["error"] == "ValueError"
+        assert "omega" in err["message"]
+
+
 class TestRobustnessCommand:
     def test_small_study_artifacts(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -155,8 +155,71 @@ class TestEvalGradient:
         assert err.value.point is not None
         assert err.value.point[0] > 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_plus_inf_in_stencil_raises_non_finite(self, bad):
+        # a fault in the target, not a broken stencil
+        target = _simple_target(1, lambda z: bad if z[0] > 1.0 else -float(z[0]) ** 2)
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_gradient(target, np.array([1.0]))
+        assert exc.value.point[0] > 1.0
+
+
+def _hessian_stencil_size(d):
+    return 1 + 2 * d + 2 * d * (d - 1)
+
+
+@st.composite
+def _sinh_arcsinh_points(draw):
+    """Sinh-arcsinh mixtures in d = 1..6 with K = 1..3, and a sampled point."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mix = random_sinh_arcsinh_mixture(d, k, seed=seed)
+    return mix, mix.sample(1, seed)[0]
+
 
 class TestEvalHessian:
+    @given(_sinh_arcsinh_points())
+    def test_stencil_is_one_batched_call_equal_to_per_point(self, case):
+        mix, z = case
+        calls = {"log_phi": 0, "batch_rows": []}
+
+        def log_phi(point):
+            calls["log_phi"] += 1
+            return float(mix.log_pdf(point))
+
+        def log_phi_batch(points):
+            calls["batch_rows"].append(len(points))
+            return mix.log_pdf(points)
+
+        target = _simple_target(mix.dim, log_phi, log_phi_batch=log_phi_batch)
+        hess = eval_hessian(target, z)
+        assert calls == {"log_phi": 0, "batch_rows": [_hessian_stencil_size(mix.dim)]}
+        per_point = eval_hessian(dataclasses.replace(target, log_phi_batch=None), z)
+        assert calls["log_phi"] == _hessian_stencil_size(mix.dim)
+        assert np.array_equal(hess, per_point)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_minus_inf_in_stencil_carries_the_point(self, batched):
+        def log_phi(z):
+            return -math.inf if z[0] + z[1] > 1.0 else -float(z @ z)
+
+        batch = (lambda pts: np.array([log_phi(p) for p in pts])) if batched else None
+        target = _simple_target(2, log_phi, log_phi_batch=batch)
+        with pytest.raises(DerivativeError) as err:
+            eval_hessian(target, np.array([0.5, 0.5]))
+        assert log_phi(err.value.point) == -math.inf
+        offsets = err.value.point - 0.5
+        step = np.abs(offsets).max()
+        assert step > 0.0 and np.all(np.isin(offsets, [-step, 0.0, step]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_plus_inf_in_stencil_raises_non_finite(self, bad):
+        target = _simple_target(2, lambda z: bad if z[1] < 0.0 else -float(z @ z))
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_hessian(target, np.array([0.3, 0.0]))
+        assert exc.value.point[1] < 0.0
+
     def test_gaussian_gives_precision_everywhere(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         target = _gaussian_target(np.array([0.5, -0.5]), cov)

@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from postmix.density import (
     GaussianComponent,
     MixtureModel,
     UnnormalizedTarget,
+    eval_log_density,
     mixture_sample,
 )
 from postmix.exceptions import (
@@ -17,6 +22,7 @@ from postmix.exceptions import (
 )
 from postmix.gola import (
     GolaConfig,
+    LocalMinimum,
     dedup_modes,
     laplace_at_mode,
     local_minimize,
@@ -24,6 +30,7 @@ from postmix.gola import (
     run_gola,
     solve_weights,
 )
+from postmix.mathkit import chi_square_survival
 from postmix.metrics import jsd_normalized
 from postmix.sensibench import ProblemFactors, generate_test_gmm
 
@@ -169,6 +176,19 @@ class TestMultistart:
             multistart_minimize(target, GolaConfig(n_starts=8))
         assert exc.value.point[0] > 0.0
 
+    def test_nan_past_the_box_edge_raises_with_point(self):
+        # descent ends on the upper edge, where the finite-difference
+        # gradient steps outside the box onto NaN: a fault in the target,
+        # not a start to drop without a trace
+        target = UnnormalizedTarget(
+            dim=1,
+            log_phi=lambda z: math.nan if z[0] > 5.0 else float(z[0]),
+            search_box=_box(1),
+        )
+        with pytest.raises(NonFiniteDensityError) as exc:
+            multistart_minimize(target, GolaConfig(n_starts=4))
+        assert exc.value.point[0] > 5.0
+
 
 class TestLaplace:
     def test_exact_on_gaussian(self):
@@ -204,15 +224,39 @@ class TestLaplace:
             cov = m @ m.T + 0.5 * np.eye(d)
             mean = rng.standard_normal(d)
             _, target = _gaussian_mixture_target([mean], [cov], [1.0])
-            comp = laplace_at_mode(target, mean)
-            err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
-            assert err <= 1e-6
+            finite_difference = dataclasses.replace(target, gradient=None, hessian=None)
+            # analytic Hessians, then the finite-difference stencil
+            for fit_target, tol in ((target, 1e-6), (finite_difference, 1e-4)):
+                comp = laplace_at_mode(fit_target, mean)
+                err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
+                assert err <= tol
+
+
+@st.composite
+def _dedup_cases(draw):
+    """A Gaussian-mixture target in d = 1..5 and candidates scattered around
+    its means, some on them, sorted by objective as multistart returns them."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = 3.0 * rng.standard_normal((k, d))
+    covs = []
+    for _ in range(k):
+        chol = np.tril(0.3 * rng.standard_normal((d, d)), -1)
+        chol[np.diag_indices(d)] = np.exp(rng.uniform(-0.5, 0.5, d))
+        covs.append(chol @ chol.T)
+    _, target = _gaussian_mixture_target(means, covs, np.full(k, 1.0 / k))
+    n = draw(st.integers(1, 12))
+    spread = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    locations = means[rng.integers(0, k, n)] + spread * rng.standard_normal((n, d))
+    candidates = [LocalMinimum(loc, -eval_log_density(target, loc), 0.0, True, i)
+                  for i, loc in enumerate(locations)]
+    candidates.sort(key=lambda m: (m.objective, tuple(m.location)))
+    return target, candidates, draw(st.sampled_from([0.01, 0.2, 0.9]))
 
 
 class TestDedup:
     def _minima(self, locations, objectives):
-        from postmix.gola import LocalMinimum
-
         return [
             LocalMinimum(np.asarray(loc, float), obj, 0.0, True, i)
             for i, (loc, obj) in enumerate(zip(locations, objectives))
@@ -259,6 +303,25 @@ class TestDedup:
         _, target = _gaussian_mixture_target([[0.0]], [np.eye(1)], [1.0])
         comps, log = dedup_modes([], target, 0.01)
         assert comps == [] and log == []
+
+    @given(_dedup_cases())
+    def test_survival_at_the_nearest_component(self, case):
+        target, candidates, threshold = case
+        comps, log = dedup_modes(candidates, target, threshold)
+        accepted = []
+        for cand, decision in zip(candidates, log):
+            # per-component triangular solves against the Cholesky factors
+            # of the components accepted so far
+            reference = max(
+                (chi_square_survival(float(y @ y), target.dim) for y in (
+                    solve_triangular(c.chol_cov, cand.location - c.mean, lower=True)
+                    for c in accepted)),
+                default=0.0)
+            np.testing.assert_allclose(decision.survival, reference, rtol=1e-12)
+            assert (decision.note == "duplicate") == (reference >= threshold)
+            if decision.accepted:
+                accepted.append(comps[len(accepted)])
+        assert len(accepted) == len(comps)
 
 
 class TestSolveWeights:

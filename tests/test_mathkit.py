@@ -13,7 +13,6 @@ from postmix.mathkit import (
     SOBOL_MAX_DIM,
     chi_square_survival,
     cholesky_spd,
-    mahalanobis_distance,
     nnls,
     sobol_points,
 )
@@ -195,28 +194,6 @@ class TestChiSquareSurvival:
             chi_square_survival(-1.0, 3)
         with pytest.raises(ValueError):
             chi_square_survival(1.0, 0)
-
-
-class TestMahalanobis:
-    def test_identity_covariance_is_euclidean(self):
-        z = np.array([1.0, -2.0, 2.0])
-        mean = np.array([0.0, 0.0, 0.0])
-        assert mahalanobis_distance(z, mean, np.eye(3)) == pytest.approx(3.0)
-
-    def test_zero_at_mean(self):
-        mean = np.array([0.3, -0.7])
-        chol = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        assert mahalanobis_distance(mean, mean, chol) == 0.0
-
-    def test_diagonal_hand_value(self):
-        # Sigma = diag(4, 9), z - mu = (2, 3): 4/4 + 9/9 = 2
-        chol = np.diag([2.0, 3.0])
-        dist = mahalanobis_distance(np.array([2.0, 3.0]), np.zeros(2), chol)
-        assert dist == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mahalanobis_distance(np.zeros(2), np.zeros(3), np.eye(3))
 
 
 class TestNnls:
