@@ -48,6 +48,9 @@ class UnnormalizedTarget:
     log_phi_batch : callable, optional
         Vectorized evaluation mapping an (n, dim) array to an (n,) array;
         used by samplers, grid scans and finite-difference Hessians when present.
+    gradient_batch : callable, optional
+        Vectorized gradient mapping an (n, dim) array to an (n, dim) array;
+        the pathwise VI estimator uses it when present.
     """
 
     dim: int
@@ -56,6 +59,7 @@ class UnnormalizedTarget:
     gradient: Optional[Callable[[NDArray], NDArray]] = None
     hessian: Optional[Callable[[NDArray], NDArray]] = None
     log_phi_batch: Optional[Callable[[NDArray], NDArray]] = None
+    gradient_batch: Optional[Callable[[NDArray], NDArray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -127,6 +131,20 @@ def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]
     return grad
 
 
+def eval_gradient_batch(target: UnnormalizedTarget, points: NDArray) -> NDArray:
+    """Gradient of ``log_phi`` on an (n, dim) array of points, shape (n, dim).
+
+    Uses ``gradient_batch`` when the target has one, else
+    :func:`eval_gradient` row by row, with its errors.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != target.dim:
+        raise ValueError(f"expected an (n, {target.dim}) array, got {points.shape}")
+    if target.gradient_batch is not None:
+        return np.asarray(target.gradient_batch(points), dtype=float)
+    return np.array([eval_gradient(target, p) for p in points]).reshape(points.shape)
+
+
 def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     """Hessian of ``-log_phi`` (note the sign), symmetrized.
 
@@ -194,6 +212,17 @@ def _inverse_lower(chol: NDArray) -> NDArray[np.float64]:
     return inverse
 
 
+def _as_points(z: NDArray, dim: int):
+    """An (n, dim) view of one point (dim,) or a batch (n, dim), and whether
+    it was a single point; the density kernels all take a batch."""
+    z = np.asarray(z, dtype=float)
+    single = z.ndim == 1
+    pts = z[np.newaxis] if single else z
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"expected points of dimension {dim}, got shape {z.shape}")
+    return pts, single
+
+
 def log_sum_exp(stacked: NDArray):
     """Row-wise log-sum-exp of an (n, K) array, and the responsibilities
     ``exp(s - max) / sum(exp(s - max))``, shape (n, K)."""
@@ -245,9 +274,7 @@ class GaussianComponent:
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
         """Gaussian log-density at one point (d,) or a batch (n, d)."""
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = points[np.newaxis] if single else points
+        pts, single = _as_points(points, self.dim)
         log_n, _ = gaussian_log_pdfs(self.mean[np.newaxis], self._chol_inv[np.newaxis], pts)
         return float(log_n[0, 0]) if single else log_n[:, 0]
 
@@ -322,6 +349,7 @@ class MixtureModel:
             gradient=lambda z: mixture_log_pdf_gradient(self, z),
             hessian=lambda z: mixture_log_pdf_hessian(self, z),
             log_phi_batch=lambda pts: mixture_log_pdf(self, pts),
+            gradient_batch=lambda pts: mixture_log_pdf_gradient(self, pts),
         )
 
 
@@ -332,40 +360,41 @@ def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:
     contribute nothing rather than a NaN. Stable far into the tails: the
     result stays finite 40 sigma and beyond from every mean.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    pts = z[np.newaxis] if single else z
-    if pts.shape[1] != m.dim:
-        raise ValueError(f"expected points of dimension {m.dim}, got {pts.shape[1]}")
+    pts, single = _as_points(z, m.dim)
     log_n, _ = gaussian_log_pdfs(m._means, m._chol_invs, pts)
     out, _ = log_sum_exp(log_n + m._log_weights)
     return float(out[0]) if single else out
 
 
 def mixture_log_pdf_gradient(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
-    """Analytic gradient of the mixture log-density at a single point."""
-    z = np.asarray(z, dtype=float)
-    resp, grads = _responsibilities_and_grads(m, z)
-    return grads.T @ resp
+    """Analytic gradient of the mixture log-density at one point (d,) or a
+    batch (n, d): the responsibility-weighted score vectors."""
+    pts, single = _as_points(z, m.dim)
+    resp, scores = _responsibilities_and_grads(m, pts)
+    # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
+    grads = (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
+    return grads[0] if single else grads
 
 
 def mixture_log_pdf_hessian(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
     """Analytic Hessian of the mixture log-density at a single point."""
-    z = np.asarray(z, dtype=float)
-    resp, grads = _responsibilities_and_grads(m, z)
+    pts, _ = _as_points(z, m.dim)
+    resp, grads = _responsibilities_and_grads(m, pts)
+    resp, grads = resp[0], grads[0]
     precisions = m._chol_invs.transpose(0, 2, 1) @ m._chol_invs
     mean_grad = grads.T @ resp
     total = (grads.T * resp) @ grads - np.einsum("k,kij->ij", resp, precisions)
     return total - np.outer(mean_grad, mean_grad)
 
 
-def _responsibilities_and_grads(m: MixtureModel, z: NDArray):
-    """Posterior component responsibilities and per-component score vectors
-    ``-L_k^-T L_k^-1 (z - mu_k)``, shape (K, d)."""
-    log_n, whitened = gaussian_log_pdfs(m._means, m._chol_invs, z[np.newaxis])
+def _responsibilities_and_grads(m: MixtureModel, pts: NDArray):
+    """Posterior component responsibilities at (n, d) points, shape (n, K),
+    and the per-component score vectors ``-L_k^-T L_k^-1 (z - mu_k)``,
+    shape (n, K, d)."""
+    log_n, whitened = gaussian_log_pdfs(m._means, m._chol_invs, pts)
     _, resp = log_sum_exp(log_n + m._log_weights)
-    grads = -(m._chol_invs.transpose(0, 2, 1) @ whitened)[:, :, 0]
-    return resp[0], grads
+    scores = -(m._chol_invs.transpose(0, 2, 1) @ whitened)
+    return resp, scores.transpose(2, 0, 1)
 
 
 def mixture_sample(m: MixtureModel, n: int, seed: int) -> NDArray[np.float64]:
@@ -506,20 +535,19 @@ class SinhArcsinhMixture:
         return np.sum(logp, axis=2)
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = points[np.newaxis] if single else points
+        pts, single = _as_points(points, self.dim)
         out, _ = log_sum_exp(self._component_log_pdfs(pts) + np.log(self.weights))
         return float(out[0]) if single else out
 
-    def gradient(self, z: NDArray) -> NDArray[np.float64]:
-        z = np.asarray(z, dtype=float)
-        pts = z[np.newaxis]
+    def gradient(self, points: NDArray) -> NDArray[np.float64]:
+        """Gradient of the log-density at one point (d,) or a batch (n, d)."""
+        pts, single = _as_points(points, self.dim)
         x, u, zz = self._coordinate_terms(pts)
         _, resp = log_sum_exp(self._component_log_pdfs(pts) + np.log(self.weights))
         w = 1.0 / (self.tail * self.scale * np.sqrt(1.0 + x * x))
         dlogp = w * (np.tanh(u) - zz * np.cosh(u)) - x / (self.scale * (1.0 + x * x))
-        return np.einsum("nk,nkd->nd", resp, dlogp)[0]
+        grads = np.einsum("nk,nkd->nd", resp, dlogp)
+        return grads[0] if single else grads
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
         rng = np.random.default_rng(seed)
@@ -549,6 +577,7 @@ class SinhArcsinhMixture:
             search_box=np.asarray(search_box, dtype=float),
             gradient=self.gradient,
             log_phi_batch=self.log_pdf,
+            gradient_batch=self.gradient,
         )
 
 

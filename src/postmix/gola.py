@@ -43,6 +43,10 @@ from .mathkit import chi_square_survival, cholesky_spd, nnls, sobol_points
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
+_MAX_LOCAL_ITERS = 500
+# A candidate is a duplicate when its chi-square survival under an
+# accepted component is at least this.
+_DEDUP_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -54,17 +58,13 @@ class GolaConfig:
     """
 
     n_starts: Optional[int] = None
-    max_local_iters: int = 500
     gradient_tol: float = 1e-8
-    dedup_threshold: float = 0.01
     n_weight_samples: Optional[int] = None
     master_seed: int = 0
 
     def __post_init__(self):
         if self.n_starts is not None and self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        if not 0.0 < self.dedup_threshold < 1.0:
-            raise ValueError("dedup_threshold must lie in (0, 1)")
         if self.gradient_tol <= 0.0:
             raise ValueError("gradient_tol must be positive")
 
@@ -113,7 +113,7 @@ class GolaReport:
             "evidence": self.evidence,
             "weight_residual": self.weight_residual,
             "dedup_rule": "duplicate when chi-square survival of squared "
-                          "Mahalanobis distance >= threshold",
+                          f"Mahalanobis distance >= {_DEDUP_THRESHOLD}",
             "dedup_log": [
                 {"candidate": d.candidate_index, "survival": d.survival,
                  "accepted": d.accepted, "note": d.note}
@@ -154,7 +154,7 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     grad = -eval_gradient(target, z)
 
     step = 1.0
-    for _ in range(cfg.max_local_iters):
+    for _ in range(_MAX_LOCAL_ITERS):
         pg_norm = _projected_gradient_norm(z, grad, lo, hi)
         if pg_norm <= cfg.gradient_tol:
             return LocalMinimum(z, f, pg_norm, True, start_index)
@@ -215,7 +215,7 @@ def multistart_minimize(target: UnnormalizedTarget,
     if not converged:
         raise NoModesFoundError(
             f"no converged minima from {n_starts} starts; "
-            "widen the search box or increase max_local_iters"
+            "widen the search box or add starts (gola.n_starts)"
         )
     converged.sort(key=lambda m: (m.objective, tuple(m.location)))
     return converged
@@ -266,7 +266,8 @@ def _is_indefinite(hess: NDArray) -> bool:
 
 
 def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
-                threshold: float) -> tuple[list[GaussianComponent], list[DedupDecision]]:
+                threshold: float = _DEDUP_THRESHOLD,
+                ) -> tuple[list[GaussianComponent], list[DedupDecision]]:
     """Reduce candidate minima to distinct modes by a greedy Mahalanobis test.
 
     Candidates must arrive sorted by objective ascending so the deepest
@@ -351,7 +352,7 @@ def run_gola(target: UnnormalizedTarget, cfg: GolaConfig) -> GolaReport:
     rather than pruned, so the report reflects every distinct mode found.
     """
     minima = multistart_minimize(target, cfg)
-    components, decisions = dedup_modes(minima, target, cfg.dedup_threshold)
+    components, decisions = dedup_modes(minima, target)
     k = len(components)
     n_weight = cfg.n_weight_samples if cfg.n_weight_samples is not None else 1024 * k
     if n_weight < 10 * k:

@@ -57,7 +57,8 @@ class FactorSpec:
     """Distributions of the five factors defining a synthetic test posterior.
 
     ``d_range`` and ``m_range`` are inclusive integer ranges (discrete
-    uniform); the remaining factors are continuous uniform intervals.
+    uniform) whose ends must be whole numbers; the remaining factors are
+    continuous uniform intervals.
     """
 
     d_range: tuple[int, int] = (2, 10)
@@ -68,6 +69,8 @@ class FactorSpec:
 
     def __post_init__(self):
         for name, (lo, hi) in (("d_range", self.d_range), ("m_range", self.m_range)):
+            if not (float(lo).is_integer() and float(hi).is_integer()):
+                raise ValueError(f"{name} must have whole-number ends, got {(lo, hi)}")
             if lo > hi or lo < 1:
                 raise ValueError(f"{name} must be a nonempty positive range")
         if not (0.0 < self.omega_range[0] <= self.omega_range[1]):
@@ -112,8 +115,11 @@ def _simplex_directions(m: int, d: int) -> NDArray[np.float64]:
     """Unit-norm placement directions for ``m`` component means in ``d`` dims.
 
     Vertices of a regular (m-1)-simplex when it fits (m <= d + 1), else a
-    regular m-gon in the first two coordinates.
+    regular m-gon in the first two coordinates, so d = 1 admits at most
+    two means.
     """
+    if d == 1 and m > 2:
+        raise GenerationError(f"cannot place {m} component means on a line (d = 1)")
     if m == 1:
         return np.zeros((1, d))
     if m <= d + 1:
@@ -143,7 +149,8 @@ def generate_test_gmm(factors: ProblemFactors, seed: int) -> MixtureModel:
     Raises
     ------
     GenerationError
-        If the separation search cannot bracket the requested overlap.
+        If the separation search cannot bracket the requested overlap, or
+        if d = 1 and M > 2 (no third direction on a line).
     """
     d, m = factors.d, factors.n_components
     c = factors.correlation

@@ -24,7 +24,7 @@ from .density import (
     MixtureModel,
     UnnormalizedTarget,
     _inverse_lower,
-    eval_gradient,
+    eval_gradient_batch,
     eval_log_density_batch,
     gaussian_log_pdfs,
     log_sum_exp,
@@ -197,9 +197,10 @@ def reparam_gradient_single_gaussian(params: VariationalParams,
                                      seed: int) -> VariationalParams:
     """Pathwise gradient estimator for a single-Gaussian surrogate.
 
-    Draws ``z = mu + L eps`` and differentiates through the transform;
-    needs the target gradient (analytic or finite differences). Only valid
-    for exactly one component.
+    Draws ``z = mu + L eps`` and differentiates through the transform,
+    with the target gradient at all ``n`` samples from one
+    :func:`eval_gradient_batch` call (analytic or finite differences).
+    Only valid for exactly one component.
     """
     if params.n_components != 1:
         raise ValueError(
@@ -213,15 +214,9 @@ def reparam_gradient_single_gaussian(params: VariationalParams,
     eps = rng.standard_normal((n, d))
     points = mean + eps @ chol.T
 
-    g_mean = np.zeros(d)
-    g_l = np.zeros((d, d))
-    inv_diag = np.diag(1.0 / np.diag(chol))
-    for i in range(n):
-        score_phi = eval_gradient(target, points[i])
-        g_mean -= score_phi
-        g_l += np.outer(-score_phi, eps[i]) - inv_diag
-    g_mean /= n
-    g_l = np.tril(g_l / n)
+    score_phi = eval_gradient_batch(target, points)
+    g_mean = -score_phi.mean(axis=0)
+    g_l = np.tril(-(score_phi.T @ eps) / n - np.diag(1.0 / np.diag(chol)))
     g_l[np.arange(d), np.arange(d)] *= np.diag(chol)
     return VariationalParams(np.zeros(1), g_mean[np.newaxis], g_l[np.newaxis])
 

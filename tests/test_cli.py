@@ -37,7 +37,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("doc, key", [({"workers": 2}, "workers"),
                                           ({"vi": {"baseline": False}}, "baseline"),
                                           ({"vi": {"beta1": 0.9}}, "beta1"),
-                                          ({"vi": {"beta2": 0.999}}, "beta2")])
+                                          ({"vi": {"beta2": 0.999}}, "beta2"),
+                                          ({"gola": {"dedup_threshold": 0.01}},
+                                           "dedup_threshold"),
+                                          ({"gola": {"max_local_iters": 500}},
+                                           "max_local_iters")])
     def test_retired_keys_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -332,6 +336,18 @@ class TestGenerateCommand:
         assert err["error"] == "ValueError"
         assert "omega" in err["message"]
 
+    @pytest.mark.parametrize("factors, name", [({"d": [2.5, 6]}, "d_range"),
+                                               ({"M": [2, 3.5]}, "m_range")])
+    def test_fractional_integer_range_rejected(self, tmp_path, factors, name):
+        # rng.integers would truncate 2.5 and draw d = 2, below the range
+        err = self._generate_error(tmp_path, factors)
+        assert err["error"] == "ValueError"
+        assert name in err["message"]
+
+    def test_three_means_on_a_line_is_a_generation_error(self, tmp_path):
+        err = self._generate_error(tmp_path, {"d": [1, 1], "M": [3, 3]})
+        assert err["error"] == "GenerationError"
+
 
 class TestRobustnessCommand:
     def test_small_study_artifacts(self, tmp_path):
@@ -349,6 +365,15 @@ class TestRobustnessCommand:
         assert len(lines) == 5
         summary = _read_json(out / "robustness_summary.json")
         assert 0.0 <= summary["fraction_below_threshold"] <= 1.0
+
+    def test_ungeneratable_cases_score_worst(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"factors": {"d": [1, 1], "M": [3, 3]},
+                                   "n_cases": 2}))
+        out = tmp_path / "out"
+        assert main(["robustness", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "robustness.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[-2:] for row in rows] == [["1.0", "GenerationError"]] * 2
 
 
 class TestSensitivityCommand:

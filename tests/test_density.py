@@ -20,6 +20,7 @@ from postmix.density import (
     _inverse_lower,
     _responsibilities_and_grads,
     eval_gradient,
+    eval_gradient_batch,
     eval_hessian,
     eval_log_density,
     eval_log_density_batch,
@@ -162,6 +163,44 @@ class TestEvalGradient:
         with pytest.raises(NonFiniteDensityError) as exc:
             eval_gradient(target, np.array([1.0]))
         assert exc.value.point[0] > 1.0
+
+
+class TestEvalGradientBatch:
+    def test_finite_differences_equal_per_row_bitwise(self):
+        mix = random_sinh_arcsinh_mixture(3, 2, seed=4)
+        target = _simple_target(3, mix.as_target().log_phi)
+        pts = mix.sample(12, seed=2)
+        batch = eval_gradient_batch(target, pts)
+        assert batch.shape == (12, 3)
+        assert np.array_equal(batch, np.array([eval_gradient(target, z) for z in pts]))
+        assert eval_gradient_batch(target, np.empty((0, 3))).shape == (0, 3)
+
+    def test_uses_the_batch_callable_once(self):
+        mix = random_sinh_arcsinh_mixture(2, 2, seed=1)
+        rows = []
+
+        def gradient_batch(points):
+            rows.append(len(points))
+            return mix.gradient(points)
+
+        target = _simple_target(2, mix.as_target().log_phi,
+                                gradient=lambda z: pytest.fail("scalar call"),
+                                gradient_batch=gradient_batch)
+        pts = mix.sample(9, seed=3)
+        assert np.array_equal(eval_gradient_batch(target, pts), mix.gradient(pts))
+        assert rows == [9]
+
+    def test_minus_inf_in_stencil_carries_the_point(self):
+        target = _simple_target(1, lambda z: -math.inf if z[0] > 1.0 else 0.0)
+        with pytest.raises(DerivativeError) as err:
+            eval_gradient_batch(target, np.array([[0.0], [1.0]]))
+        assert err.value.point[0] > 1.0
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), (1, 2, 2)])
+    def test_bad_shape_rejected(self, shape):
+        target = _gaussian_target(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            eval_gradient_batch(target, np.zeros(shape))
 
 
 def _hessian_stencil_size(d):
@@ -431,13 +470,30 @@ class TestMixtureKernelProperties:
                                    rtol=1e-13, atol=1e-13)
 
     @given(_mixtures())
+    def test_batched_gradient_equals_per_point(self, case):
+        mixture, points = case
+        per_point = np.array([mixture_log_pdf_gradient(mixture, z) for z in points])
+        # an entry that cancels to near zero keeps the largest score's rounding
+        scale = np.abs(_responsibilities_and_grads(mixture, points)[1]).max()
+        np.testing.assert_allclose(mixture_log_pdf_gradient(mixture, points), per_point,
+                                   rtol=1e-13, atol=1e-13 * scale)
+        for z, grad in zip(points, per_point):
+            # one point takes the single (d, K) @ (K,) contraction, bit for bit
+            resp, scores = _responsibilities_and_grads(mixture, z[np.newaxis])
+            assert np.array_equal(grad, scores[0].T @ resp[0])
+        target = mixture.as_target()
+        assert target.gradient_batch is not None
+        np.testing.assert_array_equal(eval_gradient_batch(target, points),
+                                      mixture_log_pdf_gradient(mixture, points))
+
+    @given(_mixtures())
     def test_responsibilities_sum_to_one(self, case):
         mixture, points = case
         resp = vi._mixture_internals(vi.from_mixture(mixture), points)[1]
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-14)
-        for z in points:
-            assert _responsibilities_and_grads(mixture, z)[0].sum() == pytest.approx(
-                1.0, rel=1e-14)
+        resp, scores = _responsibilities_and_grads(mixture, points)
+        assert scores.shape == (len(points), np.count_nonzero(mixture.weights), mixture.dim)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-14)
 
     @given(_mixtures())
     def test_dict_round_trip_bitwise(self, case):
@@ -498,6 +554,17 @@ class TestMixtureSample:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("kernel", ["component", "mixture", "sinh", "sinh_gradient"])
+    def test_points_of_the_wrong_dimension_rejected(self, kernel):
+        # (4, 1) points used to broadcast against 3-d parameters silently
+        comp = GaussianComponent(np.zeros(3), np.eye(3))
+        sinh = random_sinh_arcsinh_mixture(3, 2, seed=0)
+        evaluate = {"component": comp.log_pdf,
+                    "mixture": MixtureModel((comp,), np.ones(1)).log_pdf,
+                    "sinh": sinh.log_pdf, "sinh_gradient": sinh.gradient}[kernel]
+        with pytest.raises(ValueError, match="dimension 3"):
+            evaluate(np.zeros((4, 1)))
+
     def test_weights_must_sum_to_one(self):
         comp = GaussianComponent(np.zeros(1), np.eye(1))
         with pytest.raises(ValueError):
@@ -560,7 +627,25 @@ class TestSerialization:
             mixture_from_dict(doc)
 
 
+@st.composite
+def _sinh_arcsinh_batches(draw):
+    """Sinh-arcsinh mixtures in d = 1..15 with K = 1..3, and 1..16 points."""
+    d = draw(st.integers(1, 15))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mix = random_sinh_arcsinh_mixture(d, k, seed=seed)
+    return mix, mix.sample(draw(st.integers(1, 16)), seed)
+
+
 class TestSinhArcsinh:
+    @given(_sinh_arcsinh_batches())
+    def test_batched_gradient_equals_per_point_bitwise(self, case):
+        mix, points = case
+        batch = mix.gradient(points)
+        assert batch.shape == points.shape
+        assert np.array_equal(batch, np.array([mix.gradient(z) for z in points]))
+        assert mix.as_target().gradient_batch == mix.gradient
+
     def test_gaussian_case_matches_mixture_model(self):
         # skew 0, tailweight 1 reduces to a location-scale Gaussian mixture
         specs = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from postmix import sensibench
 from postmix.density import MixtureModel
-from postmix.exceptions import NoModesFoundError
+from postmix.exceptions import GenerationError, NoModesFoundError
 from postmix.gola import GolaConfig
 from postmix.metrics import dice_overlap
 from postmix.sensibench import (
@@ -67,6 +68,14 @@ class TestGenerateTestGmm:
         mix = generate_test_gmm(factors, seed=4)
         assert max(_pairwise_overlaps(mix)) == pytest.approx(1e-3, rel=0.01)
 
+    def test_three_means_on_a_line_raise(self):
+        line = ProblemFactors(d=1, n_components=3, weight_decay=1.0,
+                              correlation=0.0, max_overlap=1e-3)
+        with pytest.raises(GenerationError, match="d = 1"):
+            generate_test_gmm(line, seed=0)
+        pair = generate_test_gmm(dataclasses.replace(line, n_components=2), seed=0)
+        assert max(_pairwise_overlaps(pair)) == pytest.approx(1e-3, rel=0.01)
+
     def test_deterministic_per_seed(self):
         factors = ProblemFactors(d=3, n_components=3, weight_decay=1.2,
                                  correlation=0.4, max_overlap=1e-3)
@@ -84,6 +93,11 @@ class TestGenerateTestGmm:
             FactorSpec(overlap_range=(0.0, 0.5))
         with pytest.raises(ValueError):
             FactorSpec(d_range=(5, 2))
+        for ranges in ({"d_range": (2.5, 6)}, {"m_range": (2, 3.5)},
+                       {"d_range": (2, float("inf"))}):
+            with pytest.raises(ValueError, match="whole-number"):
+                FactorSpec(**ranges)
+        assert FactorSpec(d_range=(2.0, 6.0)).d_range == (2.0, 6.0)
 
 
 class TestSobolDesign:

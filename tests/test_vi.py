@@ -10,6 +10,7 @@ from postmix.density import (
     SinhArcsinhMixture,
     SinhArcsinhSpec,
     UnnormalizedTarget,
+    eval_gradient,
     random_sinh_arcsinh_mixture,
 )
 from postmix.exceptions import NonFiniteDensityError
@@ -224,7 +225,41 @@ class TestScoreFunctionGradient:
             ViConfig(n_mc_samples=1)
 
 
+def _reparam_per_sample(params, target, n, seed):
+    """The pathwise estimator as a loop over samples, one scalar target
+    gradient each: a reference for the batched one."""
+    d = params.dim
+    chol = params.chol_factors()[0]
+    eps = np.random.default_rng(seed).standard_normal((n, d))
+    points = params.means[0] + eps @ chol.T
+    g_mean = np.zeros(d)
+    g_l = np.zeros((d, d))
+    for i in range(n):
+        score_phi = eval_gradient(target, points[i])
+        g_mean -= score_phi
+        g_l += np.outer(-score_phi, eps[i]) - np.diag(1.0 / np.diag(chol))
+    g_l = np.tril(g_l / n)
+    g_l[np.arange(d), np.arange(d)] *= np.diag(chol)
+    return g_mean / n, g_l
+
+
 class TestReparamGradient:
+    @pytest.mark.parametrize("finite_differences", [False, True])
+    def test_equals_per_sample_loop(self, finite_differences):
+        mix = random_sinh_arcsinh_mixture(3, 2, seed=8)
+        target = mix.as_target()
+        if finite_differences:
+            target = replace(target, gradient=None, gradient_batch=None)
+        q = _gaussian_mixture([mix.sample(1, 0)[0]],
+                              [np.array([[0.8, 0.2, 0.0], [0.2, 0.6, 0.1],
+                                         [0.0, 0.1, 0.5]])], [1.0])
+        params = from_mixture(q)
+        grad = reparam_gradient_single_gaussian(params, target, 300, seed=9)
+        g_mean, g_l = _reparam_per_sample(params, target, 300, seed=9)
+        np.testing.assert_allclose(grad.means[0], g_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad.chol_params[0], g_l, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(grad.logits, np.zeros(1))
+
     def test_rejects_mixtures(self):
         mix = _gaussian_mixture([[0.0], [1.0]], [np.eye(1), np.eye(1)], [0.5, 0.5])
         with pytest.raises(ValueError):
