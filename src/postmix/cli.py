@@ -34,6 +34,7 @@ from .exemplar import default_scenario, pushforward
 from .gola import GolaConfig, run_gola
 from .metrics import jsd_normalized
 from .sensibench import (
+    ACCURACY_THRESHOLD,
     FactorSpec,
     ProblemFactors,
     bootstrap_ci,
@@ -49,7 +50,7 @@ OUTPUT_DIR_ENV = "POSTMIX_OUT"
 # Config keys accepted inside the sections that no dataclass mirrors; the
 # top-level, gola and vi keys are the fields of RunConfig, GolaConfig and
 # ViConfig (defined after RunConfig below).
-_TARGET_KEYS = {"name", "mixture_json", "dim", "n_components", "separation"}
+_TARGET_KEYS = {"name", "mixture_json", "dim", "n_components"}
 # The two keys that select the target; a config names at most one of them.
 _TARGET_SELECTORS = ("name", "mixture_json")
 _FACTOR_KEYS = {"preset", "d", "M", "omega", "c", "lambda"}
@@ -213,8 +214,7 @@ def _build_target(cfg: RunConfig):
         return MixtureModel((comp,), np.ones(1)).as_target()
     if name == "sinh":
         mixture = random_sinh_arcsinh_mixture(
-            int(spec.get("dim", 15)), int(spec.get("n_components", 2)),
-            cfg.seed, float(spec.get("separation", 6.0)),
+            int(spec.get("dim", 15)), int(spec.get("n_components", 2)), cfg.seed,
         )
         return mixture.as_target()
     raise ConfigError(
@@ -293,7 +293,7 @@ def _cmd_robustness(cfg: RunConfig, out: Path) -> list[str]:
                              cfg.jsd_samples, cfg.seed)
     table.to_csv(out / "robustness.csv")
     _json_dump({"fraction_below_threshold": table.fraction_below(),
-                "threshold": table.threshold,
+                "threshold": ACCURACY_THRESHOLD,
                 "mean_Y": table.mean_score()}, out / "robustness_summary.json")
     return ["robustness.csv", "robustness_summary.json"]
 
@@ -314,7 +314,7 @@ def _cmd_sensitivity(cfg: RunConfig, out: Path) -> list[str]:
         score, _ = evaluate_case(factors, gola_cfg, cfg.jsd_samples, case_seed)
         return score
 
-    design = sobol_design(spec, cfg.n_design, cfg.seed, model)
+    design = sobol_design(spec.factors(), cfg.n_design, cfg.seed, model)
     result = bootstrap_ci(design, cfg.replicates, seed=cfg.seed)
     result.to_csv(out / "sensitivity.csv")
     return ["sensitivity.csv"]

@@ -25,6 +25,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _GRAD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _HESS_STEP = float(np.finfo(float).eps) ** 0.25
 
+# A Gaussian mixture's search box reaches this many marginal standard
+# deviations past the outermost means.
+_BOX_PADDING = 4.0
+# Spacing of the component centers of ``random_sinh_arcsinh_mixture``.
+_SINH_SEPARATION = 6.0
+
 
 @dataclass(frozen=True)
 class UnnormalizedTarget:
@@ -329,23 +335,20 @@ class MixtureModel:
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
         return mixture_sample(self, n, seed)
 
-    def as_target(self, search_box: NDArray | None = None,
-                  padding: float = 4.0) -> UnnormalizedTarget:
+    def as_target(self) -> UnnormalizedTarget:
         """Wrap this mixture as an UnnormalizedTarget with analytic derivatives.
 
-        The default search box is the bounding box of the component means
-        padded by ``padding`` marginal standard deviations per coordinate.
+        The search box is the bounding box of the component means padded
+        by 4 marginal standard deviations per coordinate.
         """
-        if search_box is None:
-            means = np.array([c.mean for c in self.components])
-            sigmas = np.array([np.sqrt(np.diag(c.cov)) for c in self.components])
-            lo = np.min(means - padding * sigmas, axis=0)
-            hi = np.max(means + padding * sigmas, axis=0)
-            search_box = np.column_stack([lo, hi])
+        means = np.array([c.mean for c in self.components])
+        sigmas = np.array([np.sqrt(np.diag(c.cov)) for c in self.components])
+        lo = np.min(means - _BOX_PADDING * sigmas, axis=0)
+        hi = np.max(means + _BOX_PADDING * sigmas, axis=0)
         return UnnormalizedTarget(
             dim=self.dim,
             log_phi=lambda z: float(mixture_log_pdf(self, z)),
-            search_box=np.asarray(search_box, dtype=float),
+            search_box=np.column_stack([lo, hi]),
             gradient=lambda z: mixture_log_pdf_gradient(self, z),
             hessian=lambda z: mixture_log_pdf_hessian(self, z),
             log_phi_batch=lambda pts: mixture_log_pdf(self, pts),
@@ -568,42 +571,41 @@ class SinhArcsinhMixture:
         pad = 0.1 * (hi - lo)
         return np.column_stack([lo - pad, hi + pad])
 
-    def as_target(self, search_box: NDArray | None = None) -> UnnormalizedTarget:
-        if search_box is None:
-            search_box = self.default_search_box()
+    def as_target(self) -> UnnormalizedTarget:
+        """Wrap this mixture as an UnnormalizedTarget over its default box."""
         return UnnormalizedTarget(
             dim=self.dim,
             log_phi=lambda z: float(self.log_pdf(z)),
-            search_box=np.asarray(search_box, dtype=float),
+            search_box=self.default_search_box(),
             gradient=self.gradient,
             log_phi_batch=self.log_pdf,
             gradient_batch=self.gradient,
         )
 
 
-def make_sinh_arcsinh_mixture(specs: list[SinhArcsinhSpec], weights: NDArray,
-                              search_box: NDArray | None = None) -> UnnormalizedTarget:
+def make_sinh_arcsinh_mixture(specs: list[SinhArcsinhSpec],
+                              weights: NDArray) -> UnnormalizedTarget:
     """Build an unnormalized target from factorized sinh-arcsinh components.
 
     The returned target's ``log_phi`` is the exact (normalized) mixture
     log-density with an analytic gradient assembled per coordinate by the
     chain rule.
     """
-    return SinhArcsinhMixture(specs, weights).as_target(search_box)
+    return SinhArcsinhMixture(specs, weights).as_target()
 
 
-def random_sinh_arcsinh_mixture(dim: int, n_components: int, seed: int,
-                                separation: float = 6.0) -> SinhArcsinhMixture:
+def random_sinh_arcsinh_mixture(dim: int, n_components: int,
+                                seed: int) -> SinhArcsinhMixture:
     """A reproducible non-Gaussian multimodal test density.
 
-    Component centers jitter around points ``separation`` apart along a
+    Component centers jitter around points 6 apart along a
     random direction; scales, skews, and tailweights draw from moderate
     ranges so every coordinate stays unimodal within its component.
     """
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
-    offsets = (np.arange(n_components) - (n_components - 1) / 2.0) * separation
+    offsets = (np.arange(n_components) - (n_components - 1) / 2.0) * _SINH_SEPARATION
     specs = []
     for k in range(n_components):
         loc = offsets[k] * direction + rng.uniform(-0.5, 0.5, size=dim)

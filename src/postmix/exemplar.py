@@ -134,13 +134,12 @@ def simulate(frame: ShearFrame, u0: NDArray, times: NDArray) -> NDArray[np.float
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Noisy displacement observations of one state coordinate."""
+    """Noisy observations of the first-floor displacement."""
 
     times: NDArray[np.float64]
     values: NDArray[np.float64]
     noise_sigma: float
     initial_state: NDArray[np.float64]
-    observed_index: int = 0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -168,7 +167,6 @@ class ObservationSet:
         return {
             "noise_sigma": self.noise_sigma,
             "initial_state": list(self.initial_state),
-            "observed_index": self.observed_index,
             "constants": {"m1": frame.m1, "m2": frame.m2,
                           "k1": frame.k1, "k2": frame.k2,
                           "c1": frame.c1, "c2": frame.c2},
@@ -195,7 +193,7 @@ def generate_observations(frame_true: ShearFrame, u0: NDArray, n_obs: int,
 
 
 def damping_log_likelihood(obs: ObservationSet, constants: tuple,
-                           search_box: NDArray | None = None) -> UnnormalizedTarget:
+                           search_box: NDArray) -> UnnormalizedTarget:
     """Gaussian log likelihood over the two damping coefficients.
 
     log phi(c1, c2) = -sum((y_i - x1(t_i; c1, c2))^2) / (2 sigma^2) with an
@@ -203,8 +201,6 @@ def damping_log_likelihood(obs: ObservationSet, constants: tuple,
     left to finite differences because every evaluation integrates the
     system.
     """
-    if search_box is None:
-        search_box = np.array([[0.01, 1.0], [0.01, 1.0]])
     u0, times = _checked_inputs(obs.initial_state, obs.times)
     values = obs.values
     inv_two_var = 1.0 / (2.0 * obs.noise_sigma**2)

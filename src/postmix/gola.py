@@ -47,19 +47,20 @@ _MAX_LOCAL_ITERS = 500
 # A candidate is a duplicate when its chi-square survival under an
 # accepted component is at least this.
 _DEDUP_THRESHOLD = 0.01
+# Points drawn per component for the weight fit.
+_WEIGHT_SAMPLES_PER_COMPONENT = 1024
 
 
 @dataclass(frozen=True)
 class GolaConfig:
     """Tuning knobs for the pipeline.
 
-    ``n_starts`` and ``n_weight_samples`` default to ``32 * dim`` and
-    ``1024 * K`` respectively when left as None.
+    ``n_starts`` defaults to ``32 * dim`` when left as None. The weight fit
+    always draws ``1024 * K`` points for K components.
     """
 
     n_starts: Optional[int] = None
     gradient_tol: float = 1e-8
-    n_weight_samples: Optional[int] = None
     master_seed: int = 0
 
     def __post_init__(self):
@@ -87,7 +88,7 @@ class DedupDecision:
     ``survival`` is the largest chi-square survival probability of the
     squared Mahalanobis distance to any already-accepted component; the
     candidate is a duplicate when it is this typical under some existing
-    component, i.e. when survival >= threshold. ``note`` records why a
+    component, i.e. when survival >= 0.01. ``note`` records why a
     candidate was turned away ("duplicate" or "saddle").
     """
 
@@ -266,7 +267,6 @@ def _is_indefinite(hess: NDArray) -> bool:
 
 
 def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
-                threshold: float = _DEDUP_THRESHOLD,
                 ) -> tuple[list[GaussianComponent], list[DedupDecision]]:
     """Reduce candidate minima to distinct modes by a greedy Mahalanobis test.
 
@@ -274,7 +274,7 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     modes anchor the accepted set. Each candidate is whitened against all
     accepted components at once, and its smallest squared Mahalanobis
     distance is referred to a chi-square with ``dim`` degrees of freedom; a
-    candidate typical under the nearest component (survival >= threshold)
+    candidate typical under the nearest component (survival >= 0.01)
     is a duplicate, and one improbably far from all of them is a new mode.
 
     Descent can legitimately stop on a saddle (any stationary start point
@@ -293,7 +293,7 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
                 cand.location[np.newaxis])
             nearest = float((whitened * whitened).sum(axis=1).min())
             survival = chi_square_survival(nearest, target.dim)
-        if survival >= threshold:
+        if survival >= _DEDUP_THRESHOLD:
             decisions.append(DedupDecision(idx, survival, False, "duplicate"))
             continue
         hess = eval_hessian(target, cand.location)
@@ -353,13 +353,7 @@ def run_gola(target: UnnormalizedTarget, cfg: GolaConfig) -> GolaReport:
     """
     minima = multistart_minimize(target, cfg)
     components, decisions = dedup_modes(minima, target)
-    k = len(components)
-    n_weight = cfg.n_weight_samples if cfg.n_weight_samples is not None else 1024 * k
-    if n_weight < 10 * k:
-        raise ValueError(
-            f"n_weight_samples={n_weight} is too small for {k} components; "
-            f"use at least {10 * k}"
-        )
+    n_weight = _WEIGHT_SAMPLES_PER_COMPONENT * len(components)
     seed = int(np.random.SeedSequence(cfg.master_seed).generate_state(1)[0])
     pi_tilde, residual = solve_weights(target, components, n_weight, seed)
     evidence = float(np.sum(pi_tilde))

@@ -117,13 +117,14 @@ def _sobol_direction_table(dim: int) -> NDArray[np.uint64]:
     return v
 
 
-def sobol_points(dim: int, n: int, skip_initial: bool = True) -> NDArray[np.float64]:
-    """Generate the first ``n`` points of the Sobol sequence in [0, 1)^dim.
+def sobol_points(dim: int, n: int) -> NDArray[np.float64]:
+    """Generate ``n`` points of the Sobol sequence in [0, 1)^dim.
 
     Uses the Joe-Kuo direction numbers with Gray-code ordering, so every
-    block of ``2**m`` points (without skipping) is a (0, m)-net. The
-    all-zeros initial point is skipped by default because optimizers and
-    samplers rarely want an exact corner of the domain.
+    block of ``2**m`` points of the full sequence is a (0, m)-net. The
+    sequence's all-zeros initial point is skipped, because optimizers and
+    samplers rarely want an exact corner of the domain: the result is
+    points 1 to ``n`` of the sequence.
 
     Parameters
     ----------
@@ -131,8 +132,6 @@ def sobol_points(dim: int, n: int, skip_initial: bool = True) -> NDArray[np.floa
         Dimension, between 1 and ``SOBOL_MAX_DIM``.
     n : int
         Number of points, at least 1.
-    skip_initial : bool
-        When set, drop the leading all-zeros point of the sequence.
 
     Returns
     -------
@@ -143,10 +142,9 @@ def sobol_points(dim: int, n: int, skip_initial: bool = True) -> NDArray[np.floa
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     v = _sobol_direction_table(dim)
-    total = n + 1 if skip_initial else n
-    points = np.zeros((total, dim), dtype=np.uint64)
+    points = np.empty((n, dim), dtype=np.uint64)
     x = np.zeros(dim, dtype=np.uint64)
-    for i in range(1, total):
+    for i in range(1, n + 1):
         # Gray-code step: flip with direction c, the rightmost zero bit of i-1.
         c = 1
         val = i - 1
@@ -154,9 +152,7 @@ def sobol_points(dim: int, n: int, skip_initial: bool = True) -> NDArray[np.floa
             val >>= 1
             c += 1
         x = x ^ v[:, c]
-        points[i] = x
-    if skip_initial:
-        points = points[1:]
+        points[i - 1] = x
     return points.astype(float) / 2.0**_SOBOL_BITS
 
 
@@ -208,9 +204,11 @@ def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:
 
     Lawson-Hanson active-set iteration: variables enter the passive set by
     largest positive dual, and an inner feasibility loop retracts any
-    passive variable a full least-squares step would drive negative. At
-    termination the KKT conditions hold: the gradient of the objective is
-    zero on the passive set and nonnegative on the active set.
+    passive variable a full least-squares step would drive negative. Each
+    entry lowers the residual; one that would not, which only rounding
+    makes possible, ends the iteration instead of cycling. At termination
+    the KKT conditions hold: the gradient of the objective is zero on the
+    passive set and nonnegative on the active set.
 
     Parameters
     ----------
@@ -237,6 +235,7 @@ def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
+    rnorm = float(np.linalg.norm(b))
     w = a.T @ b  # dual/gradient of -0.5*||ax-b||^2 at x = 0
     for iteration in range(max_iter + 1):
         if passive.all():
@@ -247,6 +246,7 @@ def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:
             break
         if iteration == max_iter:
             raise RuntimeError(f"nnls failed to converge in {max_iter} iterations")
+        x_before = x
         passive[j] = True
         while True:
             idx = np.where(passive)[0]
@@ -255,12 +255,22 @@ def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:
             if np.all(s[idx] > 0):
                 x = s
                 break
-            # Retract along the segment between x and s to stay feasible.
+            # Retract along the segment between x and s to stay feasible; a
+            # variable already at zero stops the step at once.
             mask = s[idx] <= 0
-            alpha = np.min(x[idx][mask] / (x[idx][mask] - s[idx][mask]))
+            xm, sm = x[idx][mask], s[idx][mask]
+            alpha = np.min(np.divide(xm, xm - sm, out=np.zeros_like(xm), where=xm > 0))
             x = x + alpha * (s - x)
             passive[np.abs(x) < 1e-14] = False
             x[~passive] = 0.0
-        w = a.T @ (b - a @ x)
-    residual = b - a @ x
-    return x, float(np.linalg.norm(residual))
+        residual = b - a @ x
+        rnorm_after = float(np.linalg.norm(residual))
+        if not rnorm_after < rnorm:
+            # In exact arithmetic every entry lowers the residual. One that
+            # does not was chosen by a dual that is rounding noise, and
+            # taking it can cycle until max_iter, so stop before it.
+            x = x_before
+            break
+        rnorm = rnorm_after
+        w = a.T @ residual
+    return x, rnorm

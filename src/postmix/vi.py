@@ -238,6 +238,10 @@ class ViConfig:
         if self.n_mc_samples < 2:
             raise ValueError("n_mc_samples must be at least 2 for the "
                              "leave-one-out baseline")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
+        if self.report_interval < 1:
+            raise ValueError("report_interval must be at least 1")
 
 
 @dataclass(frozen=True)

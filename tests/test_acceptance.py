@@ -138,7 +138,7 @@ def test_criterion_3_robustness_desk_scale():
     broad_desk = FactorSpec(d_range=(2, 6))
     cfg = GolaConfig(master_seed=0)
     table_broad = robustness_study(broad_desk, 100, cfg, jsd_samples=4096, seed=303)
-    fraction = table_broad.fraction_below(0.05)
+    fraction = table_broad.fraction_below()
 
     table_broad_small = robustness_study(broad_desk, 40, cfg, jsd_samples=4096,
                                          seed=707)

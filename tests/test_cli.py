@@ -41,7 +41,11 @@ class TestParseConfig:
                                           ({"gola": {"dedup_threshold": 0.01}},
                                            "dedup_threshold"),
                                           ({"gola": {"max_local_iters": 500}},
-                                           "max_local_iters")])
+                                           "max_local_iters"),
+                                          ({"gola": {"n_weight_samples": 4096}},
+                                           "n_weight_samples"),
+                                          ({"target": {"separation": 6.0}},
+                                           "separation")])
     def test_retired_keys_rejected(self, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -277,6 +281,25 @@ class TestRefineCommand:
         assert main(["refine", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "mixture.json").exists()
 
+    @pytest.mark.parametrize("key", ["report_interval", "max_epochs"])
+    def test_zero_count_rejected(self, tmp_path, key):
+        fit_dir = tmp_path / "fit"
+        main(["fit", "--target", "gauss2d", "--out", str(fit_dir)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "target": {"name": "gauss2d"},
+            "vi": {"max_epochs": 3, "n_mc_samples": 16, key: 0},
+        }))
+        out = tmp_path / "out"
+        assert main(["refine", "--config", str(cfg),
+                     "--init", str(fit_dir / "mixture.json"),
+                     "--reference", str(fit_dir / "mixture.json"),
+                     "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert key in err["message"]
+        assert not (out / "vi_trace.csv").exists()
+
 
 class TestGenerateCommand:
     def test_writes_valid_mixture(self, tmp_path):
@@ -365,6 +388,15 @@ class TestRobustnessCommand:
         assert len(lines) == 5
         summary = _read_json(out / "robustness_summary.json")
         assert 0.0 <= summary["fraction_below_threshold"] <= 1.0
+        assert summary["threshold"] == 0.05
+
+    def test_zero_cases_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["robustness", "--n-cases", "0", "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert "n_cases" in err["message"]
+        assert not (out / "robustness_summary.json").exists()
 
     def test_ungeneratable_cases_score_worst(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -40,10 +40,10 @@ from postmix.exceptions import DerivativeError, NonFiniteDensityError
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _gaussian_target(mean, cov, box_pad=6.0):
+def _gaussian_target(mean, cov):
     comp = GaussianComponent(np.asarray(mean, float),
                              np.linalg.cholesky(np.asarray(cov, float)))
-    return MixtureModel((comp,), np.ones(1)).as_target(padding=box_pad)
+    return MixtureModel((comp,), np.ones(1)).as_target()
 
 
 def _simple_target(dim, log_phi, box=None, **kwargs):

@@ -367,6 +367,5 @@ class TestObservationArtifacts:
         assert lines[0] == "t,y"
         assert len(lines) == scenario.n_obs + 1
         sidecar = obs.sidecar_dict(scenario.frame_true)
-        assert set(sidecar) == {"noise_sigma", "initial_state",
-                                "observed_index", "constants"}
+        assert set(sidecar) == {"noise_sigma", "initial_state", "constants"}
         assert sidecar["constants"]["c1"] == scenario.frame_true.c1

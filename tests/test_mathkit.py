@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 from scipy.stats import qmc
 
@@ -107,16 +109,12 @@ class TestSobolPoints:
             sobol_points(1, 3).ravel(), [0.5, 0.75, 0.25]
         )
 
-    def test_first_point_without_skip_is_origin(self):
-        for dim in (1, 2, 5, 17):
-            pts = sobol_points(dim, 4, skip_initial=False)
-            np.testing.assert_array_equal(pts[0], np.zeros(dim))
-
     def test_projection_permutation_property(self):
-        # every 1-d projection of the first 2^m points is {k / 2^m}
+        # every 1-d projection of the first 2^m points of the sequence,
+        # the skipped origin included, is {k / 2^m}
         for dim in (1, 3, 8, 21):
             for m in (4, 6):
-                pts = sobol_points(dim, 2**m, skip_initial=False)
+                pts = np.vstack([np.zeros((1, dim)), sobol_points(dim, 2**m - 1)])
                 expected = np.arange(2**m) / 2**m
                 for j in range(dim):
                     np.testing.assert_array_equal(np.sort(pts[:, j]), expected)
@@ -133,9 +131,10 @@ class TestSobolPoints:
 
     def test_matches_reference_generator(self):
         for dim in (1, 2, 3, 8, 33, 64):
-            ours = sobol_points(dim, 256, skip_initial=False)
+            ours = sobol_points(dim, 255)
             ref = qmc.Sobol(d=dim, scramble=False).random(256)
-            np.testing.assert_array_equal(ours, ref)
+            np.testing.assert_array_equal(ref[0], np.zeros(dim))
+            np.testing.assert_array_equal(ours, ref[1:])
 
     def test_dimension_cap(self):
         assert sobol_points(SOBOL_MAX_DIM, 2).shape == (2, 64)
@@ -196,7 +195,45 @@ class TestChiSquareSurvival:
             chi_square_survival(1.0, 0)
 
 
+@st.composite
+def _nnls_problems(draw):
+    """A design of any shape that is Gaussian, has two collinear columns,
+    has column scales 1e-3 to 1e3, or holds Gaussian bumps at sample points
+    like the weight fit's; and a right-hand side that is generic or a
+    nonnegative combination of the columns with some weights zero, which
+    the solver can fit exactly."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["gaussian", "collinear", "scaled", "bumps"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "bumps":
+        centers = rng.uniform(-3.0, 3.0, n)
+        points = rng.uniform(-4.0, 4.0, m)
+        a = np.exp(-0.5 * (points[:, np.newaxis] - centers) ** 2)
+    else:
+        a = rng.standard_normal((m, n))
+        if kind == "collinear" and n > 1:
+            a[:, -1] = 2.0 * a[:, 0]
+        elif kind == "scaled":
+            a *= 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if draw(st.booleans()):
+        b = a @ np.where(rng.uniform(size=n) < 0.5, 0.0, rng.exponential(size=n))
+    else:
+        b = rng.standard_normal(m)
+    return a, b
+
+
 class TestNnls:
+    @given(_nnls_problems())
+    def test_kkt_conditions_on_hard_designs(self, problem):
+        a, b = problem
+        x, _ = nnls(a, b)
+        g = a.T @ (b - a @ x)
+        tol = 1e-9 * np.linalg.norm(a, 2) * np.linalg.norm(b)
+        assert np.all(x >= 0.0)
+        assert np.all(g[x == 0.0] <= tol)
+        assert np.all(np.abs(g[x > 0.0]) <= tol)
+
     def test_exact_nonnegative_recovery(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((30, 4))
@@ -231,6 +268,18 @@ class TestNnls:
             ref_resid = np.linalg.norm(a @ x_ref - b)
             assert rnorm <= ref_resid + 1e-8
             assert rnorm == pytest.approx(np.linalg.norm(a @ x - b), abs=1e-12)
+
+    def test_exact_fit_with_badly_scaled_columns_terminates(self):
+        # Once the residual of an exact fit is rounding noise, the duals
+        # are too; two columns then took turns entering, and the solver
+        # raised after max_iter iterations.
+        rng = np.random.default_rng(132)
+        a = rng.standard_normal((20, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, 8)
+        x_true = np.where(rng.uniform(size=8) < 0.5, 0.0, rng.exponential(size=8))
+        b = a @ x_true
+        x, rnorm = nnls(a, b)
+        assert np.all(x >= 0.0)
+        assert rnorm <= 1e-12 * np.linalg.norm(b)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

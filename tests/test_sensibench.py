@@ -139,40 +139,20 @@ class TestSobolDesign:
         assert np.all(design.a[:, 0] == np.round(design.a[:, 0]))
         assert design.a[:, 0].min() >= 2 and design.a[:, 0].max() <= 10
 
-    def test_row_failure_retried_then_aborts(self):
-        attempts = {}
-
-        def flaky(row):
-            key = round(float(row[0]), 9)
-            attempts[key] = attempts.get(key, 0) + 1
-            if attempts[key] == 1 and len(attempts) == 1:
-                raise RuntimeError("transient")
-            return float(row[0])
-
-        factors = [Factor("x1", 0.0, 1.0)]
-        design = sobol_design(factors, 4, seed=4, model=flaky)
-        assert design.retried_rows == (("A", 0),)
-
-        def always_fails(row):
-            raise RuntimeError("permanent")
-
-        with pytest.raises(RuntimeError, match="permanent"):
-            sobol_design(factors, 4, seed=4, model=always_fails)
-
-    def test_retried_rows_name_their_block(self):
+    def test_first_model_failure_propagates(self):
         calls = []
 
-        def flaky(row):
+        def fails_once(row):
             calls.append(None)
-            # Calls run A, B, AB0, AB1 with 4 rows each; a retry is one more
-            # call, so call 5 is B row 1 and call 15 is AB1 row 2.
-            if len(calls) - 1 in (5, 15):
-                raise RuntimeError("transient")
+            # Calls run A, B, AB0, AB1 with 4 rows each: call 5 is B row 1.
+            if len(calls) - 1 == 5:
+                raise RuntimeError("model failed")
             return float(row[0])
 
         factors = [Factor("x1", 0.0, 1.0), Factor("x2", 0.0, 1.0)]
-        design = sobol_design(factors, 4, seed=4, model=flaky)
-        assert design.retried_rows == (("B", 1), ("AB1", 2))
+        with pytest.raises(RuntimeError, match="model failed"):
+            sobol_design(factors, 4, seed=4, model=fails_once)
+        assert len(calls) == 6  # the failed row is not called again
 
     def test_seed_changes_design(self):
         factors = [Factor("x1", 0.0, 1.0)]
@@ -277,7 +257,7 @@ class TestRobustnessStudy:
         table = robustness_study(spec, 20, cfg, jsd_samples=2048, seed=7)
         assert all(c.status == "ok" for c in table.cases)
         assert all(c.score <= 0.05 for c in table.cases)
-        assert table.fraction_below(0.05) == 1.0
+        assert table.fraction_below() == 1.0
 
     def test_csv_schema(self, tmp_path):
         spec = FactorSpec(d_range=(2, 3), m_range=(2, 2))
