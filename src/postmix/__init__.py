@@ -11,12 +11,10 @@ from .density import (
     GaussianComponent,
     MixtureModel,
     SinhArcsinhMixture,
-    SinhArcsinhSpec,
     UnnormalizedTarget,
     eval_gradient,
     eval_hessian,
     eval_log_density,
-    make_sinh_arcsinh_mixture,
     mixture_from_dict,
     mixture_log_pdf,
     mixture_sample,
@@ -39,7 +37,6 @@ __all__ = [
     "MixtureModel",
     "SensitivityResult",
     "SinhArcsinhMixture",
-    "SinhArcsinhSpec",
     "UnnormalizedTarget",
     "ViConfig",
     "ViTrace",
@@ -49,7 +46,6 @@ __all__ = [
     "eval_log_density",
     "jsd_normalized",
     "kl_mc",
-    "make_sinh_arcsinh_mixture",
     "mixture_from_dict",
     "mixture_log_pdf",
     "mixture_sample",

@@ -29,7 +29,7 @@ from .density import (
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
 )
-from .exceptions import PostmixError
+from .exceptions import PostmixError, check_integer
 from .exemplar import default_scenario, pushforward
 from .gola import GolaConfig, run_gola
 from .metrics import jsd_normalized
@@ -97,6 +97,8 @@ def _field_names(cls, *exclude: str) -> set:
 
 
 _TOP_KEYS = _field_names(RunConfig)
+# The top-level counts and the seed, type-checked when a run starts.
+_TOP_INTEGERS = tuple(f.name for f in dataclass_fields(RunConfig) if f.type == "int")
 # The run's seed feeds both sections' seeds, so they are not section keys.
 _GOLA_KEYS = _field_names(GolaConfig, "master_seed")
 _VI_KEYS = _field_names(ViConfig, "seed")
@@ -214,7 +216,9 @@ def _build_target(cfg: RunConfig):
         return MixtureModel((comp,), np.ones(1)).as_target()
     if name == "sinh":
         mixture = random_sinh_arcsinh_mixture(
-            int(spec.get("dim", 15)), int(spec.get("n_components", 2)), cfg.seed,
+            check_integer("target.dim", spec.get("dim", 15), 1),
+            check_integer("target.n_components", spec.get("n_components", 2), 1),
+            cfg.seed,
         )
         return mixture.as_target()
     raise ConfigError(
@@ -334,10 +338,11 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
                            float(doc.get("c2_true", frame.c2)))
         scenario = dc_replace(
             scenario, frame_true=frame,
-            n_obs=int(doc.get("n_obs", scenario.n_obs)),
+            n_obs=check_integer("exemplar.n_obs", doc.get("n_obs", scenario.n_obs)),
             horizon=float(doc.get("horizon", scenario.horizon)),
             noise_sigma=float(doc.get("noise_sigma", scenario.noise_sigma)),
-            obs_seed=int(doc.get("obs_seed", scenario.obs_seed)),
+            obs_seed=check_integer("exemplar.obs_seed",
+                                   doc.get("obs_seed", scenario.obs_seed)),
         )
     obs = scenario.observations()
     obs.to_csv(out / "observations.csv")
@@ -351,7 +356,8 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
     _json_dump(report.to_dict(), out / "gola_report.json")
 
     times = np.linspace(scenario.horizon / 100.0, scenario.horizon, 100)
-    n_push = int(cfg.exemplar.get("n_pushforward", 2000))
+    n_push = check_integer("exemplar.n_pushforward",
+                           cfg.exemplar.get("n_pushforward", 2000))
     summary = pushforward(report.mixture, scenario.constants(), scenario.u0,
                           times, n_push, cfg.seed)
     summary.to_csv(out / "pushforward.csv")
@@ -393,6 +399,8 @@ def run(cfg: RunConfig) -> int:
                 raise ConfigError(f"command {cfg.command!r} needs --out DIR")
             out = Path(cfg.out)
             out.mkdir(parents=True, exist_ok=True)
+        for name in _TOP_INTEGERS:
+            check_integer(name, getattr(cfg, name))
         started = time.perf_counter()
         artifacts = _RUNNERS[cfg.command](cfg, out)
         if out is not None:

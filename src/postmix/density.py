@@ -284,11 +284,6 @@ class GaussianComponent:
         log_n, _ = gaussian_log_pdfs(self.mean[np.newaxis], self._chol_inv[np.newaxis], pts)
         return float(log_n[0, 0]) if single else log_n[:, 0]
 
-    def sample(self, n: int, seed: int) -> NDArray[np.float64]:
-        rng = np.random.default_rng(seed)
-        eps = rng.standard_normal((n, self.dim))
-        return self.mean + eps @ self.chol_cov.T
-
 
 @dataclass(frozen=True)
 class MixtureModel:
@@ -450,69 +445,44 @@ def mixture_from_dict(doc: dict) -> MixtureModel:
     return MixtureModel(tuple(comps), np.asarray(doc["weights"], float))
 
 
-@dataclass(frozen=True)
-class SinhArcsinhSpec:
-    """Per-coordinate parameters of one factorized sinh-arcsinh component.
-
-    A standard normal Z maps to Y = loc + scale * sinh((arcsinh(Z) + skew)
-    * tailweight) coordinate by coordinate (the Jones-Pewsey transform).
-    skew = 0 and tailweight = 1 reduce each coordinate to a location-scale
-    Gaussian.
-    """
-
-    loc: NDArray[np.float64]
-    scale: NDArray[np.float64]
-    skew: NDArray[np.float64]
-    tailweight: NDArray[np.float64]
-
-    def __post_init__(self):
-        loc = np.atleast_1d(np.asarray(self.loc, dtype=float))
-        scale = np.atleast_1d(np.asarray(self.scale, dtype=float))
-        skew = np.atleast_1d(np.asarray(self.skew, dtype=float))
-        tail = np.atleast_1d(np.asarray(self.tailweight, dtype=float))
-        d = loc.shape[0]
-        for name, arr in (("scale", scale), ("skew", skew), ("tailweight", tail)):
-            if arr.shape != (d,):
-                raise ValueError(f"{name} must have shape ({d},), got {arr.shape}")
-        if np.any(scale <= 0.0):
-            raise ValueError("scale must be strictly positive")
-        if np.any(tail <= 0.0):
-            raise ValueError("tailweight must be strictly positive")
-        object.__setattr__(self, "loc", loc)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "skew", skew)
-        object.__setattr__(self, "tailweight", tail)
-
-    @property
-    def dim(self) -> int:
-        return self.loc.shape[0]
-
-
 class SinhArcsinhMixture:
-    """Mixture of factorized sinh-arcsinh components with exact sampling.
+    """Mixture of K factorized sinh-arcsinh components with exact sampling.
 
-    Each component is a product of independent 1-d sinh-arcsinh densities,
-    so both the log-density and its gradient are available in closed form
-    and samples are exact transforms of standard normal draws.
+    Component k maps a standard normal Z to Y = loc[k] + scale[k] *
+    sinh((arcsinh(Z) + skew[k]) * tail[k]) coordinate by coordinate (the
+    Jones-Pewsey transform); skew 0 and tail 1 reduce a coordinate to a
+    location-scale Gaussian. Each component is a product of independent
+    1-d densities, so both the log-density and its gradient are available
+    in closed form and samples are exact transforms of standard normal
+    draws.
+
+    Parameters
+    ----------
+    weights : ndarray, shape (K,)
+        Component weights on the simplex.
+    loc, scale, skew, tail : ndarray, shape (K, d)
+        Per-component, per-coordinate parameters; ``scale`` and ``tail``
+        strictly positive.
     """
 
-    def __init__(self, specs: list[SinhArcsinhSpec], weights: NDArray):
-        if len(specs) < 1:
-            raise ValueError("need at least one component spec")
-        dims = {s.dim for s in specs}
-        if len(dims) != 1:
-            raise ValueError(f"specs have mixed dimensions {sorted(dims)}")
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(specs),):
-            raise ValueError(f"{len(specs)} specs but {weights.shape} weights")
-        if np.any(weights < 0.0) or abs(float(np.sum(weights)) - 1.0) > 1e-12:
+    def __init__(self, weights: NDArray, loc: NDArray, scale: NDArray,
+                 skew: NDArray, tail: NDArray):
+        self.weights, self.loc, self.scale, self.skew, self.tail = (
+            np.asarray(a, dtype=float) for a in (weights, loc, scale, skew, tail))
+        if self.loc.ndim != 2 or self.loc.shape[0] < 1:
+            raise ValueError(f"loc must have shape (K, d), K >= 1, got {self.loc.shape}")
+        if self.weights.shape != self.loc.shape[:1]:
+            raise ValueError(f"{self.loc.shape[0]} components but "
+                             f"{self.weights.shape} weights")
+        for name in ("scale", "skew", "tail"):
+            if getattr(self, name).shape != self.loc.shape:
+                raise ValueError(f"{name} must have shape {self.loc.shape}, "
+                                 f"got {getattr(self, name).shape}")
+        if np.any(self.weights < 0.0) or abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("weights must be a simplex vector")
-        self.dim = specs[0].dim
-        self.weights = weights
-        self.loc = np.array([s.loc for s in specs])          # (K, d)
-        self.scale = np.array([s.scale for s in specs])
-        self.skew = np.array([s.skew for s in specs])
-        self.tail = np.array([s.tailweight for s in specs])
+        if np.any(self.scale <= 0.0) or np.any(self.tail <= 0.0):
+            raise ValueError("scale and tail must be strictly positive")
+        self.dim = self.loc.shape[1]
 
     @property
     def n_components(self) -> int:
@@ -583,17 +553,6 @@ class SinhArcsinhMixture:
         )
 
 
-def make_sinh_arcsinh_mixture(specs: list[SinhArcsinhSpec],
-                              weights: NDArray) -> UnnormalizedTarget:
-    """Build an unnormalized target from factorized sinh-arcsinh components.
-
-    The returned target's ``log_phi`` is the exact (normalized) mixture
-    log-density with an analytic gradient assembled per coordinate by the
-    chain rule.
-    """
-    return SinhArcsinhMixture(specs, weights).as_target()
-
-
 def random_sinh_arcsinh_mixture(dim: int, n_components: int,
                                 seed: int) -> SinhArcsinhMixture:
     """A reproducible non-Gaussian multimodal test density.
@@ -606,12 +565,11 @@ def random_sinh_arcsinh_mixture(dim: int, n_components: int,
     direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
     offsets = (np.arange(n_components) - (n_components - 1) / 2.0) * _SINH_SEPARATION
-    specs = []
+    loc, scale, skew, tail = np.empty((4, n_components, dim))
     for k in range(n_components):
-        loc = offsets[k] * direction + rng.uniform(-0.5, 0.5, size=dim)
-        scale = rng.uniform(0.6, 1.4, size=dim)
-        skew = rng.uniform(-1.0, 1.0, size=dim)
-        tail = rng.uniform(0.8, 1.3, size=dim)
-        specs.append(SinhArcsinhSpec(loc, scale, skew, tail))
+        loc[k] = offsets[k] * direction + rng.uniform(-0.5, 0.5, size=dim)
+        scale[k] = rng.uniform(0.6, 1.4, size=dim)
+        skew[k] = rng.uniform(-1.0, 1.0, size=dim)
+        tail[k] = rng.uniform(0.8, 1.3, size=dim)
     raw = rng.uniform(0.5, 1.0, size=n_components)
-    return SinhArcsinhMixture(specs, raw / raw.sum())
+    return SinhArcsinhMixture(raw / raw.sum(), loc, scale, skew, tail)

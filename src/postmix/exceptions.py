@@ -1,6 +1,20 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the integer check that
+every configuration count and seed goes through."""
 
 from __future__ import annotations
+
+import numbers
+from typing import Optional
+
+
+def check_integer(name: str, value, least: Optional[int] = None):
+    """Return ``value`` if it is an integer (a bool is not) and at least
+    ``least``; otherwise raise ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 class PostmixError(Exception):

@@ -315,8 +315,7 @@ class ExemplarScenario:
     obs_seed: int = 0
 
     def constants(self) -> tuple:
-        f = self.frame_true
-        return (f.m1, f.m2, f.k1, f.k2)
+        return _constants(self.frame_true)
 
     def observations(self) -> ObservationSet:
         return generate_observations(

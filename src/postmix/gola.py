@@ -37,6 +37,7 @@ from .exceptions import (
     RejectedStartError,
     SingularMatrixError,
     WeightUnderflowError,
+    check_integer,
 )
 from .mathkit import chi_square_survival, cholesky_spd, nnls, sobol_points
 
@@ -64,8 +65,9 @@ class GolaConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts is not None and self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
+        if self.n_starts is not None:
+            check_integer("n_starts", self.n_starts, 1)
+        check_integer("master_seed", self.master_seed, 0)
         if self.gradient_tol <= 0.0:
             raise ValueError("gradient_tol must be positive")
 
@@ -225,21 +227,21 @@ def multistart_minimize(target: UnnormalizedTarget,
 def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:
     """Covariance = inverse of the (regularized) Hessian, as L^-T L^-1."""
     try:
-        spd = cholesky_spd(hess)
+        chol, _ = cholesky_spd(hess)
     except SingularMatrixError as exc:
         raise DegenerateModeError(
             f"singular Hessian at mode {mode}", mode=mode
         ) from exc
-    inv = _inverse_lower(spd.chol)
+    inv = _inverse_lower(chol)
     sigma = inv.T @ inv
     sigma = 0.5 * (sigma + sigma.T)
     try:
-        chol_sigma = cholesky_spd(sigma)
+        chol_sigma, _ = cholesky_spd(sigma)
     except SingularMatrixError as exc:
         raise DegenerateModeError(
             f"non-positive covariance at mode {mode}", mode=mode
         ) from exc
-    return GaussianComponent(mean=mode, chol_cov=chol_sigma.chol)
+    return GaussianComponent(mean=mode, chol_cov=chol_sigma)
 
 
 def laplace_at_mode(target: UnnormalizedTarget,

@@ -11,7 +11,6 @@ of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,29 +26,7 @@ SOBOL_MAX_DIM = 64
 _SOBOL_BITS = 32
 
 
-@dataclass(frozen=True)
-class SpdMatrix:
-    """A symmetric positive definite matrix with its Cholesky factor.
-
-    Attributes
-    ----------
-    order : int
-        Matrix dimension.
-    matrix : ndarray, shape (d, d)
-        The symmetrized input (without jitter).
-    chol : ndarray, shape (d, d)
-        Lower Cholesky factor of ``matrix + jitter_applied * I``.
-    jitter_applied : float
-        The smallest ladder value that produced a successful factorization.
-    """
-
-    order: int
-    matrix: NDArray[np.float64]
-    chol: NDArray[np.float64]
-    jitter_applied: float
-
-
-def cholesky_spd(a: NDArray) -> SpdMatrix:
+def cholesky_spd(a: NDArray) -> tuple[NDArray[np.float64], float]:
     """Factor a symmetric matrix, escalating diagonal jitter until SPD.
 
     Parameters
@@ -60,9 +37,11 @@ def cholesky_spd(a: NDArray) -> SpdMatrix:
 
     Returns
     -------
-    SpdMatrix
-        Factorization of ``a + jitter * I`` for the smallest jitter in
-        the ladder ``JITTER_LADDER * trace(a)/d`` that succeeds.
+    chol : ndarray, shape (d, d)
+        Lower Cholesky factor of ``a + jitter * I``.
+    jitter : float
+        The smallest value of the ladder ``JITTER_LADDER * trace(a)/d``
+        whose factorization succeeds.
 
     Raises
     ------
@@ -90,7 +69,7 @@ def cholesky_spd(a: NDArray) -> SpdMatrix:
             chol = np.linalg.cholesky(a + jitter * eye)
         except np.linalg.LinAlgError:
             continue
-        return SpdMatrix(order=d, matrix=a, chol=chol, jitter_applied=jitter)
+        return chol, jitter
     raise SingularMatrixError(
         f"Cholesky failed for {d}x{d} matrix even at jitter "
         f"{JITTER_LADDER[-1] * diag_scale:.3e}"

@@ -2,7 +2,8 @@
 
 Densities are duck-typed: anything with ``log_pdf(points)`` over an
 (n, d) batch works as a second argument, and the sampled side also needs
-``sample(n, seed)``. All estimates carry a Monte Carlo standard error.
+``sample(n, seed)``. All estimates carry a Monte Carlo standard error, so
+they take at least 2 samples.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .density import (
     eval_log_density_batch,
     log_sum_exp,
 )
+from .exceptions import check_integer
 from .mathkit import cholesky_spd
 
 # Log-ratio clamp just below the IEEE double overflow threshold for exp.
@@ -34,13 +36,6 @@ class DivergenceEstimate:
     n_samples: int
     n_support_violations: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-        }
-
 
 def kl_mc(p, q, n: int, seed: int) -> DivergenceEstimate:
     """Monte Carlo Kullback-Leibler divergence KL(p || q).
@@ -49,13 +44,14 @@ def kl_mc(p, q, n: int, seed: int) -> DivergenceEstimate:
     ``q`` has zero density contribute a clamped log-ratio of 700 and are
     counted as support violations.
     """
+    check_integer("n", n, 2)
     points = p.sample(n, seed)
     ratios = np.asarray(p.log_pdf(points)) - np.asarray(q.log_pdf(points))
     violations = int(np.sum(~(ratios <= _LOG_RATIO_CLAMP)))
     ratios = np.where(np.isnan(ratios), _LOG_RATIO_CLAMP,
                       np.minimum(ratios, _LOG_RATIO_CLAMP))
     value = float(np.mean(ratios))
-    std_error = float(np.std(ratios, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    std_error = float(np.std(ratios, ddof=1) / np.sqrt(n))
     return DivergenceEstimate(value, std_error, n, violations)
 
 
@@ -66,6 +62,7 @@ def jsd_normalized(p, q, n: int, seed: int) -> DivergenceEstimate:
     term from samples of its own first argument, then divides by log 2.
     The integrands are bounded by log 2, so no clamping is needed.
     """
+    check_integer("n", n, 2)
     seeds = np.random.SeedSequence(seed).generate_state(2)
     zp = p.sample(n, int(seeds[0]))
     zq = q.sample(n, int(seeds[1]))
@@ -79,14 +76,14 @@ def jsd_normalized(p, q, n: int, seed: int) -> DivergenceEstimate:
     tp = terms(zp, p, q)
     tq = terms(zq, q, p)
     value = 0.5 * (float(np.mean(tp)) + float(np.mean(tq))) / math.log(2.0)
-    var = (np.var(tp, ddof=1) + np.var(tq, ddof=1)) / n if n > 1 else 0.0
+    var = (np.var(tp, ddof=1) + np.var(tq, ddof=1)) / n
     std_error = 0.5 * math.sqrt(var) / math.log(2.0)
     return DivergenceEstimate(value, std_error, n)
 
 
 def _log_gaussian_at_zero(delta: NDArray, cov: NDArray) -> float:
     """log N(delta; 0, cov) evaluated through a Cholesky factorization."""
-    return GaussianComponent(np.zeros_like(delta), cholesky_spd(cov).chol).log_pdf(delta)
+    return GaussianComponent(np.zeros_like(delta), cholesky_spd(cov)[0]).log_pdf(delta)
 
 
 def dice_overlap(p1: GaussianComponent, p2: GaussianComponent) -> float:
@@ -136,7 +133,6 @@ class GridDensity2D:
         weighted = log_phi + np.log(wx)[:, None] + np.log(wy)[None, :]
         log_sum, _ = log_sum_exp(weighted.reshape(1, -1))
         self.log_z = float(log_sum[0]) + math.log(self.dx * self.dy)
-        self._log_phi_grid = log_phi
         self._cell_probs = log_sum_exp(log_phi.reshape(1, -1))[1][0]
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
@@ -157,9 +153,3 @@ class GridDensity2D:
         ])
         box = self.target.search_box
         return np.clip(out, box[:, 0], box[:, 1])
-
-
-def grid_normalized_density(target: UnnormalizedTarget,
-                            n_grid: int = 512) -> GridDensity2D:
-    """Normalize a 2-d unnormalized target on an ``n_grid`` x ``n_grid`` grid."""
-    return GridDensity2D(target, n_grid)

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .density import GaussianComponent, MixtureModel, _inverse_lower
-from .exceptions import GenerationError, PostmixError
+from .exceptions import GenerationError, PostmixError, check_integer
 from .gola import GolaConfig, run_gola
 from .mathkit import sobol_points
 # The benchmark's traced run wraps this name; keep it until it stops doing so.
@@ -431,8 +431,8 @@ def robustness_study(spec: FactorSpec, n_cases: int, gola_cfg: GolaConfig,
     Returns the full per-case table; ``fraction_below`` summarizes how many
     cases reached the accuracy threshold.
     """
-    if n_cases < 1:
-        raise ValueError(f"n_cases must be at least 1, got {n_cases}")
+    check_integer("n_cases", n_cases, 1)
+    check_integer("jsd_samples", jsd_samples, 2)
     case_seeds = np.random.SeedSequence(seed).generate_state(2 * n_cases)
     cases = []
     for i in range(n_cases):

@@ -30,6 +30,7 @@ from .density import (
     log_sum_exp,
     mixture_sample,
 )
+from .exceptions import check_integer
 
 # Finite stand-in for the infinite penalty of a zero-density sample.
 _SUPPORT_PENALTY = 1e6
@@ -235,13 +236,11 @@ class ViConfig:
     def __post_init__(self):
         if self.step_size <= 0.0:
             raise ValueError("step_size must be positive")
-        if self.n_mc_samples < 2:
-            raise ValueError("n_mc_samples must be at least 2 for the "
-                             "leave-one-out baseline")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
-        if self.report_interval < 1:
-            raise ValueError("report_interval must be at least 1")
+        # two Monte Carlo samples for the leave-one-out baseline, two JSD
+        # samples for a standard error
+        for name, least in (("n_mc_samples", 2), ("max_epochs", 1),
+                            ("report_interval", 1), ("seed", 0), ("jsd_samples", 2)):
+            check_integer(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -260,9 +259,6 @@ class ViTrace:
     diverged: bool = False
     support_violations: int = 0
     best_epoch: int = 0
-
-    def best_neg_elbo(self) -> float:
-        return min(r.neg_elbo for r in self.records)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:

@@ -28,8 +28,8 @@ from postmix.exemplar import (
 )
 from postmix.gola import GolaConfig, run_gola, solve_weights
 from postmix.metrics import (
+    GridDensity2D,
     dice_overlap,
-    grid_normalized_density,
     jsd_normalized,
     kl_mc,
 )
@@ -249,7 +249,7 @@ def test_criterion_6_exemplar_bimodality_and_fit():
                                          master_seed=0))
     n_components = report.mixture.n_components
 
-    reference = grid_normalized_density(target, 512)
+    reference = GridDensity2D(target, 512)
     jsd = jsd_normalized(reference, report.mixture, 8192, seed=606)
 
     times = np.linspace(scenario.horizon / 60.0, scenario.horizon, 60)

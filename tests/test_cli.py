@@ -249,6 +249,13 @@ class TestEvalCommand:
         assert code == 1
         assert "dimensions differ" in capsys.readouterr().err
 
+    def test_one_sample_rejected(self, capsys):
+        # one draw has no sample variance, so no standard error to report
+        code = main(["eval", "--p", str(DATA / "mixture_p.json"),
+                     "--q", str(DATA / "mixture_q.json"), "--n", "1"])
+        assert code == 1
+        assert "n must be at least 2" in capsys.readouterr().err
+
 
 class TestRefineCommand:
     def test_reference_populates_jsd_column(self, tmp_path):
@@ -299,6 +306,31 @@ class TestRefineCommand:
         assert err["error"] == "ValueError"
         assert key in err["message"]
         assert not (out / "vi_trace.csv").exists()
+
+
+class TestIntegerConfigValues:
+    @pytest.mark.parametrize("command, doc, key", [
+        ("fit", {"target": {"name": "sinh", "dim": 2.5}}, "target.dim"),
+        ("fit", {"target": {"name": "sinh", "dim": True}}, "target.dim"),
+        ("fit", {"target": {"name": "gauss2d"}, "gola": {"n_starts": 2.5}}, "n_starts"),
+        ("fit", {"target": {"name": "gauss2d"}, "gola": {"n_starts": "8"}}, "n_starts"),
+        ("fit", {"target": {"name": "gauss2d"}, "seed": 1.5}, "seed"),
+        ("refine", {"target": {"mixture_json": str(DATA / "mixture_p.json")},
+                    "vi": {"max_epochs": 2.5}}, "max_epochs"),
+    ])
+    def test_non_integer_rejected(self, tmp_path, command, doc, key):
+        # a fraction or a bool must not be truncated into a different problem
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "refine":
+            argv += ["--init", str(DATA / "mixture_p.json")]
+        assert main(argv) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert f"{key} must be an integer" in err["message"]
+        assert not (out / "mixture.json").exists()
 
 
 class TestGenerateCommand:

@@ -15,7 +15,6 @@ from postmix.density import (
     GaussianComponent,
     MixtureModel,
     SinhArcsinhMixture,
-    SinhArcsinhSpec,
     UnnormalizedTarget,
     _inverse_lower,
     _responsibilities_and_grads,
@@ -26,7 +25,6 @@ from postmix.density import (
     eval_log_density_batch,
     gaussian_log_pdfs,
     log_sum_exp,
-    make_sinh_arcsinh_mixture,
     mixture_from_dict,
     mixture_log_pdf,
     mixture_log_pdf_gradient,
@@ -122,9 +120,7 @@ class TestEvalGradient:
         assert np.linalg.norm(grad) <= 1e-6
 
     def test_sinh_arcsinh_matches_five_point_stencil(self):
-        spec = SinhArcsinhSpec(np.array([0.2]), np.array([0.9]),
-                               np.array([0.7]), np.array([1.2]))
-        mix = SinhArcsinhMixture([spec], np.ones(1))
+        mix = SinhArcsinhMixture(np.ones(1), [[0.2]], [[0.9]], [[0.7]], [[1.2]])
         target = mix.as_target()
         z = 0.3
         h = 1e-3
@@ -647,18 +643,13 @@ class TestSinhArcsinh:
         assert mix.as_target().gradient_batch == mix.gradient
 
     def test_gaussian_case_matches_mixture_model(self):
-        # skew 0, tailweight 1 reduces to a location-scale Gaussian mixture
-        specs = [
-            SinhArcsinhSpec(np.array([-1.0, 0.5]), np.array([0.8, 1.2]),
-                            np.zeros(2), np.ones(2)),
-            SinhArcsinhSpec(np.array([2.0, -0.5]), np.array([1.1, 0.6]),
-                            np.zeros(2), np.ones(2)),
-        ]
+        # skew 0, tail 1 reduces to a location-scale Gaussian mixture
+        loc = np.array([[-1.0, 0.5], [2.0, -0.5]])
+        scale = np.array([[0.8, 1.2], [1.1, 0.6]])
         weights = np.array([0.4, 0.6])
-        sinh_mix = SinhArcsinhMixture(specs, weights)
-        comps = tuple(
-            GaussianComponent(s.loc, np.diag(s.scale)) for s in specs
-        )
+        sinh_mix = SinhArcsinhMixture(weights, loc, scale, np.zeros((2, 2)),
+                                      np.ones((2, 2)))
+        comps = tuple(GaussianComponent(m, np.diag(s)) for m, s in zip(loc, scale))
         gauss = MixtureModel(comps, weights)
         rng = np.random.default_rng(15)
         pts = rng.uniform(-4.0, 4.0, size=(500, 2))
@@ -666,21 +657,15 @@ class TestSinhArcsinh:
         assert np.max(np.abs(ratio)) <= 1e-10  # KL is 0 to this accuracy
 
     def test_positive_skew_parameter_gives_positive_sample_skew(self):
-        spec = SinhArcsinhSpec(np.zeros(1), np.ones(1), np.ones(1), np.ones(1))
-        mix = SinhArcsinhMixture([spec], np.ones(1))
+        mix = SinhArcsinhMixture(np.ones(1), [[0.0]], [[1.0]], [[1.0]], [[1.0]])
         draws = mix.sample(10**5, seed=7).ravel()
         assert skew(draws) > 0.0
 
     def test_two_separated_components_have_two_maxima(self):
-        target = make_sinh_arcsinh_mixture(
-            [
-                SinhArcsinhSpec(np.array([-4.0]), np.array([0.7]),
-                                np.array([0.3]), np.array([1.0])),
-                SinhArcsinhSpec(np.array([4.0]), np.array([0.9]),
-                                np.array([-0.2]), np.array([1.1])),
-            ],
-            np.array([0.5, 0.5]),
-        )
+        target = SinhArcsinhMixture(
+            np.array([0.5, 0.5]), [[-4.0], [4.0]], [[0.7], [0.9]], [[0.3], [-0.2]],
+            [[1.0], [1.1]],
+        ).as_target()
         # dense grid-search oracle
         grid = np.linspace(-8.0, 8.0, 4001)
         vals = eval_log_density_batch(target, grid[:, np.newaxis])
@@ -688,29 +673,33 @@ class TestSinhArcsinh:
         assert int(np.sum(is_max)) == 2
 
     def test_each_coordinate_integrates_to_one(self):
-        spec = SinhArcsinhSpec(np.array([0.5, -1.0]), np.array([1.2, 0.7]),
-                               np.array([0.8, -0.5]), np.array([1.5, 0.8]))
-        mix = SinhArcsinhMixture([spec], np.ones(1))
+        mix = SinhArcsinhMixture(np.ones(1), [[0.5, -1.0]], [[1.2, 0.7]],
+                                 [[0.8, -0.5]], [[1.5, 0.8]])
         for i in range(2):
             # integrate over the image of z in [-10, 10]
             zs = np.array([-10.0, 10.0])
-            bounds = spec.loc[i] + spec.scale[i] * np.sinh(
-                (np.arcsinh(zs) + spec.skew[i]) * spec.tailweight[i]
+            bounds = mix.loc[0, i] + mix.scale[0, i] * np.sinh(
+                (np.arcsinh(zs) + mix.skew[0, i]) * mix.tail[0, i]
             )
-            one_d = SinhArcsinhMixture(
-                [SinhArcsinhSpec(spec.loc[i:i+1], spec.scale[i:i+1],
-                                 spec.skew[i:i+1], spec.tailweight[i:i+1])],
-                np.ones(1),
-            )
+            one_d = SinhArcsinhMixture(mix.weights, mix.loc[:, i:i+1],
+                                       mix.scale[:, i:i+1], mix.skew[:, i:i+1],
+                                       mix.tail[:, i:i+1])
             total, _ = quad(lambda y: math.exp(one_d.log_pdf(np.array([y]))),
                             min(bounds), max(bounds), limit=400)
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            SinhArcsinhSpec(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1))
-        with pytest.raises(ValueError):
-            SinhArcsinhSpec(np.zeros(1), np.ones(1), np.zeros(1), np.array([-1.0]))
+        with pytest.raises(ValueError, match="scale and tail"):
+            SinhArcsinhMixture(np.ones(1), [[0.0]], [[0.0]], [[0.0]], [[1.0]])
+        with pytest.raises(ValueError, match="scale and tail"):
+            SinhArcsinhMixture(np.ones(1), [[0.0]], [[1.0]], [[0.0]], [[-1.0]])
+        with pytest.raises(ValueError, match="skew must have shape"):
+            SinhArcsinhMixture(np.ones(1), [[0.0]], [[1.0]], [0.0], [[1.0]])
+        with pytest.raises(ValueError, match="weights"):
+            SinhArcsinhMixture(np.ones(2), [[0.0]], [[1.0]], [[0.0]], [[1.0]])
+        with pytest.raises(ValueError, match="simplex"):
+            SinhArcsinhMixture(np.full(2, 0.6), [[0.0], [1.0]], [[1.0], [1.0]],
+                               [[0.0], [0.0]], [[1.0], [1.0]])
 
     def test_sampling_matches_density_moments(self):
         mix = random_sinh_arcsinh_mixture(2, 2, seed=8)
@@ -718,12 +707,9 @@ class TestSinhArcsinh:
         # compare sample mean against quadrature mean per coordinate
         target_mean = np.zeros(2)
         for i in range(2):
-            marginal = SinhArcsinhMixture(
-                [SinhArcsinhSpec(mix.loc[k, i:i+1], mix.scale[k, i:i+1],
-                                 mix.skew[k, i:i+1], mix.tail[k, i:i+1])
-                 for k in range(2)],
-                mix.weights,
-            )
+            marginal = SinhArcsinhMixture(mix.weights, mix.loc[:, i:i+1],
+                                          mix.scale[:, i:i+1], mix.skew[:, i:i+1],
+                                          mix.tail[:, i:i+1])
             lo = mix.loc[:, i].min() - 30 * mix.scale[:, i].max()
             hi = mix.loc[:, i].max() + 30 * mix.scale[:, i].max()
             target_mean[i], _ = quad(

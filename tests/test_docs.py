@@ -1,10 +1,12 @@
-"""The README's config example and the file-format reference stay in step
-with the code: a key the code no longer accepts fails here."""
+"""The README's examples, the file-format reference and the package's
+exports stay in step with the code: a key the code no longer accepts, a
+retired name or a quick start that no longer runs fails here."""
 
 import json
 import re
 from pathlib import Path
 
+import postmix
 from postmix import cli
 from postmix.cli import parse_config
 from postmix.density import mixture_from_dict
@@ -13,19 +15,19 @@ from postmix.exemplar import default_scenario
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _json_blocks(text):
-    return re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+def _blocks(text, language):
+    return re.findall(rf"```{language}\n(.*?)```", text, re.DOTALL)
 
 
 def _schema_example(heading):
     """The first JSON example under a ``## heading`` of docs/schemas.md."""
     text = (ROOT / "docs" / "schemas.md").read_text()
     section = text.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
-    return json.loads(_json_blocks(section)[0])
+    return json.loads(_blocks(section, "json")[0])
 
 
 def test_readme_config_example_parses(tmp_path):
-    blocks = _json_blocks((ROOT / "README.md").read_text())
+    blocks = _blocks((ROOT / "README.md").read_text(), "json")
     assert len(blocks) == 1
     path = tmp_path / "cfg.json"
     path.write_text(blocks[0])
@@ -34,6 +36,20 @@ def test_readme_config_example_parses(tmp_path):
     cli._gola_config(cfg)
     cli._vi_config(cfg)
     cli._factor_spec(cfg)
+
+
+def test_readme_quick_start_runs():
+    blocks = _blocks((ROOT / "README.md").read_text(), "python")
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    report = namespace["report"]
+    assert report.mixture.n_components == 2
+    assert abs(report.evidence - 1.0) <= 1e-3
+
+
+def test_every_export_resolves():
+    assert [name for name in postmix.__all__ if not hasattr(postmix, name)] == []
 
 
 def test_schema_mixture_example_parses():

@@ -349,7 +349,38 @@ class TestDedup:
         assert len(accepted) == len(comps)
 
 
+@st.composite
+def _separated_mixtures(draw):
+    """Gaussian mixtures in d = 1..4 with K = 1..4, means 14 apart along the
+    diagonal plus a uniform jitter in [-6, 6] as in acceptance criterion 2,
+    and a scale c in [0.5, 4] for the target c * mixture."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.uniform(-6.0, 6.0, size=(k, d)) + 14.0 * np.arange(k)[:, np.newaxis]
+    covs = []
+    for _ in range(k):
+        f = rng.standard_normal((d, d))
+        covs.append(f @ f.T + 0.5 * np.eye(d))
+    raw = rng.uniform(0.5, 1.5, size=k)
+    return means, covs, raw / raw.sum(), draw(st.floats(0.5, 4.0))
+
+
 class TestSolveWeights:
+    @given(_separated_mixtures())
+    def test_recovers_weights_and_evidence(self, case):
+        means, covs, weights, scale = case
+        mix, _ = _gaussian_mixture_target(means, covs, weights)
+        target = UnnormalizedTarget(
+            dim=mix.dim, log_phi=lambda z: math.log(scale) + float(mix.log_pdf(z)),
+            search_box=_box(mix.dim),
+            log_phi_batch=lambda pts: math.log(scale) + mix.log_pdf(pts),
+        )
+        pi_tilde, _ = solve_weights(target, list(mix.components), 4096, seed=0)
+        evidence = float(pi_tilde.sum())
+        assert np.max(np.abs(pi_tilde / evidence - weights)) <= 1e-3
+        assert abs(evidence - scale) <= 0.01 * scale
+
     def test_scaled_single_component(self):
         mean = np.array([0.5])
         cov = np.array([[0.8]])

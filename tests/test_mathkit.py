@@ -22,24 +22,25 @@ from postmix.mathkit import (
 
 class TestCholeskySpd:
     def test_identity_needs_no_jitter(self):
-        spd = cholesky_spd(np.eye(3))
-        assert spd.jitter_applied == 0.0
-        np.testing.assert_array_equal(spd.chol, np.eye(3))
+        chol, jitter = cholesky_spd(np.eye(3))
+        assert jitter == 0.0
+        np.testing.assert_array_equal(chol, np.eye(3))
 
     def test_hand_worked_two_by_two(self):
         # [[4, 2], [2, 3]] factors as [[2, 0], [1, sqrt(2)]]
-        spd = cholesky_spd(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        a = np.array([[4.0, 2.0], [2.0, 3.0]])
+        chol, _ = cholesky_spd(a)
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        np.testing.assert_allclose(spd.chol, expected, rtol=1e-14)
-        np.testing.assert_allclose(spd.chol @ spd.chol.T, spd.matrix, rtol=1e-14)
+        np.testing.assert_allclose(chol, expected, rtol=1e-14)
+        np.testing.assert_allclose(chol @ chol.T, a, rtol=1e-14)
 
     def test_rank_deficient_gets_jitter(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert np.linalg.matrix_rank(a) == 1  # eigenvalue oracle: rank 1
-        spd = cholesky_spd(a)
-        assert spd.jitter_applied > 0.0
-        recon_err = np.linalg.norm(spd.chol @ spd.chol.T - a, 2)
-        assert recon_err <= spd.jitter_applied + 1e-12
+        chol, jitter = cholesky_spd(a)
+        assert jitter > 0.0
+        recon_err = np.linalg.norm(chol @ chol.T - a, 2)
+        assert recon_err <= jitter + 1e-12
 
     def test_reconstruction_invariant_random_spd(self):
         rng = np.random.default_rng(1)
@@ -47,18 +48,18 @@ class TestCholeskySpd:
             d = int(rng.integers(1, 12))
             m = rng.standard_normal((d, d))
             a = m @ m.T + 0.1 * np.eye(d)
-            spd = cholesky_spd(a)
-            target = a + spd.jitter_applied * np.eye(d)
-            err = np.linalg.norm(spd.chol @ spd.chol.T - target, "fro")
+            chol, jitter = cholesky_spd(a)
+            target = a + jitter * np.eye(d)
+            err = np.linalg.norm(chol @ chol.T - target, "fro")
             assert err <= 1e-12 * np.linalg.norm(a, "fro") + 1e-300
 
     def test_records_smallest_working_jitter(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        spd = cholesky_spd(a)
+        _, jitter = cholesky_spd(a)
         # one ladder rung below the applied jitter must fail
         ladder = [0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]
         scale = np.trace(a) / 2
-        applied = spd.jitter_applied / scale
+        applied = jitter / scale
         below = max((j for j in ladder if j < applied * 0.99), default=None)
         if below is not None:
             with pytest.raises(np.linalg.LinAlgError):

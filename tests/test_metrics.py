@@ -6,13 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from postmix.density import GaussianComponent, MixtureModel
-from postmix.metrics import (
-    DivergenceEstimate,
-    dice_overlap,
-    grid_normalized_density,
-    jsd_normalized,
-    kl_mc,
-)
+from postmix.metrics import GridDensity2D, dice_overlap, jsd_normalized, kl_mc
 
 
 def _gauss(mean, cov):
@@ -71,9 +65,9 @@ class TestKlMc:
         assert est.n_support_violations > 0
         assert np.isfinite(est.value)
 
-    def test_json_fields(self):
-        est = DivergenceEstimate(0.5, 0.01, 100)
-        assert est.to_dict() == {"value": 0.5, "std_error": 0.01, "n_samples": 100}
+    def test_one_sample_has_no_standard_error(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            kl_mc(_gauss(0.0, 1.0), _gauss(1.0, 1.0), 1, seed=0)
 
 
 class TestJsdNormalized:
@@ -103,6 +97,10 @@ class TestJsdNormalized:
     def test_bounded_estimates(self):
         est = jsd_normalized(_gauss(0.0, 1.0), _gauss(2.0, 0.5), 4000, seed=5)
         assert -3.0 * est.std_error <= est.value <= 1.0 + 3.0 * est.std_error
+
+    def test_one_sample_has_no_standard_error(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            jsd_normalized(_gauss(0.0, 1.0), _gauss(2.0, 0.5), 1, seed=0)
 
 
 class TestDiceOverlap:
@@ -193,18 +191,18 @@ class TestGridDensity:
             search_box=base.search_box,
             log_phi_batch=lambda pts: _math.log(scale) + mix.log_pdf(pts),
         )
-        grid = grid_normalized_density(target, 256)
+        grid = GridDensity2D(target, 256)
         assert grid.log_z == pytest.approx(math.log(scale), abs=1e-3)
         pts = mix.sample(100, seed=0)
         np.testing.assert_allclose(grid.log_pdf(pts), mix.log_pdf(pts), atol=2e-3)
 
     def test_sampling_moments(self):
         mix = _gauss([1.0, -1.0], [[0.3, 0.0], [0.0, 0.2]])
-        grid = grid_normalized_density(mix.as_target(), 256)
+        grid = GridDensity2D(mix.as_target(), 256)
         draws = grid.sample(20000, seed=1)
         np.testing.assert_allclose(draws.mean(axis=0), [1.0, -1.0], atol=0.05)
 
     def test_requires_2d(self):
         mix = _gauss(0.0, 1.0)
         with pytest.raises(ValueError):
-            grid_normalized_density(mix.as_target(), 64)
+            GridDensity2D(mix.as_target(), 64)

@@ -280,6 +280,14 @@ class TestRobustnessStudy:
             if case.status != "ok":
                 assert case.score == 1.0
 
+    def test_one_jsd_sample_rejected_before_any_case(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(sensibench, "evaluate_case", evaluated)
+        with pytest.raises(ValueError, match="jsd_samples must be at least 2"):
+            robustness_study(FactorSpec(), 2, GolaConfig(n_starts=8), jsd_samples=1)
+
     def test_pipeline_error_scores_worst_with_its_name(self, monkeypatch):
         def no_modes(target, cfg):
             raise NoModesFoundError("none converged")
