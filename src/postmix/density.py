@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dtrtri
 
 from .exceptions import DerivativeError, NonFiniteDensityError
 
@@ -211,11 +210,18 @@ def gaussian_log_pdfs(means: NDArray, chol_invs: NDArray, pts: NDArray):
 
 
 def _inverse_lower(chol: NDArray) -> NDArray[np.float64]:
-    """Inverse of a lower-triangular factor with a positive diagonal."""
-    inverse, info = dtrtri(chol, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular Cholesky factor (LAPACK info {info})")
-    return inverse
+    """Inverse of a lower-triangular factor with a positive diagonal, for one
+    (d, d) factor or a (K, d, d) stack; each matrix of a stack is inverted
+    on its own, so a stack equals its matrices inverted one by one.
+
+    ``np.linalg.inv`` solves by LU with partial pivoting, which can leave
+    rounding noise above the diagonal (hence the ``tril``) and need not meet
+    an exact zero pivot on a singular factor, so a zero on the diagonal is
+    rejected before the solve.
+    """
+    if np.any(chol.diagonal(0, -2, -1) == 0.0):
+        raise np.linalg.LinAlgError("singular Cholesky factor (zero on the diagonal)")
+    return np.tril(np.linalg.inv(chol))
 
 
 def _as_points(z: NDArray, dim: int):
@@ -397,17 +403,25 @@ def _responsibilities_and_grads(m: MixtureModel, pts: NDArray):
 
 def mixture_sample(m: MixtureModel, n: int, seed: int) -> NDArray[np.float64]:
     """Ancestral sampling: categorical on the weights, then Gaussian draws."""
+    return draw_mixture(m.weights, np.array([c.mean for c in m.components]),
+                        np.array([c.chol_cov for c in m.components]), n, seed)
+
+
+def draw_mixture(weights: NDArray, means: NDArray, chols: NDArray, n: int,
+                 seed: int) -> NDArray[np.float64]:
+    """Ancestral sampling from K weights, (K, d) means and (K, d, d) lower
+    Cholesky factors, taken as they are: the caller owns their validity."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    k, d = means.shape
     rng = np.random.default_rng(seed)
-    ks = rng.choice(m.n_components, size=n, p=m.weights)
-    eps = rng.standard_normal((n, m.dim))
-    out = np.empty((n, m.dim))
-    for k in range(m.n_components):
-        mask = ks == k
+    ks = rng.choice(k, size=n, p=weights)
+    eps = rng.standard_normal((n, d))
+    out = np.empty((n, d))
+    for i in range(k):
+        mask = ks == i
         if np.any(mask):
-            comp = m.components[k]
-            out[mask] = comp.mean + eps[mask] @ comp.chol_cov.T
+            out[mask] = means[i] + eps[mask] @ chols[i].T
     return out
 
 
@@ -495,9 +509,9 @@ class SinhArcsinhMixture:
         z = np.sinh(u)
         return x, u, z
 
-    def _component_log_pdfs(self, pts: NDArray) -> NDArray:
-        """Summed per-coordinate log densities, shape (n, K)."""
-        x, u, z = self._coordinate_terms(pts)
+    def _component_log_pdfs(self, x: NDArray, u: NDArray, z: NDArray) -> NDArray:
+        """Summed per-coordinate log densities, shape (n, K), from the
+        terms of :meth:`_coordinate_terms`."""
         logp = (
             -0.5 * (_LOG_2PI + z * z)
             + np.log(np.cosh(u))
@@ -509,14 +523,15 @@ class SinhArcsinhMixture:
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
         pts, single = _as_points(points, self.dim)
-        out, _ = log_sum_exp(self._component_log_pdfs(pts) + np.log(self.weights))
+        terms = self._coordinate_terms(pts)
+        out, _ = log_sum_exp(self._component_log_pdfs(*terms) + np.log(self.weights))
         return float(out[0]) if single else out
 
     def gradient(self, points: NDArray) -> NDArray[np.float64]:
         """Gradient of the log-density at one point (d,) or a batch (n, d)."""
         pts, single = _as_points(points, self.dim)
         x, u, zz = self._coordinate_terms(pts)
-        _, resp = log_sum_exp(self._component_log_pdfs(pts) + np.log(self.weights))
+        _, resp = log_sum_exp(self._component_log_pdfs(x, u, zz) + np.log(self.weights))
         w = 1.0 / (self.tail * self.scale * np.sqrt(1.0 + x * x))
         dlogp = w * (np.tanh(u) - zz * np.cosh(u)) - x / (self.scale * (1.0 + x * x))
         grads = np.einsum("nk,nkd->nd", resp, dlogp)

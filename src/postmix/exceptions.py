@@ -56,7 +56,8 @@ class RejectedStartError(PostmixError):
 
 
 class NoModesFoundError(PostmixError):
-    """No multistart run converged; the target yielded no usable modes."""
+    """No multistart run converged, or every converged minimum was a saddle;
+    the target yielded no usable modes."""
 
 
 class DegenerateModeError(PostmixError):

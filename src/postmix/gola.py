@@ -355,6 +355,13 @@ def run_gola(target: UnnormalizedTarget, cfg: GolaConfig) -> GolaReport:
     """
     minima = multistart_minimize(target, cfg)
     components, decisions = dedup_modes(minima, target)
+    if not components:
+        # the first candidate is always distinct, so every one was a saddle
+        saddles = np.unique([m.location for m in minima], axis=0).tolist()
+        raise NoModesFoundError(
+            f"all {len(minima)} converged minima are saddles, not modes, at {saddles}; "
+            "widen the search box or add starts (gola.n_starts)"
+        )
     n_weight = _WEIGHT_SAMPLES_PER_COMPONENT * len(components)
     seed = int(np.random.SeedSequence(cfg.master_seed).generate_state(1)[0])
     pi_tilde, residual = solve_weights(target, components, n_weight, seed)

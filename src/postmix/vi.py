@@ -24,11 +24,11 @@ from .density import (
     MixtureModel,
     UnnormalizedTarget,
     _inverse_lower,
+    draw_mixture,
     eval_gradient_batch,
     eval_log_density_batch,
     gaussian_log_pdfs,
     log_sum_exp,
-    mixture_sample,
 )
 from .exceptions import check_integer
 
@@ -110,20 +110,20 @@ def _unpack(vec: NDArray, k: int, d: int) -> VariationalParams:
     return VariationalParams(logits.copy(), means.copy(), chol.copy())
 
 
-def _mixture_internals(params: VariationalParams, points: NDArray):
+def _mixture_internals(params: VariationalParams, chol: NDArray, points: NDArray):
     """Responsibilities and whitened/precision-weighted residuals.
 
-    Returns ``log_q`` (n,), ``resp`` (n, K), and per-component arrays
+    ``chol`` is ``params.chol_factors()``, inverted here in one stacked
+    call. Returns ``log_q`` (n,), ``resp`` (n, K), and per-component arrays
     ``v[k] = L_k^-1 (z - mu_k)`` and ``w[k] = Sigma_k^-1 (z - mu_k)``,
     each of shape (d, n).
     """
-    chol = params.chol_factors()
-    chol_inv = np.array([_inverse_lower(c) for c in chol])
+    chol_inv = _inverse_lower(chol)
     log_n, v_all = gaussian_log_pdfs(params.means, chol_inv, points)
     log_w = params.logits - log_sum_exp(params.logits[np.newaxis])[0]
     log_q, resp = log_sum_exp(log_n + log_w)
     w_all = chol_inv.transpose(0, 2, 1) @ v_all
-    return log_q, resp, v_all, w_all, chol
+    return log_q, resp, v_all, w_all
 
 
 def _f_values(target: UnnormalizedTarget, points: NDArray, log_q: NDArray):
@@ -144,8 +144,9 @@ def negative_elbo_estimate(params: VariationalParams,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    points = mixture_sample(to_mixture(params), n, seed)
-    log_q, *_ = _mixture_internals(params, points)
+    chol = params.chol_factors()
+    points = draw_mixture(params.weights(), params.means, chol, n, seed)
+    log_q, *_ = _mixture_internals(params, chol, points)
     f, _ = _f_values(target, points, log_q)
     return float(np.mean(f))
 
@@ -155,8 +156,11 @@ def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
     """Score-function gradient plus the per-sample f statistics."""
     if n < 2:
         raise ValueError("the leave-one-out baseline requires n >= 2")
-    points = mixture_sample(to_mixture(params), n, seed)
-    log_q, resp, v_all, w_all, chol = _mixture_internals(params, points)
+    # the draws of mixture_sample(to_mixture(params), n, seed), bit for bit,
+    # without validating and inverting K components every epoch
+    chol = params.chol_factors()
+    points = draw_mixture(params.weights(), params.means, chol, n, seed)
+    log_q, resp, v_all, w_all = _mixture_internals(params, chol, points)
     f, violations = _f_values(target, points, log_q)
     coeff = (n * f - np.sum(f)) / (n - 1)
 

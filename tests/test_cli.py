@@ -480,3 +480,15 @@ class TestExemplarCommand:
         assert mixture.n_components >= 2
         push = (out / "pushforward.csv").read_text().strip().splitlines()
         assert push[0] == "time,floor,mean,lo95,hi95"
+
+    def test_only_saddles_is_no_modes_error(self, tmp_path):
+        # on a short horizon every start stops on a box edge, at a saddle
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exemplar": {"horizon": 1.0},
+                                   "gola": {"n_starts": 4}}))
+        out = tmp_path / "out"
+        assert main(["exemplar", "--config", str(cfg), "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "NoModesFoundError"
+        assert "saddles" in err["message"]
+        assert not (out / "mixture.json").exists()

@@ -18,6 +18,7 @@ from postmix.density import (
     UnnormalizedTarget,
     _inverse_lower,
     _responsibilities_and_grads,
+    draw_mixture,
     eval_gradient,
     eval_gradient_batch,
     eval_hessian,
@@ -412,6 +413,47 @@ def _mixtures(draw):
     return mixture, points
 
 
+@st.composite
+def _lower_factors(draw):
+    """(K, d, d) stacks of lower factors with a positive diagonal, K = 1..4
+    and d = 1..15. Off-diagonal entries up to ten times the diagonal make
+    the LU inside ``np.linalg.inv`` pivot."""
+    d = draw(st.integers(1, 15))
+    k = draw(st.integers(1, 4))
+    spread = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chols = np.tril(spread * rng.standard_normal((k, d, d)), -1)
+    chols[:, np.arange(d), np.arange(d)] = np.exp(rng.uniform(-1.0, 1.0, (k, d)))
+    return chols
+
+
+class TestInverseLower:
+    @given(_lower_factors())
+    def test_matches_triangular_solves(self, chols):
+        d = chols.shape[1]
+        stacked = _inverse_lower(chols)
+        for chol, inverse in zip(chols, stacked):
+            single = _inverse_lower(chol)
+            assert np.array_equal(single, inverse)
+            assert not np.triu(single, 1).any()
+            reference = solve_triangular(chol, np.eye(d), lower=True)
+            # backward-stable inversion: relative error within d eps cond(L)
+            bound = d * np.finfo(float).eps * np.linalg.cond(chol)
+            assert (np.linalg.norm(single - reference)
+                    <= bound * np.linalg.norm(reference))
+
+    @given(_lower_factors(), st.data())
+    def test_zero_on_the_diagonal_raises(self, chols, data):
+        k, d = chols.shape[:2]
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(0, d - 1))
+        chols[i, j, j] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse_lower(chols)
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse_lower(chols[i])
+
+
 def _solve_triangular_derivatives(mixture, z):
     """Gradient and Hessian of the mixture log-density from per-component
     triangular solves: a reference that does not use the cached inverse
@@ -461,7 +503,7 @@ class TestMixtureKernelProperties:
         # logits are defined up to a constant; shift them off the normalized ones
         params = vi.from_mixture(mixture)
         params = dataclasses.replace(params, logits=params.logits + 3.0)
-        log_q = vi._mixture_internals(params, points)[0]
+        log_q = vi._mixture_internals(params, params.chol_factors(), points)[0]
         np.testing.assert_allclose(log_q, vi.to_mixture(params).log_pdf(points),
                                    rtol=1e-13, atol=1e-13)
 
@@ -482,10 +524,20 @@ class TestMixtureKernelProperties:
         np.testing.assert_array_equal(eval_gradient_batch(target, points),
                                       mixture_log_pdf_gradient(mixture, points))
 
+    @given(_mixtures(), st.integers(1, 64))
+    def test_vi_draws_equal_mixture_sample(self, case, n):
+        # VI draws from its parameters without building the mixture
+        mixture, _ = case
+        params = vi.from_mixture(mixture)
+        np.testing.assert_array_equal(
+            draw_mixture(params.weights(), params.means, params.chol_factors(), n, 5),
+            mixture_sample(vi.to_mixture(params), n, 5))
+
     @given(_mixtures())
     def test_responsibilities_sum_to_one(self, case):
         mixture, points = case
-        resp = vi._mixture_internals(vi.from_mixture(mixture), points)[1]
+        params = vi.from_mixture(mixture)
+        resp = vi._mixture_internals(params, params.chol_factors(), points)[1]
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-14)
         resp, scores = _responsibilities_and_grads(mixture, points)
         assert scores.shape == (len(points), np.count_nonzero(mixture.weights), mixture.dim)

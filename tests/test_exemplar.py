@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import postmix
 from postmix.density import GaussianComponent, MixtureModel, eval_log_density_batch
 from postmix.exemplar import (
     ObservationSet,
@@ -20,6 +24,24 @@ from postmix.exemplar import (
     pushforward,
     simulate,
 )
+
+
+def test_scipy_linalg_loads_only_at_the_first_simulation():
+    # a fresh interpreter: this one has scipy.linalg loaded by the tests
+    src = str(Path(postmix.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import numpy as np",
+        "import postmix, postmix.cli, postmix.exemplar",
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded at import'",
+        "frame = postmix.exemplar.ShearFrame(1.0, 1.0, 1.0, 1.0, 0.1, 0.1)",
+        "postmix.exemplar.simulate(frame, [1.0, 0.0, 0.0, 0.0], [0.5, 1.0])",
+        "assert 'scipy.linalg' in sys.modules",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def _random_frame(rng):

@@ -473,6 +473,18 @@ class TestRunGola:
                                    rtol=1e-6, atol=1e-8)
         assert report.evidence == pytest.approx(scale, rel=0.01)
 
+    def test_only_saddles_is_no_modes_error(self):
+        # -log phi = x^2 - y^2 descends onto the edges y = +-1, where the
+        # projected gradient vanishes but the Hessian is indefinite
+        target = UnnormalizedTarget(
+            dim=2,
+            log_phi=lambda z: float(z[1] ** 2 - z[0] ** 2),
+            search_box=_box(2, -1.0, 1.0),
+            gradient=lambda z: np.array([-2.0 * z[0], 2.0 * z[1]]),
+        )
+        with pytest.raises(NoModesFoundError, match="saddles"):
+            run_gola(target, GolaConfig(n_starts=8))
+
     def test_two_mode_target_low_jsd(self):
         mix, target = _gaussian_mixture_target(
             [[-2.5, 0.0], [2.5, 1.0]],
