@@ -29,7 +29,7 @@ from .density import (
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
 )
-from .exceptions import PostmixError, check_integer
+from .exceptions import PostmixError, check_integer, check_real
 from .exemplar import default_scenario, pushforward
 from .gola import GolaConfig, run_gola
 from .metrics import jsd_normalized
@@ -334,13 +334,14 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
     if doc:
         frame = scenario.frame_true
         frame = ShearFrame(frame.m1, frame.m2, frame.k1, frame.k2,
-                           float(doc.get("c1_true", frame.c1)),
-                           float(doc.get("c2_true", frame.c2)))
+                           check_real("exemplar.c1_true", doc.get("c1_true", frame.c1)),
+                           check_real("exemplar.c2_true", doc.get("c2_true", frame.c2)))
         scenario = dc_replace(
             scenario, frame_true=frame,
             n_obs=check_integer("exemplar.n_obs", doc.get("n_obs", scenario.n_obs)),
-            horizon=float(doc.get("horizon", scenario.horizon)),
-            noise_sigma=float(doc.get("noise_sigma", scenario.noise_sigma)),
+            horizon=check_real("exemplar.horizon", doc.get("horizon", scenario.horizon)),
+            noise_sigma=check_real("exemplar.noise_sigma",
+                                   doc.get("noise_sigma", scenario.noise_sigma)),
             obs_seed=check_integer("exemplar.obs_seed",
                                    doc.get("obs_seed", scenario.obs_seed)),
         )

@@ -52,10 +52,11 @@ class UnnormalizedTarget:
         Analytic Hessian of ``log_phi``; finite differences otherwise.
     log_phi_batch : callable, optional
         Vectorized evaluation mapping an (n, dim) array to an (n,) array;
-        used by samplers, grid scans and finite-difference Hessians when present.
+        used by multistart, samplers, grid scans and finite-difference
+        Hessians when present.
     gradient_batch : callable, optional
         Vectorized gradient mapping an (n, dim) array to an (n, dim) array;
-        the pathwise VI estimator uses it when present.
+        multistart uses it when present.
     """
 
     dim: int

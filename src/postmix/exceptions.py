@@ -1,8 +1,9 @@
-"""Exception types raised across the package, and the integer check that
-every configuration count and seed goes through."""
+"""Exception types raised across the package, and the checks that every
+configuration count, seed and real-valued setting goes through."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Optional
 
@@ -15,6 +16,15 @@ def check_integer(name: str, value, least: Optional[int] = None):
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def check_real(name: str, value) -> float:
+    """Return ``value`` as a float if it is a finite real number (a bool or a
+    string is not); otherwise raise ``ValueError`` naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 class PostmixError(Exception):

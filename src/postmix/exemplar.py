@@ -296,19 +296,6 @@ def pushforward(posterior: MixtureModel, constants: tuple, u0: NDArray,
     return PushforwardSummary(times, mean, lo95, hi95, rejected, rate > 0.5)
 
 
-def mechanical_energy(frame: ShearFrame, states: NDArray) -> NDArray[np.float64]:
-    """Total mechanical energy along a trajectory of (x1, x2, v1, v2) states."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    x = states[:, :2]
-    v = states[:, 2:]
-    mass = np.diag([frame.m1, frame.m2])
-    stiffness = np.array([[frame.k1 + frame.k2, -frame.k2],
-                          [-frame.k2, frame.k2]])
-    kinetic = 0.5 * np.einsum("ni,ij,nj->n", v, mass, v)
-    potential = 0.5 * np.einsum("ni,ij,nj->n", x, stiffness, x)
-    return kinetic + potential
-
-
 @dataclass(frozen=True)
 class ExemplarScenario:
     """A complete, reproducible inverse-problem setup.

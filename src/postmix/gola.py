@@ -11,8 +11,9 @@ normalizing constant of ``phi``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,8 +24,8 @@ from .density import (
     UnnormalizedTarget,
     _inverse_lower,
     eval_gradient,
+    eval_gradient_batch,
     eval_hessian,
-    eval_log_density,
     eval_log_density_batch,
     gaussian_log_pdfs,
     mixture_sample,
@@ -38,6 +39,7 @@ from .exceptions import (
     SingularMatrixError,
     WeightUnderflowError,
     check_integer,
+    check_real,
 )
 from .mathkit import chi_square_survival, cholesky_spd, nnls, sobol_points
 
@@ -68,7 +70,7 @@ class GolaConfig:
         if self.n_starts is not None:
             check_integer("n_starts", self.n_starts, 1)
         check_integer("master_seed", self.master_seed, 0)
-        if self.gradient_tol <= 0.0:
+        if check_real("gradient_tol", self.gradient_tol) <= 0.0:
             raise ValueError("gradient_tol must be positive")
 
 
@@ -131,14 +133,27 @@ class GolaReport:
         }
 
 
+def _clamp(z, lo, hi):
+    """``np.clip`` to the box, as the two ufuncs it is made of, without its
+    per-call dispatch."""
+    return np.minimum(np.maximum(z, lo), hi)
+
+
 def _projected_gradient_norm(z, grad, lo, hi):
     """Norm of the box-projected gradient step; zero exactly at a KKT point."""
-    return float(np.linalg.norm(z - np.clip(z - grad, lo, hi)))
+    r = z - _clamp(z - grad, lo, hi)
+    return math.sqrt(r @ r)
 
 
 def local_minimize(target: UnnormalizedTarget, start: NDArray,
-                   cfg: GolaConfig, start_index: int = 0) -> LocalMinimum:
+                   cfg: GolaConfig, start_index: int = 0,
+                   ) -> Generator[tuple[str, NDArray], object, LocalMinimum]:
     """Descend ``-log phi`` from one start with a backtracking line search.
+
+    A generator that holds one start's descent and asks for each target
+    value it needs: it yields ``("log_phi", z)`` or ``("gradient", z)``,
+    must be sent ``log phi(z)`` or its gradient, and returns the
+    :class:`LocalMinimum`. :func:`run_lockstep` drives many at once.
 
     Iterates stay clamped to the search box and the objective never
     increases across accepted steps. Steps go along the negative gradient,
@@ -147,14 +162,14 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     Raises
     ------
     RejectedStartError
-        If the density is zero (log_phi = -inf) at the start point.
+        If it is sent ``-inf`` (zero density) for the start point.
     """
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
-    z = np.clip(np.asarray(start, dtype=float), lo, hi)
-    f = -eval_log_density(target, z)
-    if not np.isfinite(f):
+    z = _clamp(np.asarray(start, dtype=float), lo, hi)
+    f = -(yield "log_phi", z)
+    if not math.isfinite(f):
         raise RejectedStartError(f"zero density at start point {z}")
-    grad = -eval_gradient(target, z)
+    grad = -(yield "gradient", z)
 
     step = 1.0
     for _ in range(_MAX_LOCAL_ITERS):
@@ -165,13 +180,13 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
         alpha = step
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            z_new = np.clip(z - alpha * grad, lo, hi)
+            z_new = _clamp(z - alpha * grad, lo, hi)
             decrease = float(grad @ (z - z_new))
             if decrease <= 0.0:
                 alpha *= _BACKTRACK
                 continue
-            f_new = -eval_log_density(target, z_new)
-            if np.isfinite(f_new) and f_new <= f - _ARMIJO_C1 * decrease:
+            f_new = -(yield "log_phi", z_new)
+            if math.isfinite(f_new) and f_new <= f - _ARMIJO_C1 * decrease:
                 accepted = True
                 break
             alpha *= _BACKTRACK
@@ -180,22 +195,79 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
             return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol,
                                 start_index)
 
-        grad_new = -eval_gradient(target, z_new)
+        grad_new = -(yield "gradient", z_new)
         s = z_new - z
         y = grad_new - grad
         # Barzilai-Borwein trial step for the next iteration.
         sy = float(s @ y)
         step = float(s @ s) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
-        step = float(np.clip(step, 1e-12, 1e6))
+        step = min(max(step, 1e-12), 1e6)
         z, f, grad = z_new, f_new, grad_new
 
     pg_norm = _projected_gradient_norm(z, grad, lo, hi)
     return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol, start_index)
 
 
+def _answer(target: UnnormalizedTarget, kind: str, points: NDArray) -> list:
+    """One reply per row of ``points`` to requests of one kind: the value, or
+    the ``DerivativeError`` that row's gradient stencil raised.
+
+    Log-densities come from one batched call. Gradients do too when the
+    target has ``gradient_batch``; otherwise each row goes through
+    :func:`eval_gradient` on its own, so a stencil point at ``-inf`` fails
+    only its own row.
+    """
+    if kind == "log_phi":
+        return eval_log_density_batch(target, points).tolist()
+    if target.gradient_batch is not None:
+        return list(eval_gradient_batch(target, points))
+    replies = []
+    for z in points:
+        try:
+            replies.append(eval_gradient(target, z))
+        except DerivativeError as exc:
+            replies.append(exc)
+    return replies
+
+
+def run_lockstep(target: UnnormalizedTarget,
+                 searches: list[Generator]) -> list[Optional[LocalMinimum]]:
+    """Drive :func:`local_minimize` generators together; each search's
+    result, or None where its start was rejected or a derivative stencil
+    failed.
+
+    Every search waits on a log-density at the top of a round. The round
+    answers all of them with one batched call, then answers the gradient
+    requests that leaves with one more. Rows go in search order, so a
+    rerun is bitwise the same, and where the target evaluates each row on
+    its own, a search gets the replies it would get driven alone.
+    ``NonFiniteDensityError`` aborts the whole run.
+    """
+    results: list[Optional[LocalMinimum]] = [None] * len(searches)
+    waiting = {i: next(search) for i, search in enumerate(searches)}
+    while waiting:
+        for kind in ("log_phi", "gradient"):
+            rows = [i for i, (asked, _) in waiting.items() if asked == kind]
+            if not rows:
+                continue
+            replies = _answer(target, kind, np.array([waiting[i][1] for i in rows]))
+            for i, reply in zip(rows, replies):
+                search = searches[i]
+                try:
+                    waiting[i] = (search.throw(reply) if isinstance(reply, Exception)
+                                  else search.send(reply))
+                except StopIteration as done:
+                    results[i] = done.value
+                    del waiting[i]
+                except (RejectedStartError, DerivativeError):
+                    del waiting[i]
+    return results
+
+
 def multistart_minimize(target: UnnormalizedTarget,
                         cfg: GolaConfig) -> list[LocalMinimum]:
-    """Run local searches from Sobol points spread over the search box.
+    """Run local searches from Sobol points spread over the search box, all
+    in lockstep (:func:`run_lockstep`).
 
     Returns the converged minima sorted by objective (ties broken
     lexicographically by location), which makes the result independent of
@@ -205,14 +277,9 @@ def multistart_minimize(target: UnnormalizedTarget,
     n_starts = cfg.n_starts if cfg.n_starts is not None else 32 * target.dim
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
     starts = lo + sobol_points(target.dim, n_starts) * (hi - lo)
-
-    def attempt(idx, start):
-        try:
-            return local_minimize(target, start, cfg, start_index=idx)
-        except (RejectedStartError, DerivativeError):
-            return None
-
-    results = [attempt(idx, start) for idx, start in enumerate(starts)]
+    searches = [local_minimize(target, start, cfg, start_index=idx)
+                for idx, start in enumerate(starts)]
+    results = run_lockstep(target, searches)
 
     converged = [r for r in results if r is not None and r.converged]
     if not converged:
@@ -242,23 +309,6 @@ def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:
             f"non-positive covariance at mode {mode}", mode=mode
         ) from exc
     return GaussianComponent(mean=mode, chol_cov=chol_sigma)
-
-
-def laplace_at_mode(target: UnnormalizedTarget,
-                    mode: NDArray) -> GaussianComponent:
-    """Local Gaussian at a mode: covariance = inverse Hessian of -log phi.
-
-    The caller must supply a converged local minimum; the Hessian is
-    regularized through the jitter ladder and inverted through the inverse
-    of its Cholesky factor, never a general matrix inverse.
-
-    Raises
-    ------
-    DegenerateModeError
-        If the Hessian cannot be regularized into an SPD matrix.
-    """
-    mode = np.asarray(mode, dtype=float)
-    return _component_from_hessian(mode, eval_hessian(target, mode))
 
 
 def _is_indefinite(hess: NDArray) -> bool:

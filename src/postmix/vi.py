@@ -4,8 +4,7 @@ Minimizes a Monte Carlo estimate of E_q[log q(z) - log phi(z)] over an
 unconstrained parameterization of the mixture (weight logits, means, and
 log-diagonal Cholesky factors) with Adam-style first-order updates. The
 gradient comes from the score-function estimator with a leave-one-out
-baseline; a pathwise estimator is provided for single-Gaussian surrogates
-as a lower-variance validation path.
+baseline.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ from .density import (
     UnnormalizedTarget,
     _inverse_lower,
     draw_mixture,
-    eval_gradient_batch,
     eval_log_density_batch,
     gaussian_log_pdfs,
     log_sum_exp,
 )
-from .exceptions import check_integer
+from .exceptions import check_integer, check_real
 
 # Finite stand-in for the infinite penalty of a zero-density sample.
 _SUPPORT_PENALTY = 1e6
@@ -134,23 +132,6 @@ def _f_values(target: UnnormalizedTarget, points: NDArray, log_q: NDArray):
     return f, int(np.sum(~in_support))
 
 
-def negative_elbo_estimate(params: VariationalParams,
-                           target: UnnormalizedTarget, n: int,
-                           seed: int) -> float:
-    """Monte Carlo estimate of E_q[log q(z) - log phi(z)].
-
-    Samples falling outside the target's support contribute a large finite
-    penalty instead of infinity.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    chol = params.chol_factors()
-    points = draw_mixture(params.weights(), params.means, chol, n, seed)
-    log_q, *_ = _mixture_internals(params, chol, points)
-    f, _ = _f_values(target, points, log_q)
-    return float(np.mean(f))
-
-
 def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
                         n: int, seed: int):
     """Score-function gradient plus the per-sample f statistics."""
@@ -197,35 +178,6 @@ def score_function_gradient(params: VariationalParams,
     return grad
 
 
-def reparam_gradient_single_gaussian(params: VariationalParams,
-                                     target: UnnormalizedTarget, n: int,
-                                     seed: int) -> VariationalParams:
-    """Pathwise gradient estimator for a single-Gaussian surrogate.
-
-    Draws ``z = mu + L eps`` and differentiates through the transform,
-    with the target gradient at all ``n`` samples from one
-    :func:`eval_gradient_batch` call (analytic or finite differences).
-    Only valid for exactly one component.
-    """
-    if params.n_components != 1:
-        raise ValueError(
-            "the pathwise estimator supports exactly one component; "
-            f"got {params.n_components}"
-        )
-    d = params.dim
-    chol = params.chol_factors()[0]
-    mean = params.means[0]
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n, d))
-    points = mean + eps @ chol.T
-
-    score_phi = eval_gradient_batch(target, points)
-    g_mean = -score_phi.mean(axis=0)
-    g_l = np.tril(-(score_phi.T @ eps) / n - np.diag(1.0 / np.diag(chol)))
-    g_l[np.arange(d), np.arange(d)] *= np.diag(chol)
-    return VariationalParams(np.zeros(1), g_mean[np.newaxis], g_l[np.newaxis])
-
-
 @dataclass(frozen=True)
 class ViConfig:
     """Optimizer settings for the refinement loop."""
@@ -238,7 +190,7 @@ class ViConfig:
     jsd_samples: int = 4096
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
+        if check_real("step_size", self.step_size) <= 0.0:
             raise ValueError("step_size must be positive")
         # two Monte Carlo samples for the leave-one-out baseline, two JSD
         # samples for a standard error

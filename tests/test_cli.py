@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,36 @@ class TestIntegerConfigValues:
         err = _read_json(out / "error.json")
         assert err["error"] == "ValueError"
         assert f"{key} must be an integer" in err["message"]
+        assert not (out / "mixture.json").exists()
+
+
+class TestRealConfigValues:
+    @pytest.mark.parametrize("command, doc, key", [
+        ("fit", {"target": {"name": "gauss2d"}, "gola": {"gradient_tol": "1e-8"}},
+         "gradient_tol"),
+        ("fit", {"target": {"name": "gauss2d"}, "gola": {"gradient_tol": True}},
+         "gradient_tol"),
+        ("fit", {"target": {"name": "gauss2d"}, "gola": {"gradient_tol": math.nan}},
+         "gradient_tol"),
+        ("refine", {"target": {"mixture_json": str(DATA / "mixture_p.json")},
+                    "vi": {"step_size": "0.01"}}, "step_size"),
+        ("exemplar", {"exemplar": {"horizon": True}}, "exemplar.horizon"),
+        ("exemplar", {"exemplar": {"c1_true": "0.1"}}, "exemplar.c1_true"),
+        ("exemplar", {"exemplar": {"noise_sigma": None}}, "exemplar.noise_sigma"),
+    ])
+    def test_non_real_rejected(self, tmp_path, command, doc, key):
+        # a string must not die in a traceback, nor a bool pass as 1.0, nor
+        # a NaN tolerance leave every search unable to converge
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "refine":
+            argv += ["--init", str(DATA / "mixture_p.json")]
+        assert main(argv) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert f"{key} must be a finite real number" in err["message"]
         assert not (out / "mixture.json").exists()
 
 

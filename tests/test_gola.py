@@ -11,6 +11,7 @@ from postmix.density import (
     GaussianComponent,
     MixtureModel,
     UnnormalizedTarget,
+    eval_hessian,
     eval_log_density,
     mixture_sample,
 )
@@ -24,14 +25,15 @@ from postmix.gola import (
     _DEDUP_THRESHOLD,
     GolaConfig,
     LocalMinimum,
+    _component_from_hessian,
     dedup_modes,
-    laplace_at_mode,
     local_minimize,
     multistart_minimize,
     run_gola,
+    run_lockstep,
     solve_weights,
 )
-from postmix.mathkit import chi_square_survival
+from postmix.mathkit import chi_square_survival, sobol_points
 from postmix.metrics import jsd_normalized
 from postmix.sensibench import ProblemFactors, generate_test_gmm
 
@@ -68,23 +70,28 @@ def _gaussian_mixture_target(means, covs, weights):
     return mix, mix.as_target()
 
 
+def _descend(target, start, cfg):
+    """One search driven alone: a batch of one through ``run_lockstep``."""
+    (result,) = run_lockstep(target, [local_minimize(target, np.array(start), cfg)])
+    return result
+
+
 class TestLocalMinimize:
     def test_quadratic_converges_to_origin(self):
         cfg = GolaConfig(gradient_tol=1e-9)
         for start in ([3.0, -4.0], [0.1, 0.1], [-4.9, 4.9]):
-            result = local_minimize(_quadratic_target(), np.array(start), cfg)
+            result = _descend(_quadratic_target(), start, cfg)
             assert result.converged
             assert np.linalg.norm(result.location) <= 1e-8
 
     def test_double_well_basin(self):
         # gradient of (z^2-1)^2 is negative on (0, 1): descent from 0.4 ends at +1
-        result = local_minimize(_double_well_target(), np.array([0.4]),
-                                GolaConfig(gradient_tol=1e-10))
+        result = _descend(_double_well_target(), [0.4], GolaConfig(gradient_tol=1e-10))
         assert result.converged
         assert result.location[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_stationary_start_returns_immediately(self):
-        result = local_minimize(_quadratic_target(), np.zeros(2), GolaConfig())
+        result = _descend(_quadratic_target(), [0.0, 0.0], GolaConfig())
         assert result.converged
         assert result.gradient_norm == 0.0
         assert result.objective == 0.0
@@ -95,16 +102,110 @@ class TestLocalMinimize:
             log_phi=lambda z: -np.inf if abs(z[0]) > 0.5 else 0.0,
             search_box=_box(1),
         )
+        search = local_minimize(target, np.array([2.0]), GolaConfig())
+        asked, z = next(search)
+        assert asked == "log_phi"
         with pytest.raises(RejectedStartError):
-            local_minimize(target, np.array([2.0]), GolaConfig())
+            search.send(eval_log_density(target, z))
+        assert _descend(target, [2.0], GolaConfig()) is None
 
     def test_methods_reach_a_minimum_from_far_start(self):
         # large early steps may hop basins; the descent must still land on
         # one of the two true minima
         cfg = GolaConfig(gradient_tol=1e-9)
-        result = local_minimize(_double_well_target(), np.array([1.9]), cfg)
+        result = _descend(_double_well_target(), [1.9], cfg)
         assert result.converged
         assert abs(result.location[0]) == pytest.approx(1.0, abs=1e-6)
+
+
+def _sobol_starts(target, n_starts):
+    lo, hi = target.search_box[:, 0], target.search_box[:, 1]
+    return lo + sobol_points(target.dim, n_starts) * (hi - lo)
+
+
+def _bimodal_target():
+    _, target = _gaussian_mixture_target(
+        [[-1.5, 0.5], [2.0, -1.0]],
+        [[[1.0, 0.3], [0.3, 0.6]], [[0.5, -0.1], [-0.1, 0.8]]], [0.4, 0.6])
+    return target
+
+
+class TestLockstep:
+    def test_each_row_is_its_start_driven_alone(self, call_counter):
+        # per-point fields only: the batched evaluators call them row by row,
+        # so lockstep and lone searches see the same values bit for bit
+        target = dataclasses.replace(_bimodal_target(), hessian=None,
+                                     log_phi_batch=None, gradient_batch=None)
+        cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
+        together = call_counter()
+        minima = multistart_minimize(together.wrap(target), cfg)
+
+        alone_counter = call_counter()
+        alone_target = alone_counter.wrap(target)
+        alone = [run_lockstep(alone_target, [local_minimize(alone_target, s, cfg, i)])[0]
+                 for i, s in enumerate(_sobol_starts(target, 24))]
+        alone = sorted((m for m in alone if m.converged),
+                       key=lambda m: (m.objective, tuple(m.location)))
+        assert len(minima) == len(alone) > 0
+        for got, want in zip(minima, alone):
+            assert got.start_index == want.start_index
+            np.testing.assert_array_equal(got.location, want.location)
+            assert got.objective == want.objective
+            assert got.gradient_norm == want.gradient_norm
+        assert together.points == alone_counter.points
+
+    def test_mixture_target_is_only_asked_for_batches(self, call_counter):
+        counter = call_counter()
+        cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
+        minima = multistart_minimize(counter.wrap(_bimodal_target()), cfg)
+        assert len(minima) > 0
+        assert set(counter.calls) == {"log_phi_batch", "gradient_batch"}
+        assert counter.calls["gradient_batch"] <= counter.calls["log_phi_batch"]
+
+    def test_one_round_per_log_density_request(self, call_counter):
+        # every round answers all searches' log-density requests in one call
+        # and the gradient requests that leaves in one more, so there are as
+        # many rounds as the longest search makes log-density requests; the
+        # batch fields evaluate row by row, so a lone search takes the same
+        # path as its lockstep row
+        plain = _bimodal_target()
+        target = dataclasses.replace(
+            plain,
+            log_phi_batch=lambda pts: np.array([plain.log_phi(p) for p in pts]),
+            gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]))
+        cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
+        together = call_counter()
+        multistart_minimize(together.wrap(target), cfg)
+
+        alone = []
+        for i, start in enumerate(_sobol_starts(target, 24)):
+            counter = call_counter()
+            alone_target = counter.wrap(target)
+            run_lockstep(alone_target, [local_minimize(alone_target, start, cfg, i)])
+            alone.append(counter)
+        longest = max(c.calls["log_phi_batch"] for c in alone)
+        assert together.calls["log_phi_batch"] == longest
+        assert together.calls["gradient_batch"] <= longest
+        for field in ("log_phi_batch", "gradient_batch"):
+            assert together.points[field] == sum(c.points[field] for c in alone)
+
+    def test_failed_stencil_drops_only_its_row(self):
+        # finite-difference gradients: the middle start sits just inside the
+        # support, so its stencil steps onto -inf in the round where the
+        # other two starts take their first gradients
+        target = UnnormalizedTarget(
+            dim=2,
+            log_phi=lambda z: -math.inf if z[0] >= 4.0 else -0.5 * float(z @ z),
+            search_box=_box(2),
+        )
+        cfg = GolaConfig(gradient_tol=1e-6)
+        starts = np.array([[-1.0, 1.0], [4.0 - 1e-9, 0.0], [2.0, -2.0]])
+        results = run_lockstep(
+            target, [local_minimize(target, s, cfg, i) for i, s in enumerate(starts)])
+        assert results[1] is None
+        for i in (0, 2):
+            assert results[i].converged and results[i].start_index == i
+            assert np.linalg.norm(results[i].location) <= 1e-5
 
 
 class TestMultistart:
@@ -191,12 +292,19 @@ class TestMultistart:
         assert exc.value.point[0] > 5.0
 
 
+def _laplace_at_mode(target, mode):
+    """The Laplace step ``dedup_modes`` takes at an accepted mode: the
+    covariance is the inverse Hessian of -log phi there."""
+    mode = np.asarray(mode, dtype=float)
+    return _component_from_hessian(mode, eval_hessian(target, mode))
+
+
 class TestLaplace:
     def test_exact_on_gaussian(self):
         mean = np.array([1.0, -2.0, 0.5])
         m = np.array([[1.2, 0.3, 0.0], [0.3, 0.8, -0.2], [0.0, -0.2, 1.5]])
         mix, target = _gaussian_mixture_target([mean], [m], [1.0])
-        comp = laplace_at_mode(target, mean)
+        comp = _laplace_at_mode(target, mean)
         np.testing.assert_allclose(comp.mean, mean)
         np.testing.assert_allclose(comp.cov, m, rtol=1e-8, atol=1e-10)
 
@@ -206,14 +314,14 @@ class TestLaplace:
             log_phi=lambda z: -((float(z[0]) ** 2 - 1.0) ** 2),
             search_box=_box(1, -2.0, 2.0),
         )
-        comp = laplace_at_mode(target, np.array([1.0]))
+        comp = _laplace_at_mode(target, np.array([1.0]))
         # curvature 8 from the symbolic oracle, so variance 1/8
         assert comp.cov[0, 0] == pytest.approx(1.0 / 8.0, rel=1e-4)
 
     def test_correlated_2d(self):
         cov = np.array([[1.0, 0.7], [0.7, 1.0]])
         _, target = _gaussian_mixture_target([[0.0, 0.0]], [cov], [1.0])
-        comp = laplace_at_mode(target, np.zeros(2))
+        comp = _laplace_at_mode(target, np.zeros(2))
         # analytic inverse of the 2x2 precision recovers the covariance
         assert comp.cov[0, 1] == pytest.approx(0.7, abs=1e-6)
 
@@ -228,7 +336,7 @@ class TestLaplace:
             finite_difference = dataclasses.replace(target, gradient=None, hessian=None)
             # analytic Hessians, then the finite-difference stencil
             for fit_target, tol in ((target, 1e-6), (finite_difference, 1e-4)):
-                comp = laplace_at_mode(fit_target, mean)
+                comp = _laplace_at_mode(fit_target, mean)
                 err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
                 assert err <= tol
 
@@ -251,7 +359,7 @@ class TestLaplaceProperties:
         _, target = _gaussian_mixture_target([mean], [cov], [1.0])
         finite_difference = dataclasses.replace(target, gradient=None, hessian=None)
         for fit_target, rtol in ((target, 1e-10), (finite_difference, 1e-6)):
-            comp = laplace_at_mode(fit_target, mean)
+            comp = _laplace_at_mode(fit_target, mean)
             np.testing.assert_array_equal(comp.mean, mean)
             err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
             assert err <= rtol

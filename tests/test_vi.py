@@ -9,19 +9,22 @@ from postmix.density import (
     MixtureModel,
     SinhArcsinhMixture,
     UnnormalizedTarget,
+    draw_mixture,
     eval_gradient,
+    eval_gradient_batch,
     random_sinh_arcsinh_mixture,
 )
 from postmix.exceptions import NonFiniteDensityError
 from postmix.gola import GolaConfig, run_gola
 from postmix.metrics import jsd_normalized
 from postmix.vi import (
+    VariationalParams,
     ViConfig,
+    _f_values,
+    _mixture_internals,
     from_mixture,
-    negative_elbo_estimate,
     random_cold_start,
     refine,
-    reparam_gradient_single_gaussian,
     score_function_gradient,
     to_mixture,
 )
@@ -34,6 +37,38 @@ def _gaussian_mixture(means, covs, weights):
         for m, c in zip(means, covs)
     )
     return MixtureModel(comps, np.asarray(weights, float))
+
+
+def _negative_elbo_estimate(params, target, n, seed):
+    """Monte Carlo estimate of E_q[log q(z) - log phi(z)] from the draws and
+    integrand that ``refine`` uses; samples outside the target's support
+    contribute a large finite penalty instead of infinity."""
+    chol = params.chol_factors()
+    points = draw_mixture(params.weights(), params.means, chol, n, seed)
+    log_q, *_ = _mixture_internals(params, chol, points)
+    f, _ = _f_values(target, points, log_q)
+    return float(np.mean(f))
+
+
+def _reparam_gradient(params, target, n, seed):
+    """Pathwise gradient estimator for a single-Gaussian surrogate: draws
+    ``z = mu + L eps`` and differentiates through the transform, with the
+    target gradient at all ``n`` samples from one batched call. An oracle
+    for the score-function estimator."""
+    if params.n_components != 1:
+        raise ValueError(
+            "the pathwise estimator supports exactly one component; "
+            f"got {params.n_components}"
+        )
+    d = params.dim
+    chol = params.chol_factors()[0]
+    eps = np.random.default_rng(seed).standard_normal((n, d))
+    points = params.means[0] + eps @ chol.T
+    score_phi = eval_gradient_batch(target, points)
+    g_mean = -score_phi.mean(axis=0)
+    g_l = np.tril(-(score_phi.T @ eps) / n - np.diag(1.0 / np.diag(chol)))
+    g_l[np.arange(d), np.arange(d)] *= np.diag(chol)
+    return VariationalParams(np.zeros(1), g_mean[np.newaxis], g_l[np.newaxis])
 
 
 def _kl_gradient_unconstrained(mu, sigma, m, s):
@@ -68,8 +103,6 @@ class TestParameterization:
 
     def test_any_unconstrained_vector_is_valid(self):
         rng = np.random.default_rng(20)
-        from postmix.vi import VariationalParams
-
         for _ in range(20):
             k, d = 3, 2
             params = VariationalParams(
@@ -85,7 +118,7 @@ class TestNegativeElbo:
     def test_zero_when_q_equals_normalized_target(self):
         mix = _gaussian_mixture([[0.0, 0.0]], [np.eye(2)], [1.0])
         params = from_mixture(mix)
-        est = negative_elbo_estimate(params, mix.as_target(), 10**4, seed=0)
+        est = _negative_elbo_estimate(params, mix.as_target(), 10**4, seed=0)
         # f = log q - log phi vanishes pointwise, so the estimate is exact
         assert abs(est) <= 1e-10
 
@@ -93,7 +126,7 @@ class TestNegativeElbo:
         q = _gaussian_mixture([[0.0]], [np.eye(1)], [1.0])
         phi = _gaussian_mixture([[1.0]], [np.eye(1)], [1.0])
         n = 10**4
-        est = negative_elbo_estimate(from_mixture(q), phi.as_target(), n, seed=1)
+        est = _negative_elbo_estimate(from_mixture(q), phi.as_target(), n, seed=1)
         # KL(N(0,1) || N(1,1)) = 1/2; per-sample variance of f is 1
         assert est == pytest.approx(0.5, abs=3.0 / math.sqrt(n))
 
@@ -107,7 +140,7 @@ class TestNegativeElbo:
             search_box=base.search_box,
             log_phi_batch=lambda pts: math.log(c) + q.log_pdf(pts),
         )
-        est = negative_elbo_estimate(from_mixture(q), target, 4096, seed=2)
+        est = _negative_elbo_estimate(from_mixture(q), target, 4096, seed=2)
         assert est == pytest.approx(-math.log(c), abs=1e-10)
 
     def test_out_of_support_penalty(self):
@@ -117,7 +150,7 @@ class TestNegativeElbo:
             log_phi=lambda z: 0.0 if abs(z[0]) < 0.1 else -np.inf,
             search_box=np.array([[-5.0, 5.0]]),
         )
-        est = negative_elbo_estimate(from_mixture(q), target, 256, seed=3)
+        est = _negative_elbo_estimate(from_mixture(q), target, 256, seed=3)
         assert est > 1e5  # most samples hit the penalty
 
     def test_nan_density_is_not_a_support_violation(self):
@@ -128,7 +161,7 @@ class TestNegativeElbo:
             search_box=np.array([[-5.0, 5.0]]),
         )
         with pytest.raises(NonFiniteDensityError) as exc:
-            negative_elbo_estimate(from_mixture(q), target, 256, seed=3)
+            _negative_elbo_estimate(from_mixture(q), target, 256, seed=3)
         assert exc.value.point[0] > 1.0
 
 
@@ -209,8 +242,8 @@ class TestScoreFunctionGradient:
             plus = replace(plus, **{field: arr_p})
             minus = replace(minus, **{field: arr_m})
             fd[i] = (
-                negative_elbo_estimate(plus, target, n_big, seed=777)
-                - negative_elbo_estimate(minus, target, n_big, seed=778)
+                _negative_elbo_estimate(plus, target, n_big, seed=777)
+                - _negative_elbo_estimate(minus, target, n_big, seed=778)
             ) / (2 * h)
         # combined error: estimator se plus FD sampling noise (~1/sqrt(n_big))
         tol = 4.0 * se + 4.0 / math.sqrt(n_big) / (2 * h) + 2e-3
@@ -253,7 +286,7 @@ class TestReparamGradient:
                               [np.array([[0.8, 0.2, 0.0], [0.2, 0.6, 0.1],
                                          [0.0, 0.1, 0.5]])], [1.0])
         params = from_mixture(q)
-        grad = reparam_gradient_single_gaussian(params, target, 300, seed=9)
+        grad = _reparam_gradient(params, target, 300, seed=9)
         g_mean, g_l = _reparam_per_sample(params, target, 300, seed=9)
         np.testing.assert_allclose(grad.means[0], g_mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad.chol_params[0], g_l, rtol=1e-12, atol=1e-12)
@@ -262,12 +295,12 @@ class TestReparamGradient:
     def test_rejects_mixtures(self):
         mix = _gaussian_mixture([[0.0], [1.0]], [np.eye(1), np.eye(1)], [0.5, 0.5])
         with pytest.raises(ValueError):
-            reparam_gradient_single_gaussian(from_mixture(mix), mix.as_target(), 8, 0)
+            _reparam_gradient(from_mixture(mix), mix.as_target(), 8, 0)
 
     def test_stationary_at_optimum(self):
         mix = _gaussian_mixture([[0.0, 0.0]], [np.eye(2)], [1.0])
         n = 4000
-        grad = reparam_gradient_single_gaussian(from_mixture(mix),
+        grad = _reparam_gradient(from_mixture(mix),
                                                 mix.as_target(), n, seed=5)
         assert np.linalg.norm(grad.means) <= 5.0 / math.sqrt(n)
         assert np.linalg.norm(grad.chol_params) <= 8.0 / math.sqrt(n)
@@ -282,7 +315,7 @@ class TestReparamGradient:
         for seed in range(40):
             score_vals.append(score_function_gradient(params, target, n, seed).means[0, 0])
             reparam_vals.append(
-                reparam_gradient_single_gaussian(params, target, n, seed).means[0, 0]
+                _reparam_gradient(params, target, n, seed).means[0, 0]
             )
         assert np.var(reparam_vals, ddof=1) <= np.var(score_vals, ddof=1)
 
@@ -301,8 +334,8 @@ class TestReparamGradient:
         ])
         reparam = np.array([
             np.concatenate([
-                reparam_gradient_single_gaussian(params, target, n, seed).means.ravel(),
-                reparam_gradient_single_gaussian(params, target, n, seed).chol_params.ravel(),
+                _reparam_gradient(params, target, n, seed).means.ravel(),
+                _reparam_gradient(params, target, n, seed).chol_params.ravel(),
             ])
             for seed in range(40)
         ])
