@@ -23,11 +23,10 @@ from .density import (
     MixtureModel,
     UnnormalizedTarget,
     _inverse_lower,
-    eval_gradient,
-    eval_gradient_batch,
     eval_hessian,
     eval_log_density_batch,
     gaussian_log_pdfs,
+    gradient_rows,
     mixture_sample,
     mixture_to_dict,
 )
@@ -212,21 +211,17 @@ def _answer(target: UnnormalizedTarget, kind: str, points: NDArray) -> list:
     """One reply per row of ``points`` to requests of one kind: the value, or
     the ``DerivativeError`` that row's gradient stencil raised.
 
-    Log-densities come from one batched call. Gradients do too when the
-    target has ``gradient_batch``; otherwise each row goes through
-    :func:`eval_gradient` on its own, so a stencil point at ``-inf`` fails
-    only its own row.
+    Log-densities come from one batched call. Gradients come from
+    :func:`gradient_rows`: ``gradient_batch`` in one call, an analytic
+    ``gradient`` row by row, or else central differences for all rows from
+    one batched stencil, where a point at ``-inf`` fails only its own row.
     """
     if kind == "log_phi":
         return eval_log_density_batch(target, points).tolist()
-    if target.gradient_batch is not None:
-        return list(eval_gradient_batch(target, points))
-    replies = []
-    for z in points:
-        try:
-            replies.append(eval_gradient(target, z))
-        except DerivativeError as exc:
-            replies.append(exc)
+    grads, failed = gradient_rows(target, points)
+    replies = list(grads)
+    for row, exc in failed.items():
+        replies[row] = exc
     return replies
 
 

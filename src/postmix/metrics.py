@@ -118,7 +118,7 @@ class GridDensity2D:
         if target.dim != 2:
             raise ValueError("grid normalization is implemented for d = 2 only")
         self.target = target
-        self.n_grid = n_grid
+        self.n_grid = check_integer("n_grid", n_grid, 2)
         (x_lo, x_hi), (y_lo, y_hi) = target.search_box
         self.x = np.linspace(x_lo, x_hi, n_grid)
         self.y = np.linspace(y_lo, y_hi, n_grid)

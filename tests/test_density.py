@@ -25,6 +25,7 @@ from postmix.density import (
     eval_log_density,
     eval_log_density_batch,
     gaussian_log_pdfs,
+    gradient_rows,
     log_sum_exp,
     mixture_from_dict,
     mixture_log_pdf,
@@ -162,6 +163,29 @@ class TestEvalGradient:
         assert exc.value.point[0] > 1.0
 
 
+def _signed_log_phi(z):
+    """A log-density that reads the sign of every zero coordinate, so a
+    stencil that turned a ``-0.0`` into ``0.0`` would change its values;
+    ``-inf`` once any coordinate passes 1."""
+    if max(z) > 1.0:
+        return -math.inf
+    return -0.5 * float(z @ z) + sum(math.copysign(0.25, x) for x in z)
+
+
+@st.composite
+def _stencil_points(draw):
+    """(n, d) points for d = 1..6 and n = 0..8, with signed zeros and
+    coordinates on or just below 1, where the stencil of
+    :func:`_signed_log_phi` steps onto ``-inf``."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 8))
+    coordinate = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1.0 - 1e-9]),
+                           st.floats(-2.0, 1.0))
+    rows = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    return np.array(rows, dtype=float).reshape(n, d)
+
+
 class TestEvalGradientBatch:
     def test_finite_differences_equal_per_row_bitwise(self):
         mix = random_sinh_arcsinh_mixture(3, 2, seed=4)
@@ -198,6 +222,44 @@ class TestEvalGradientBatch:
         target = _gaussian_target(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             eval_gradient_batch(target, np.zeros(shape))
+
+    @given(_stencil_points())
+    def test_stencil_rows_are_eval_gradient_bitwise(self, rows):
+        target = _simple_target(rows.shape[1], _signed_log_phi)
+        grads, failed = gradient_rows(target, rows)
+        want, errors = [], []
+        for i, z in enumerate(rows):
+            try:
+                want.append(eval_gradient(target, z))
+            except DerivativeError as err:
+                errors.append(err)
+                assert failed[i].point.tobytes() == err.point.tobytes()
+            else:
+                assert i not in failed
+                assert grads[i].tobytes() == want[-1].tobytes()
+        assert len(failed) == len(errors)
+        if errors:
+            with pytest.raises(DerivativeError) as err:
+                eval_gradient_batch(target, rows)
+            assert err.value.point.tobytes() == errors[0].point.tobytes()
+        else:
+            batch = eval_gradient_batch(target, rows)
+            assert batch.tobytes() == np.array(want).reshape(rows.shape).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("rows", [[[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_nan_or_plus_inf_after_minus_inf_raises_non_finite(self, bad, rows):
+        # the first row's stencil meets -inf at its first coordinate, then
+        # `bad` at its second or in the next row: still a fault in the target
+        def log_phi(z):
+            if z[0] > 1.0:
+                return -math.inf
+            return bad if z[1] > 1.0 else -float(z @ z)
+
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_gradient_batch(_simple_target(2, log_phi), np.array(rows))
+        assert exc.value.point[0] <= 1.0 < exc.value.point[1]
+
 
 
 def _hessian_stencil_size(d):

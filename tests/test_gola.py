@@ -11,6 +11,7 @@ from postmix.density import (
     GaussianComponent,
     MixtureModel,
     UnnormalizedTarget,
+    eval_gradient,
     eval_hessian,
     eval_log_density,
     mixture_sample,
@@ -206,6 +207,73 @@ class TestLockstep:
         for i in (0, 2):
             assert results[i].converged and results[i].start_index == i
             assert np.linalg.norm(results[i].location) <= 1e-5
+
+    def test_nan_in_a_failed_stencil_raises_with_point(self):
+        # the second start's stencil meets -inf at its first coordinate and
+        # NaN at its second: NaN is a fault in the target, so the run aborts
+        # instead of dropping the start
+        def log_phi(z):
+            if z[0] >= 4.0:
+                return -math.inf
+            return math.nan if z[1] >= 4.0 else -0.5 * float(z @ z)
+
+        target = UnnormalizedTarget(dim=2, log_phi=log_phi, search_box=_box(2))
+        starts = np.array([[-1.0, 1.0], [4.0 - 1e-9, 4.0 - 1e-9]])
+        with pytest.raises(NonFiniteDensityError) as exc:
+            run_lockstep(target, [local_minimize(target, s, GolaConfig(), i)
+                                  for i, s in enumerate(starts)])
+        assert exc.value.point[0] < 4.0 <= exc.value.point[1]
+
+    def test_finite_difference_stencils_are_one_call_per_round(self, call_counter):
+        # no gradient field: each round evaluates all log-density requests
+        # in one call and all rows' gradient stencils in one more; the batch
+        # field evaluates row by row, so every path sees the same values
+        plain = dataclasses.replace(_bimodal_target(), gradient=None, hessian=None,
+                                    gradient_batch=None)
+        target = dataclasses.replace(
+            plain, log_phi_batch=lambda pts: np.array([plain.log_phi(p) for p in pts]))
+        cfg = GolaConfig(n_starts=24, gradient_tol=1e-6)
+        together = call_counter()
+        minima = multistart_minimize(together.wrap(target), cfg)
+        assert len(minima) > 0
+        assert set(together.calls) == {"log_phi_batch"}
+
+        # a lone search's log-density requests: its gradients come through a
+        # gradient_batch field, the per-row eval_gradient (bitwise the stencil)
+        lone_target = dataclasses.replace(
+            target, gradient_batch=lambda pts: np.array([eval_gradient(plain, p)
+                                                         for p in pts]))
+        longest = 0
+        for i, start in enumerate(_sobol_starts(target, 24)):
+            counter = call_counter()
+            alone = counter.wrap(lone_target)
+            run_lockstep(alone, [local_minimize(alone, start, cfg, i)])
+            longest = max(longest, counter.calls["log_phi_batch"])
+        assert together.calls["log_phi_batch"] <= 2 * longest
+
+        per_point = call_counter()
+        per_point_minima = multistart_minimize(
+            per_point.wrap(dataclasses.replace(plain, log_phi_batch=None)), cfg)
+        assert together.points["log_phi_batch"] == per_point.points["log_phi"]
+        assert ([m.location.tobytes() for m in minima]
+                == [m.location.tobytes() for m in per_point_minima])
+
+    def test_analytic_gradient_without_a_batch_is_kept(self, call_counter):
+        # a scalar gradient and no gradient_batch: the search asks the
+        # analytic gradient and no stencil, so it makes the same requests as
+        # with a gradient_batch built from that gradient's rows
+        plain = dataclasses.replace(_bimodal_target(), gradient_batch=None)
+        twin = dataclasses.replace(
+            plain, gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]))
+        cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
+        counter, twin_counter = call_counter(), call_counter()
+        minima = multistart_minimize(counter.wrap(plain), cfg)
+        twin_minima = multistart_minimize(twin_counter.wrap(twin), cfg)
+        assert set(counter.calls) == {"log_phi_batch", "gradient"}
+        assert counter.calls["gradient"] == twin_counter.points["gradient_batch"] > 0
+        assert counter.points["log_phi_batch"] == twin_counter.points["log_phi_batch"]
+        assert ([m.location.tobytes() for m in minima]
+                == [m.location.tobytes() for m in twin_minima])
 
 
 class TestMultistart:

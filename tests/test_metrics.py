@@ -206,3 +206,9 @@ class TestGridDensity:
         mix = _gauss(0.0, 1.0)
         with pytest.raises(ValueError):
             GridDensity2D(mix.as_target(), 64)
+
+    @pytest.mark.parametrize("n_grid", [1, 0, True, 2.5])
+    def test_grid_needs_an_integer_of_at_least_two_nodes(self, n_grid):
+        mix = _gauss([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="n_grid"):
+            GridDensity2D(mix.as_target(), n_grid)
