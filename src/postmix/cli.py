@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +29,7 @@ from .density import (
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
 )
-from .exceptions import PostmixError, check_integer, check_real
+from .exceptions import PostmixError, check_fields
 from .exemplar import default_scenario, pushforward
 from .gola import GolaConfig, run_gola
 from .metrics import jsd_normalized
@@ -47,15 +47,17 @@ from .vi import ViConfig, refine
 
 OUTPUT_DIR_ENV = "POSTMIX_OUT"
 
-# Config keys accepted inside the sections that no dataclass mirrors; the
-# top-level, gola and vi keys are the fields of RunConfig, GolaConfig and
-# ViConfig (defined after RunConfig below).
-_TARGET_KEYS = {"name", "mixture_json", "dim", "n_components"}
+# Config keys accepted inside the sections that no dataclass mirrors, with
+# the target and exemplar keys' types as annotation strings; the top-level,
+# gola and vi keys are the fields of RunConfig, GolaConfig and ViConfig
+# (defined after RunConfig below).
+_TARGET_KEYS = {"name": "str", "mixture_json": "str", "dim": "int", "n_components": "int"}
 # The two keys that select the target; a config names at most one of them.
 _TARGET_SELECTORS = ("name", "mixture_json")
 _FACTOR_KEYS = {"preset", "d", "M", "omega", "c", "lambda"}
-_EXEMPLAR_KEYS = {"c1_true", "c2_true", "n_obs", "horizon", "noise_sigma",
-                  "obs_seed", "n_pushforward"}
+_EXEMPLAR_KEYS = {"c1_true": "float", "c2_true": "float", "n_obs": "int",
+                  "horizon": "float", "noise_sigma": "float", "obs_seed": "int",
+                  "n_pushforward": "int"}
 # Flags that set a key inside a config section, as flag -> (section, key).
 _SECTION_FLAGS = {"target": ("target", "name"),
                   "mixture_json": ("target", "mixture_json"),
@@ -97,8 +99,6 @@ def _field_names(cls, *exclude: str) -> set:
 
 
 _TOP_KEYS = _field_names(RunConfig)
-# The top-level counts and the seed, type-checked when a run starts.
-_TOP_INTEGERS = tuple(f.name for f in dataclass_fields(RunConfig) if f.type == "int")
 # The run's seed feeds both sections' seeds, so they are not section keys.
 _GOLA_KEYS = _field_names(GolaConfig, "master_seed")
 _VI_KEYS = _field_names(ViConfig, "seed")
@@ -121,7 +121,8 @@ def parse_config(path: Optional[str] = None,
     stderr. Flags name top-level keys, except those in ``_SECTION_FLAGS``,
     which set a key inside a section (``--target`` sets ``target.name``).
     ``--target`` and ``--mixture-json`` each replace either target selector
-    in the file; a file or flag set naming both selectors is an error.
+    in the file; a file or flag set naming both selectors is an error, as
+    is a path that is not a string or an input file that does not exist.
     """
     doc: dict = {}
     if path is not None:
@@ -166,8 +167,16 @@ def parse_config(path: Optional[str] = None,
     if doc.get("out") is None and os.environ.get(OUTPUT_DIR_ENV):
         doc["out"] = os.environ[OUTPUT_DIR_ENV]
 
-    cfg = RunConfig(**{k: v for k, v in doc.items()})
-    for name in ("init", "reference", "p", "q"):
+    cfg = RunConfig(**doc)
+    inputs = ("init", "reference", "p", "q")
+    try:  # a path must be a string before anything builds a Path from it
+        check_fields({key: getattr(cfg, key) for key in ("out",) + inputs},
+                     RunConfig.__annotations__)
+        check_fields({k: v for k, v in cfg.target.items() if k == "mixture_json"},
+                     _TARGET_KEYS, "target.")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for name in inputs:
         value = getattr(cfg, name)
         if value is not None and not Path(value).exists():
             raise ConfigError(f"--{name} path does not exist: {value}")
@@ -215,12 +224,11 @@ def _build_target(cfg: RunConfig):
         )
         return MixtureModel((comp,), np.ones(1)).as_target()
     if name == "sinh":
-        mixture = random_sinh_arcsinh_mixture(
-            check_integer("target.dim", spec.get("dim", 15), 1),
-            check_integer("target.n_components", spec.get("n_components", 2), 1),
-            cfg.seed,
-        )
-        return mixture.as_target()
+        dim, n_components = spec.get("dim", 15), spec.get("n_components", 2)
+        if min(dim, n_components) < 1:
+            raise ValueError("target.dim and target.n_components must be at least 1, "
+                             f"got {dim} and {n_components}")
+        return random_sinh_arcsinh_mixture(dim, n_components, cfg.seed).as_target()
     raise ConfigError(
         "target requires either mixture_json or a built-in name "
         "('gauss2d' or 'sinh')"
@@ -247,10 +255,7 @@ def _factor_spec(cfg: RunConfig) -> FactorSpec:
                 raise ConfigError(f"factors.{key} must be a [low, high] pair "
                                   f"of numbers, got {pair!r}")
             kwargs[attr] = tuple(pair)
-    if kwargs:
-        from dataclasses import replace
-        spec = replace(spec, **kwargs)
-    return spec
+    return replace(spec, **kwargs) if kwargs else spec
 
 
 def _cmd_fit(cfg: RunConfig, out: Path) -> list[str]:
@@ -325,26 +330,15 @@ def _cmd_sensitivity(cfg: RunConfig, out: Path) -> list[str]:
 
 
 def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
-    from dataclasses import replace as dc_replace
-
-    from .exemplar import ShearFrame
-
+    # c1_true and c2_true set the true frame's damping; the other keys but
+    # n_pushforward are scenario fields. Reals become floats, like the defaults.
+    doc = {key: float(value) if _EXEMPLAR_KEYS[key] == "float" else value
+           for key, value in cfg.exemplar.items()}
+    n_push = doc.pop("n_pushforward", 2000)
     scenario = default_scenario()
-    doc = dict(cfg.exemplar)
-    if doc:
-        frame = scenario.frame_true
-        frame = ShearFrame(frame.m1, frame.m2, frame.k1, frame.k2,
-                           check_real("exemplar.c1_true", doc.get("c1_true", frame.c1)),
-                           check_real("exemplar.c2_true", doc.get("c2_true", frame.c2)))
-        scenario = dc_replace(
-            scenario, frame_true=frame,
-            n_obs=check_integer("exemplar.n_obs", doc.get("n_obs", scenario.n_obs)),
-            horizon=check_real("exemplar.horizon", doc.get("horizon", scenario.horizon)),
-            noise_sigma=check_real("exemplar.noise_sigma",
-                                   doc.get("noise_sigma", scenario.noise_sigma)),
-            obs_seed=check_integer("exemplar.obs_seed",
-                                   doc.get("obs_seed", scenario.obs_seed)),
-        )
+    frame = replace(scenario.frame_true, **{key[:2]: doc.pop(key)
+                                            for key in ("c1_true", "c2_true") if key in doc})
+    scenario = replace(scenario, frame_true=frame, **doc)
     obs = scenario.observations()
     obs.to_csv(out / "observations.csv")
     _json_dump(obs.sidecar_dict(scenario.frame_true), out / "observations.json")
@@ -357,8 +351,6 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
     _json_dump(report.to_dict(), out / "gola_report.json")
 
     times = np.linspace(scenario.horizon / 100.0, scenario.horizon, 100)
-    n_push = check_integer("exemplar.n_pushforward",
-                           cfg.exemplar.get("n_pushforward", 2000))
     summary = pushforward(report.mixture, scenario.constants(), scenario.u0,
                           times, n_push, cfg.seed)
     summary.to_csv(out / "pushforward.csv")
@@ -400,8 +392,9 @@ def run(cfg: RunConfig) -> int:
                 raise ConfigError(f"command {cfg.command!r} needs --out DIR")
             out = Path(cfg.out)
             out.mkdir(parents=True, exist_ok=True)
-        for name in _TOP_INTEGERS:
-            check_integer(name, getattr(cfg, name))
+        check_fields(vars(cfg), RunConfig.__annotations__)
+        for section, types in (("target", _TARGET_KEYS), ("exemplar", _EXEMPLAR_KEYS)):
+            check_fields(getattr(cfg, section), types, f"{section}.")
         started = time.perf_counter()
         artifacts = _RUNNERS[cfg.command](cfg, out)
         if out is not None:

@@ -481,11 +481,9 @@ def mixture_to_dict(m: MixtureModel) -> dict:
     The Cholesky factor is packed as the lower triangle in row-major
     order, diagonal included: [L00, L10, L11, L20, L21, L22, ...].
     """
-    comps = []
-    for c in m.components:
-        d = c.dim
-        packed = [c.chol_cov[i, j] for i in range(d) for j in range(i + 1)]
-        comps.append({"mean": list(c.mean), "chol_cov_rowmajor_lower": packed})
+    lower = np.tril_indices(m.dim)
+    comps = [{"mean": list(c.mean), "chol_cov_rowmajor_lower": list(c.chol_cov[lower])}
+             for c in m.components]
     return {"dim": m.dim, "weights": list(m.weights), "components": comps}
 
 
@@ -500,11 +498,7 @@ def mixture_from_dict(doc: dict) -> MixtureModel:
                 f"packed Cholesky length {len(packed)} does not match dim {d}"
             )
         chol = np.zeros((d, d))
-        pos = 0
-        for i in range(d):
-            for j in range(i + 1):
-                chol[i, j] = packed[pos]
-                pos += 1
+        chol[np.tril_indices(d)] = packed
         comps.append(GaussianComponent(np.asarray(entry["mean"], float), chol))
     return MixtureModel(tuple(comps), np.asarray(doc["weights"], float))
 

@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the checks that every
-configuration count, seed and real-valued setting goes through."""
+configuration value goes through."""
 
 from __future__ import annotations
 
@@ -18,13 +18,28 @@ def check_integer(name: str, value, least: Optional[int] = None):
     return value
 
 
-def check_real(name: str, value) -> float:
-    """Return ``value`` as a float if it is a finite real number (a bool or a
-    string is not); otherwise raise ``ValueError`` naming ``name``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+def check_fields(values: dict, types: dict, prefix: str = "", **least) -> None:
+    """Check each ``values[key]`` against its annotation string ``types[key]``.
+
+    ``"int"`` goes through :func:`check_integer` with the bound ``least[key]``;
+    ``"float"`` must be a finite real and ``"str"`` a string (a bool is no
+    number); ``"Optional[...]"`` also admits None; other annotations pass.
+    A failure raises ``ValueError`` naming ``prefix + key``.
+    """
+    for key, value in values.items():
+        name, kind = prefix + key, types[key]
+        if kind.startswith("Optional["):
+            if value is None:
+                continue
+            kind = kind[len("Optional["):-1]
+        if kind == "int":
+            check_integer(name, value, least.get(key))
+        elif kind == "float" and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Real)
+                                  or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        elif kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 class PostmixError(Exception):

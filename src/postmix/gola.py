@@ -37,8 +37,7 @@ from .exceptions import (
     RejectedStartError,
     SingularMatrixError,
     WeightUnderflowError,
-    check_integer,
-    check_real,
+    check_fields,
 )
 from .mathkit import chi_square_survival, cholesky_spd, nnls, sobol_points
 
@@ -66,10 +65,8 @@ class GolaConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts is not None:
-            check_integer("n_starts", self.n_starts, 1)
-        check_integer("master_seed", self.master_seed, 0)
-        if check_real("gradient_tol", self.gradient_tol) <= 0.0:
+        check_fields(vars(self), self.__annotations__, n_starts=1, master_seed=0)
+        if self.gradient_tol <= 0.0:
             raise ValueError("gradient_tol must be positive")
 
 

@@ -120,18 +120,10 @@ def sobol_points(dim: int, n: int) -> NDArray[np.float64]:
         raise ValueError(f"dim must be in [1, {SOBOL_MAX_DIM}], got {dim}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    v = _sobol_direction_table(dim)
-    points = np.empty((n, dim), dtype=np.uint64)
-    x = np.zeros(dim, dtype=np.uint64)
-    for i in range(1, n + 1):
-        # Gray-code step: flip with direction c, the rightmost zero bit of i-1.
-        c = 1
-        val = i - 1
-        while val & 1:
-            val >>= 1
-            c += 1
-        x = x ^ v[:, c]
-        points[i - 1] = x
+    # Gray-code step i flips direction c, one past the trailing zeros of i.
+    i = np.arange(1, n + 1)
+    c = np.log2(i & -i).astype(int) + 1
+    points = np.bitwise_xor.accumulate(_sobol_direction_table(dim)[:, c].T, axis=0)
     return points.astype(float) / 2.0**_SOBOL_BITS
 
 

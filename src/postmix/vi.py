@@ -28,7 +28,7 @@ from .density import (
     gaussian_log_pdfs,
     log_sum_exp,
 )
-from .exceptions import check_integer, check_real
+from .exceptions import check_fields
 
 # Finite stand-in for the infinite penalty of a zero-density sample.
 _SUPPORT_PENALTY = 1e6
@@ -190,13 +190,12 @@ class ViConfig:
     jsd_samples: int = 4096
 
     def __post_init__(self):
-        if check_real("step_size", self.step_size) <= 0.0:
-            raise ValueError("step_size must be positive")
         # two Monte Carlo samples for the leave-one-out baseline, two JSD
         # samples for a standard error
-        for name, least in (("n_mc_samples", 2), ("max_epochs", 1),
-                            ("report_interval", 1), ("seed", 0), ("jsd_samples", 2)):
-            check_integer(name, getattr(self, name), least)
+        check_fields(vars(self), self.__annotations__, n_mc_samples=2, max_epochs=1,
+                     report_interval=1, seed=0, jsd_samples=2)
+        if self.step_size <= 0.0:
+            raise ValueError("step_size must be positive")
 
 
 @dataclass(frozen=True)

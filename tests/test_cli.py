@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from postmix import cli
 from postmix.cli import ConfigError, OUTPUT_DIR_ENV, main, parse_config
 from postmix.density import mixture_from_dict
+from postmix.exceptions import check_fields
 from postmix.gola import GolaConfig
 from postmix.vi import ViConfig
 
@@ -318,6 +321,10 @@ class TestIntegerConfigValues:
         ("fit", {"target": {"name": "gauss2d"}, "seed": 1.5}, "seed"),
         ("refine", {"target": {"mixture_json": str(DATA / "mixture_p.json")},
                     "vi": {"max_epochs": 2.5}}, "max_epochs"),
+        # a typed section key is checked even where the command ignores it
+        ("fit", {"target": {"name": "gauss2d", "dim": "x"}}, "target.dim"),
+        ("fit", {"target": {"name": "gauss2d"}, "exemplar": {"n_obs": 6.5}},
+         "exemplar.n_obs"),
     ])
     def test_non_integer_rejected(self, tmp_path, command, doc, key):
         # a fraction or a bool must not be truncated into a different problem
@@ -332,6 +339,86 @@ class TestIntegerConfigValues:
         assert err["error"] == "ValueError"
         assert f"{key} must be an integer" in err["message"]
         assert not (out / "mixture.json").exists()
+
+
+class TestTargetCounts:
+    @pytest.mark.parametrize("key", ["dim", "n_components"])
+    def test_zero_count_rejected(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": {"name": "sinh", key: 0}}))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert f"target.{key}" in err["message"]
+        assert "at least 1" in err["message"]
+
+
+class TestPathConfigValues:
+    @pytest.mark.parametrize("command, doc, key", [
+        ("fit", {"out": 5}, "out"),
+        ("fit", {"out": ["a"]}, "out"),
+        ("refine", {"init": 5}, "init"),
+        ("refine", {"reference": 5}, "reference"),
+        ("eval", {"p": 7}, "p"),
+        ("eval", {"q": 7}, "q"),
+        ("fit", {"target": {"mixture_json": 5}}, "target.mixture_json"),
+    ])
+    def test_non_string_path_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                               command, doc, key):
+        # a number or a list must not die in a traceback where a Path is built
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{key} must be a string")
+
+
+def _typed_fields():
+    """(config class, field name, base type) of every field the checker types."""
+    found = []
+    for cls in (GolaConfig, ViConfig, cli.RunConfig):
+        for f in dataclasses.fields(cls):
+            base = f.type.removeprefix("Optional[").removesuffix("]")
+            if base in ("int", "float", "str"):
+                found.append((cls, f.name, base))
+    return found
+
+
+def _check_config(cls, **changes):
+    """Put ``cls`` with ``changes`` through the checker, as its construction
+    (or, for a RunConfig, ``cli.run``) does."""
+    if cls is cli.RunConfig:
+        cfg = cli.RunConfig(**{"command": "fit", **changes})
+        check_fields(vars(cfg), cli.RunConfig.__annotations__)
+    else:
+        cls(**changes)
+
+
+_WRONG_VALUES = {
+    "int": st.text() | st.floats().filter(lambda x: not x.is_integer()),
+    "float": st.text() | st.sampled_from([math.nan, math.inf, -math.inf]),
+    "str": st.integers() | st.floats(),
+}
+
+
+class TestConfigFieldTypes:
+    def test_every_type_is_covered(self):
+        assert {base for _, _, base in _typed_fields()} == set(_WRONG_VALUES)
+
+    @given(st.data())
+    def test_wrong_value_names_its_field(self, data):
+        # a bool is no number and no string
+        cls, name, base = data.draw(st.sampled_from(_typed_fields()))
+        value = data.draw(st.booleans() | _WRONG_VALUES[base])
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            _check_config(cls, **{name: value})
+
+    @pytest.mark.parametrize("cls", [GolaConfig, ViConfig, cli.RunConfig])
+    def test_default_instance_passes(self, cls):
+        _check_config(cls)
 
 
 class TestRealConfigValues:
