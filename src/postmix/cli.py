@@ -30,11 +30,12 @@ from .density import (
     random_sinh_arcsinh_mixture,
 )
 from .exceptions import PostmixError, check_fields
-from .exemplar import default_scenario, pushforward
+from .exemplar import MIN_PUSHFORWARD, default_scenario, pushforward
 from .gola import GolaConfig, run_gola
 from .metrics import jsd_normalized
 from .sensibench import (
     ACCURACY_THRESHOLD,
+    MIN_REPLICATES,
     FactorSpec,
     ProblemFactors,
     bootstrap_ci,
@@ -392,9 +393,10 @@ def run(cfg: RunConfig) -> int:
                 raise ConfigError(f"command {cfg.command!r} needs --out DIR")
             out = Path(cfg.out)
             out.mkdir(parents=True, exist_ok=True)
-        check_fields(vars(cfg), RunConfig.__annotations__)
-        for section, types in (("target", _TARGET_KEYS), ("exemplar", _EXEMPLAR_KEYS)):
-            check_fields(getattr(cfg, section), types, f"{section}.")
+        # bootstrap_ci's and pushforward's floors, before any fit is spent
+        check_fields(vars(cfg), RunConfig.__annotations__, replicates=MIN_REPLICATES)
+        check_fields(cfg.target, _TARGET_KEYS, "target.")
+        check_fields(cfg.exemplar, _EXEMPLAR_KEYS, "exemplar.", n_pushforward=MIN_PUSHFORWARD)
         started = time.perf_counter()
         artifacts = _RUNNERS[cfg.command](cfg, out)
         if out is not None:

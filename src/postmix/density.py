@@ -107,12 +107,13 @@ def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArr
 
 
 def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
-    """Gradient of ``log_phi``, analytic when supplied else central differences.
+    """Gradient of ``log_phi``, analytic when supplied else central differences
+    from the stencil of :func:`gradient_rows`, one ``log_phi`` call per point.
 
     Raises
     ------
     DerivativeError
-        If a stencil point has ``log_phi = -inf``; ``.point`` is that point.
+        If a stencil point has ``log_phi = -inf``; ``.point`` is the first.
     NonFiniteDensityError
         If a stencil point evaluates to NaN or ``+inf``.
     """
@@ -121,83 +122,66 @@ def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]
         raise ValueError(f"expected a length-{target.dim} vector, got shape {z.shape}")
     if target.gradient is not None:
         return np.asarray(target.gradient(z), dtype=float)
-    grad = np.empty(target.dim)
-    for i in range(target.dim):
-        h = _GRAD_STEP * max(1.0, abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        fp, fm = eval_log_density(target, zp), eval_log_density(target, zm)
-        if fp == -math.inf or fm == -math.inf:
-            bad = zp if fp == -math.inf else zm
-            raise DerivativeError(
-                f"non-finite log-density in gradient stencil at {bad}", point=bad
-            )
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def eval_gradient_batch(target: UnnormalizedTarget, points: NDArray) -> NDArray:
-    """Gradient of ``log_phi`` on an (n, dim) array of points, shape (n, dim),
-    from :func:`gradient_rows`.
-
-    Raises
-    ------
-    DerivativeError
-        For the first row whose finite-difference stencil has a point at
-        ``-inf``; ``.point`` is that row's first such point.
-    NonFiniteDensityError
-        If any stencil point evaluates to NaN or ``+inf``.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != target.dim:
-        raise ValueError(f"expected an (n, {target.dim}) array, got {points.shape}")
-    grads, failed = gradient_rows(target, points)
+    stencil, steps = _gradient_stencil(z[np.newaxis])
+    values = np.array([[eval_log_density(target, p) for p in stencil[0]]])
+    grads, failed = _central_differences(stencil, values, steps)
     if failed:
-        raise failed[min(failed)]
-    return grads
+        bad = failed[0]
+        raise DerivativeError(f"non-finite log-density in gradient stencil at {bad}",
+                              point=bad)
+    return grads[0]
 
 
-def gradient_rows(target: UnnormalizedTarget, points: NDArray,
-                  ) -> tuple[NDArray[np.float64], dict[int, DerivativeError]]:
-    """Gradients of ``log_phi`` at the rows of an (n, dim) array, and the rows
-    whose finite-difference stencil failed.
+def _gradient_stencil(points: NDArray) -> tuple[NDArray, NDArray]:
+    """The (n, 2 dim, dim) central-difference stencil of an (n, dim) array,
+    running by row, then coordinate, then ``+h`` before ``-h``, and the
+    (n, dim) steps ``h = _GRAD_STEP * max(1, |z_i|)``.
 
-    ``gradient_batch`` answers in one call when the target has one, else
-    the analytic ``gradient`` row by row. A target with neither gets
-    central differences from one (n * 2 dim, dim) stencil in one batched
-    evaluation, running by row, then coordinate, then ``+h`` before ``-h``.
-    Each stencil point is a copy of its row with only that coordinate moved
-    by ``h = _GRAD_STEP * max(1, |z_i|)``, so every other coordinate keeps
-    its bits (a ``-0.0`` stays ``-0.0``), and each row's gradient is bitwise
-    what :func:`eval_gradient` returns for it.
-
-    Returns the (n, dim) gradients and a dict from each row whose stencil
-    met ``-inf`` to the ``DerivativeError`` carrying its first such point;
-    the gradient of such a row is meaningless. NaN or ``+inf`` anywhere in
-    the stencil raises ``NonFiniteDensityError``, whatever else the row met.
+    Each stencil point is a copy of its row with only one coordinate moved,
+    so every other coordinate keeps its bits (a ``-0.0`` stays ``-0.0``).
     """
-    if target.gradient_batch is not None:
-        return np.asarray(target.gradient_batch(points), dtype=float), {}
-    if target.gradient is not None:
-        return np.array([eval_gradient(target, p) for p in points]).reshape(points.shape), {}
     n, d = points.shape
     steps = _GRAD_STEP * np.maximum(1.0, np.abs(points))
     stencil = np.repeat(points, 2 * d, axis=0).reshape(n, d, 2, d)
     axis = np.arange(d)
     stencil[:, axis, 0, axis] += steps
     stencil[:, axis, 1, axis] -= steps
-    stencil = stencil.reshape(n, 2 * d, d)
-    values = eval_log_density_batch(target, stencil.reshape(-1, d)).reshape(n, 2 * d)
+    return stencil.reshape(n, 2 * d, d), steps
+
+
+def _central_differences(stencil: NDArray, values: NDArray, steps: NDArray,
+                         ) -> tuple[NDArray[np.float64], dict[int, NDArray]]:
+    """Gradients from the (n, 2 dim) values at :func:`_gradient_stencil`'s
+    points, and ``{row: first -inf point}`` for each row that met one."""
     minus_inf = np.isneginf(values)
-    failed = {}
-    for row in np.flatnonzero(minus_inf.any(axis=1)):
-        bad = stencil[row, np.argmax(minus_inf[row])].copy()
-        failed[int(row)] = DerivativeError(
-            f"non-finite log-density in gradient stencil at {bad}", point=bad)
+    failed = {int(row): stencil[row, np.argmax(minus_inf[row])].copy()
+              for row in np.flatnonzero(minus_inf.any(axis=1))}
     with np.errstate(invalid="ignore"):  # -inf - -inf in a failed row
         grads = (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
     return grads, failed
+
+
+def gradient_rows(target: UnnormalizedTarget, points: NDArray,
+                  ) -> tuple[NDArray[np.float64], dict[int, NDArray]]:
+    """Gradients of ``log_phi`` at the rows of an (n, dim) array, and a dict
+    from each row whose finite-difference stencil met ``-inf`` to its first
+    such point (that row's gradient is meaningless).
+
+    ``gradient_batch`` answers in one call when the target has one, else
+    the analytic ``gradient`` row by row. A target with neither gets
+    central differences from the stencils of all rows in one batched
+    evaluation, each row bitwise what :func:`eval_gradient` returns for it.
+    NaN or ``+inf`` anywhere in the stencil raises ``NonFiniteDensityError``,
+    whatever else the row met.
+    """
+    if target.gradient_batch is not None:
+        return np.asarray(target.gradient_batch(points), dtype=float), {}
+    if target.gradient is not None:
+        return np.array([eval_gradient(target, p) for p in points]).reshape(points.shape), {}
+    stencil, steps = _gradient_stencil(points)
+    n, d = points.shape
+    values = eval_log_density_batch(target, stencil.reshape(-1, d)).reshape(n, 2 * d)
+    return _central_differences(stencil, values, steps)
 
 
 def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:

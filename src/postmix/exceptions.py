@@ -76,10 +76,6 @@ class SingularMatrixError(PostmixError):
     """Cholesky factorization failed even at the maximum jitter level."""
 
 
-class RejectedStartError(PostmixError):
-    """A local search was started at a point with zero posterior density."""
-
-
 class NoModesFoundError(PostmixError):
     """No multistart run converged, or every converged minimum was a saddle;
     the target yielded no usable modes."""

@@ -20,6 +20,9 @@ from numpy.typing import NDArray
 
 from .density import MixtureModel, UnnormalizedTarget
 
+# The fewest posterior samples a pushforward summarizes.
+MIN_PUSHFORWARD = 100
+
 
 def _expm_batch(a: NDArray) -> NDArray[np.float64]:
     """Matrix exponential of one (n, n) matrix or an (m, n, n) stack.
@@ -270,8 +273,8 @@ def pushforward(posterior: MixtureModel, constants: tuple, u0: NDArray,
     simulates every accepted pair and summarizes both floors' displacement
     trajectories pointwise.
     """
-    if n_samples < 100:
-        raise ValueError("use at least 100 posterior samples")
+    if n_samples < MIN_PUSHFORWARD:
+        raise ValueError(f"use at least {MIN_PUSHFORWARD} posterior samples")
     u0, times = _checked_inputs(u0, times)
     seeds = np.random.SeedSequence(seed).generate_state(64)
     accepted = []

@@ -32,9 +32,7 @@ from .density import (
 )
 from .exceptions import (
     DegenerateModeError,
-    DerivativeError,
     NoModesFoundError,
-    RejectedStartError,
     SingularMatrixError,
     WeightUnderflowError,
     check_fields,
@@ -143,28 +141,24 @@ def _projected_gradient_norm(z, grad, lo, hi):
 
 def local_minimize(target: UnnormalizedTarget, start: NDArray,
                    cfg: GolaConfig, start_index: int = 0,
-                   ) -> Generator[tuple[str, NDArray], object, LocalMinimum]:
+                   ) -> Generator[tuple[str, NDArray], object, Optional[LocalMinimum]]:
     """Descend ``-log phi`` from one start with a backtracking line search.
 
     A generator that holds one start's descent and asks for each target
     value it needs: it yields ``("log_phi", z)`` or ``("gradient", z)``,
     must be sent ``log phi(z)`` or its gradient, and returns the
-    :class:`LocalMinimum`. :func:`run_lockstep` drives many at once.
+    :class:`LocalMinimum`, or None if the start point has zero density
+    (it is sent ``-inf``). :func:`run_lockstep` drives many at once.
 
     Iterates stay clamped to the search box and the objective never
     increases across accepted steps. Steps go along the negative gradient,
     with trial step sizes from a safeguarded Barzilai-Borwein estimate.
-
-    Raises
-    ------
-    RejectedStartError
-        If it is sent ``-inf`` (zero density) for the start point.
     """
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
     z = _clamp(np.asarray(start, dtype=float), lo, hi)
     f = -(yield "log_phi", z)
     if not math.isfinite(f):
-        raise RejectedStartError(f"zero density at start point {z}")
+        return None
     grad = -(yield "gradient", z)
 
     step = 1.0
@@ -204,24 +198,6 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol, start_index)
 
 
-def _answer(target: UnnormalizedTarget, kind: str, points: NDArray) -> list:
-    """One reply per row of ``points`` to requests of one kind: the value, or
-    the ``DerivativeError`` that row's gradient stencil raised.
-
-    Log-densities come from one batched call. Gradients come from
-    :func:`gradient_rows`: ``gradient_batch`` in one call, an analytic
-    ``gradient`` row by row, or else central differences for all rows from
-    one batched stencil, where a point at ``-inf`` fails only its own row.
-    """
-    if kind == "log_phi":
-        return eval_log_density_batch(target, points).tolist()
-    grads, failed = gradient_rows(target, points)
-    replies = list(grads)
-    for row, exc in failed.items():
-        replies[row] = exc
-    return replies
-
-
 def run_lockstep(target: UnnormalizedTarget,
                  searches: list[Generator]) -> list[Optional[LocalMinimum]]:
     """Drive :func:`local_minimize` generators together; each search's
@@ -230,10 +206,11 @@ def run_lockstep(target: UnnormalizedTarget,
 
     Every search waits on a log-density at the top of a round. The round
     answers all of them with one batched call, then answers the gradient
-    requests that leaves with one more. Rows go in search order, so a
-    rerun is bitwise the same, and where the target evaluates each row on
-    its own, a search gets the replies it would get driven alone.
-    ``NonFiniteDensityError`` aborts the whole run.
+    requests that leaves with one more, from :func:`gradient_rows`; a
+    search whose gradient stencil met ``-inf`` is dropped there. Rows go in
+    search order, so a rerun is bitwise the same, and where the target
+    evaluates each row on its own, a search gets the replies it would get
+    driven alone. ``NonFiniteDensityError`` aborts the whole run.
     """
     results: list[Optional[LocalMinimum]] = [None] * len(searches)
     waiting = {i: next(search) for i, search in enumerate(searches)}
@@ -242,16 +219,19 @@ def run_lockstep(target: UnnormalizedTarget,
             rows = [i for i, (asked, _) in waiting.items() if asked == kind]
             if not rows:
                 continue
-            replies = _answer(target, kind, np.array([waiting[i][1] for i in rows]))
-            for i, reply in zip(rows, replies):
-                search = searches[i]
+            points = np.array([waiting[i][1] for i in rows])
+            if kind == "log_phi":
+                replies, failed = eval_log_density_batch(target, points).tolist(), {}
+            else:
+                replies, failed = gradient_rows(target, points)
+            for row, i in enumerate(rows):
+                if row in failed:
+                    del waiting[i]
+                    continue
                 try:
-                    waiting[i] = (search.throw(reply) if isinstance(reply, Exception)
-                                  else search.send(reply))
+                    waiting[i] = searches[i].send(replies[row])
                 except StopIteration as done:
                     results[i] = done.value
-                    del waiting[i]
-                except (RejectedStartError, DerivativeError):
                     del waiting[i]
     return results
 

@@ -26,6 +26,8 @@ from .metrics import jsd_normalized
 _CI_LEVEL = 0.95
 # A robustness case is accurate when its score Y is at most this.
 ACCURACY_THRESHOLD = 0.05
+# The fewest bootstrap replicates an interval is drawn from.
+MIN_REPLICATES = 100
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,8 @@ def bootstrap_ci(design: SobolDesign, replicates: int,
     and every ``f(AB_i)``, preserving their coupling; zero-variance
     resamples are skipped and counted.
     """
-    if replicates < 100:
-        raise ValueError("use at least 100 bootstrap replicates")
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"use at least {MIN_REPLICATES} bootstrap replicates")
     point = estimate_indices(design)
     n = design.f_a.shape[0]
     k = len(design.factor_names)

@@ -578,6 +578,17 @@ class TestSensitivityCommand:
                 if field:
                     float(field)
 
+    def test_few_replicates_rejected_before_the_design(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "evaluate_case", lambda *args: pytest.fail("a fit ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_design": 16, "replicates": 50}))
+        out = tmp_path / "out"
+        assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert "replicates must be at least 100" in err["message"]
+        assert [path.name for path in out.iterdir()] == ["error.json"]
+
 
 class TestExemplarCommand:
     def test_all_artifacts_written(self, tmp_path):
@@ -598,6 +609,18 @@ class TestExemplarCommand:
         assert mixture.n_components >= 2
         push = (out / "pushforward.csv").read_text().strip().splitlines()
         assert push[0] == "time,floor,mean,lo95,hi95"
+
+    def test_small_pushforward_rejected_before_any_artifact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_gola", lambda *args: pytest.fail("the fit ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exemplar": {"n_pushforward": 50},
+                                   "gola": {"n_starts": 8}}))
+        out = tmp_path / "out"
+        assert main(["exemplar", "--config", str(cfg), "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert "exemplar.n_pushforward must be at least 100" in err["message"]
+        assert [path.name for path in out.iterdir()] == ["error.json"]
 
     def test_only_saddles_is_no_modes_error(self, tmp_path):
         # on a short horizon every start stops on a box edge, at a saddle

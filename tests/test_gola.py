@@ -19,7 +19,6 @@ from postmix.density import (
 from postmix.exceptions import (
     NoModesFoundError,
     NonFiniteDensityError,
-    RejectedStartError,
     WeightUnderflowError,
 )
 from postmix.gola import (
@@ -106,8 +105,9 @@ class TestLocalMinimize:
         search = local_minimize(target, np.array([2.0]), GolaConfig())
         asked, z = next(search)
         assert asked == "log_phi"
-        with pytest.raises(RejectedStartError):
+        with pytest.raises(StopIteration) as stop:
             search.send(eval_log_density(target, z))
+        assert stop.value.value is None
         assert _descend(target, [2.0], GolaConfig()) is None
 
     def test_methods_reach_a_minimum_from_far_start(self):
@@ -207,6 +207,32 @@ class TestLockstep:
         for i in (0, 2):
             assert results[i].converged and results[i].start_index == i
             assert np.linalg.norm(results[i].location) <= 1e-5
+
+    @pytest.mark.parametrize("gradient", ["analytic", "finite differences"])
+    def test_zero_density_start_drops_only_its_row(self, gradient):
+        # the middle start lies where the density is zero, so it is dropped
+        # at its first request; per-point fields evaluate row by row, so the
+        # other starts end bitwise as in a batch without it
+        plain = _bimodal_target()
+        target = dataclasses.replace(
+            plain, log_phi=lambda z: -math.inf if z[0] > 4.5 else plain.log_phi(z),
+            gradient=plain.gradient if gradient == "analytic" else None,
+            hessian=None, log_phi_batch=None, gradient_batch=None)
+        cfg = GolaConfig(gradient_tol=1e-6)
+        starts = np.insert(_sobol_starts(target, 6), 3, [4.7, 0.0], axis=0)
+
+        def lockstep(rows):
+            return run_lockstep(target, [local_minimize(target, starts[i], cfg, i)
+                                         for i in rows])
+
+        with_it, without = lockstep(range(7)), lockstep([0, 1, 2, 4, 5, 6])
+        assert with_it[3] is None
+        assert sum(m.converged for m in without) == 6
+        for got, want in zip(with_it[:3] + with_it[4:], without):
+            assert got.location.tobytes() == want.location.tobytes()
+            assert ((got.objective, got.gradient_norm, got.converged, got.start_index)
+                    == (want.objective, want.gradient_norm, want.converged,
+                        want.start_index))
 
     def test_nan_in_a_failed_stencil_raises_with_point(self):
         # the second start's stencil meets -inf at its first coordinate and
