@@ -397,6 +397,8 @@ def run(cfg: RunConfig) -> int:
         check_fields(vars(cfg), RunConfig.__annotations__, replicates=MIN_REPLICATES)
         check_fields(cfg.target, _TARGET_KEYS, "target.")
         check_fields(cfg.exemplar, _EXEMPLAR_KEYS, "exemplar.", n_pushforward=MIN_PUSHFORWARD)
+        for build in (_gola_config, _vi_config, _factor_spec):
+            build(cfg)  # each section, also where the command does not use it
         started = time.perf_counter()
         artifacts = _RUNNERS[cfg.command](cfg, out)
         if out is not None:

@@ -18,11 +18,9 @@ from .exceptions import DerivativeError, NonFiniteDensityError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Central-difference steps: cube root of machine epsilon for first
-# derivatives, fourth root for second derivatives (truncation/round-off
-# balance for twice- and four-times-differentiable integrands).
+# Central-difference step: the cube root of machine epsilon balances
+# truncation and round-off for a first derivative.
 _GRAD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-_HESS_STEP = float(np.finfo(float).eps) ** 0.25
 
 # A Gaussian mixture's search box reaches this many marginal standard
 # deviations past the outermost means.
@@ -52,8 +50,8 @@ class UnnormalizedTarget:
         Analytic Hessian of ``log_phi``; finite differences otherwise.
     log_phi_batch : callable, optional
         Vectorized evaluation mapping an (n, dim) array to an (n,) array;
-        used by multistart, samplers, grid scans, and the finite-difference
-        Hessians and batched finite-difference gradients, when present.
+        used by multistart, samplers, grid scans and the finite-difference
+        derivatives, when present.
     gradient_batch : callable, optional
         Vectorized gradient mapping an (n, dim) array to an (n, dim) array;
         multistart uses it when present.
@@ -188,41 +186,26 @@ def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     """Hessian of ``-log_phi`` (note the sign), symmetrized.
 
     Analytic when the target carries a Hessian of ``log_phi``; otherwise
-    central second differences of ``log_phi`` over a stencil of
-    ``1 + 2d + 2d(d-1)`` points evaluated in one batched call. A stencil
-    point at ``-inf`` raises ``DerivativeError`` carrying that point; NaN
-    or ``+inf`` raises ``NonFiniteDensityError``.
+    central differences of the gradients that one :func:`gradient_rows`
+    call returns at the ``2d`` rows of ``z``'s gradient stencil. A
+    ``-inf`` in a finite-difference stencil raises ``DerivativeError``
+    carrying that point, and so does a non-finite gradient at a stencil row,
+    carrying the row; NaN or ``+inf`` raises ``NonFiniteDensityError``.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (target.dim,):
         raise ValueError(f"expected a length-{target.dim} vector, got shape {z.shape}")
     if target.hessian is not None:
-        h_log = np.asarray(target.hessian(z), dtype=float)
-        neg = -h_log
+        neg = -np.asarray(target.hessian(z), dtype=float)
         return 0.5 * (neg + neg.T)
-
-    d = target.dim
-    steps = _HESS_STEP * np.maximum(1.0, np.abs(z))
-    axis = np.diag(steps)
-    rows, cols = np.triu_indices(d, 1)
-    up, across = axis[rows], axis[cols]
-    # centre, the 2d axis points, then the four corner blocks of each i < j
-    stencil = np.vstack([z, z + axis, z - axis, z + up + across, z + up - across,
-                         z - up + across, z - up - across])
-    values = eval_log_density_batch(target, stencil)
-    minus_inf = np.isneginf(values)
-    if minus_inf.any():
-        bad = stencil[np.argmax(minus_inf)]
-        raise DerivativeError(
-            f"non-finite log-density in Hessian stencil at {bad}", point=bad
-        )
-    f0, fp, fm = values[0], values[1:d + 1], values[d + 1:2 * d + 1]
-    fpp, fpm, fmp, fmm = values[2 * d + 1:].reshape(4, -1)
-    hess = np.diag((fp - 2.0 * f0 + fm) / steps ** 2)
-    off = (fpp - fpm - fmp + fmm) / (4.0 * steps[rows] * steps[cols])
-    hess[rows, cols] = off
-    hess[cols, rows] = off
-    neg = -hess
+    stencil, steps = _gradient_stencil(z[np.newaxis])
+    grads, failed = gradient_rows(target, stencil[0])
+    bad_rows = np.flatnonzero(~np.isfinite(grads).all(axis=1))
+    if bad_rows.size:  # a failed stencil names its -inf point, else the row
+        bad = failed.get(int(bad_rows[0]), stencil[0, bad_rows[0]])
+        raise DerivativeError(f"non-finite value in Hessian stencil at {bad}", point=bad)
+    # row i is minus the derivative of the gradient along coordinate i
+    neg = (grads[1::2] - grads[0::2]) / (2.0 * steps[0, :, np.newaxis])
     return 0.5 * (neg + neg.T)
 
 

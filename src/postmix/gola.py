@@ -2,11 +2,11 @@
 local Laplace approximations.
 
 The pipeline minimizes ``-log phi`` from many Sobol-distributed starts,
-keeps the distinct converged minima (greedy Mahalanobis test), builds a
-local Gaussian at each survivor from the regularized Hessian, fits the
-component weights by nonnegative least squares against ``phi``, and
-normalizes. The sum of the unnormalized weights is an estimate of the
-normalizing constant of ``phi``.
+keeps the distinct converged minima (greedy Mahalanobis test with a
+hill-valley check), builds a local Gaussian at each survivor from the
+regularized Hessian, fits the component weights by nonnegative least
+squares against ``phi``, and normalizes. The sum of the unnormalized
+weights is an estimate of the normalizing constant of ``phi``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,21 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 _MAX_LOCAL_ITERS = 500
+# A search ends, not converged, after this many accepted steps in a row
+# that leave the objective bitwise equal: once the Armijo decrease is below
+# half an ulp of f, the line search accepts any step that rounds to f.
+_MAX_FLAT_STEPS = 11
 # A candidate is a duplicate when its chi-square survival under an
-# accepted component is at least this.
+# accepted component is at least this, and no valley separates the two.
 _DEDUP_THRESHOLD = 0.01
+# The valley test runs only for a candidate more than this many whitened
+# units from its nearest accepted component; nearer ones share its mode.
+_VALLEY_GATE = 1e-3
+# Fractions of the way from that component's mean to the candidate where
+# the valley test evaluates log phi.
+_VALLEY_POINTS = np.arange(1, 6) / 6.0
+# A valley is log phi this far below the lower end of the segment.
+_VALLEY_DEPTH = 1e-9
 # Points drawn per component for the weight fit.
 _WEIGHT_SAMPLES_PER_COMPONENT = 1024
 
@@ -86,8 +98,10 @@ class DedupDecision:
     ``survival`` is the largest chi-square survival probability of the
     squared Mahalanobis distance to any already-accepted component; the
     candidate is a duplicate when it is this typical under some existing
-    component, i.e. when survival >= 0.01. ``note`` records why a
-    candidate was turned away ("duplicate" or "saddle").
+    component, i.e. when survival >= 0.01, unless a valley in ``log phi``
+    separates it from that component. ``note`` records why a candidate was
+    turned away ("duplicate" or "saddle"), or "valley" for one accepted
+    across a valley.
     """
 
     candidate_index: int
@@ -112,7 +126,11 @@ class GolaReport:
             "evidence": self.evidence,
             "weight_residual": self.weight_residual,
             "dedup_rule": "duplicate when chi-square survival of squared "
-                          f"Mahalanobis distance >= {_DEDUP_THRESHOLD}",
+                          f"Mahalanobis distance >= {_DEDUP_THRESHOLD}, unless, "
+                          f"beyond whitened distance {_VALLEY_GATE}, log phi at "
+                          "t = 1/6..5/6 of the segment from the nearest accepted "
+                          "mean dips below its lower end by more than "
+                          f"{_VALLEY_DEPTH}",
             "dedup_log": [
                 {"candidate": d.candidate_index, "survival": d.survival,
                  "accepted": d.accepted, "note": d.note}
@@ -162,10 +180,13 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     grad = -(yield "gradient", z)
 
     step = 1.0
+    flat = 0
     for _ in range(_MAX_LOCAL_ITERS):
         pg_norm = _projected_gradient_norm(z, grad, lo, hi)
         if pg_norm <= cfg.gradient_tol:
             return LocalMinimum(z, f, pg_norm, True, start_index)
+        if flat == _MAX_FLAT_STEPS:
+            return LocalMinimum(z, f, pg_norm, False, start_index)
 
         alpha = step
         accepted = False
@@ -180,10 +201,8 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
                 accepted = True
                 break
             alpha *= _BACKTRACK
-        if not accepted:
-            # Line search stalled: report the point with its current status.
-            return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol,
-                                start_index)
+        if not accepted:  # line search stalled
+            return LocalMinimum(z, f, pg_norm, False, start_index)
 
         grad_new = -(yield "gradient", z_new)
         s = z_new - z
@@ -192,6 +211,7 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
         sy = float(s @ y)
         step = float(s @ s) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
         step = min(max(step, 1e-12), 1e6)
+        flat = flat + 1 if f_new == f else 0
         z, f, grad = z_new, f_new, grad_new
 
     pg_norm = _projected_gradient_norm(z, grad, lo, hi)
@@ -264,23 +284,20 @@ def multistart_minimize(target: UnnormalizedTarget,
 
 
 def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:
-    """Covariance = inverse of the (regularized) Hessian, as L^-T L^-1."""
+    """The Gaussian at ``mode`` whose covariance is the inverse of the
+    (regularized) Hessian, from one Cholesky factorization.
+
+    With J the index reversal, ``J H J = M M^T`` makes ``H = U U^T`` with
+    ``U = J M J`` upper triangular, so the covariance ``U^-T U^-1`` has the
+    lower factor ``U^-T = J M^-T J``.
+    """
     try:
-        chol, _ = cholesky_spd(hess)
+        chol, _ = cholesky_spd(hess[::-1, ::-1])
     except SingularMatrixError as exc:
         raise DegenerateModeError(
             f"singular Hessian at mode {mode}", mode=mode
         ) from exc
-    inv = _inverse_lower(chol)
-    sigma = inv.T @ inv
-    sigma = 0.5 * (sigma + sigma.T)
-    try:
-        chol_sigma, _ = cholesky_spd(sigma)
-    except SingularMatrixError as exc:
-        raise DegenerateModeError(
-            f"non-positive covariance at mode {mode}", mode=mode
-        ) from exc
-    return GaussianComponent(mean=mode, chol_cov=chol_sigma)
+    return GaussianComponent(mean=mode, chol_cov=_inverse_lower(chol).T[::-1, ::-1])
 
 
 def _is_indefinite(hess: NDArray) -> bool:
@@ -290,9 +307,19 @@ def _is_indefinite(hess: NDArray) -> bool:
     return float(eigenvalues[0]) < -1e-8 * scale
 
 
+def _valley_between(target: UnnormalizedTarget, mean: NDArray, peak: float,
+                    cand: LocalMinimum) -> bool:
+    """Whether ``log phi`` on the segment from an accepted ``mean`` (where it
+    is ``peak``) to a candidate dips below both ends, by ``_VALLEY_DEPTH``."""
+    points = mean + _VALLEY_POINTS[:, np.newaxis] * (cand.location - mean)
+    lower_end = min(peak, -cand.objective)
+    return bool(eval_log_density_batch(target, points).min() < lower_end - _VALLEY_DEPTH)
+
+
 def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
                 ) -> tuple[list[GaussianComponent], list[DedupDecision]]:
-    """Reduce candidate minima to distinct modes by a greedy Mahalanobis test.
+    """Reduce candidate minima to distinct modes by a greedy Mahalanobis test
+    with a hill-valley check.
 
     Candidates must arrive sorted by objective ascending so the deepest
     modes anchor the accepted set. Each candidate is whitened against all
@@ -300,6 +327,10 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     distance is referred to a chi-square with ``dim`` degrees of freedom; a
     candidate typical under the nearest component (survival >= 0.01)
     is a duplicate, and one improbably far from all of them is a new mode.
+    In high dimension the chi-square rule calls far candidates typical, so
+    a typical one more than ``_VALLEY_GATE`` whitened units from the
+    nearest component is still a new mode when ``log phi`` dips between
+    them (Ursem, CEC 1999; Maree et al., GECCO 2018).
 
     Descent can legitimately stop on a saddle (any stationary start point
     converges in place), so distinct candidates whose Hessian shows
@@ -307,25 +338,31 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     the Laplace stage, whose contract requires a true minimum.
     """
     accepted: list[GaussianComponent] = []
+    peaks: list[float] = []  # log phi at each accepted mean
     decisions: list[DedupDecision] = []
     for idx, cand in enumerate(candidates):
-        survival = 0.0
+        survival, note = 0.0, ""
         if accepted:
             _, whitened = gaussian_log_pdfs(
                 np.array([c.mean for c in accepted]),
                 np.array([c._chol_inv for c in accepted]),
                 cand.location[np.newaxis])
-            nearest = float((whitened * whitened).sum(axis=1).min())
-            survival = chi_square_survival(nearest, target.dim)
+            dist2 = (whitened * whitened).sum(axis=1)[:, 0]
+            nearest = int(np.argmin(dist2))
+            survival = chi_square_survival(float(dist2[nearest]), target.dim)
         if survival >= _DEDUP_THRESHOLD:
-            decisions.append(DedupDecision(idx, survival, False, "duplicate"))
-            continue
+            if (dist2[nearest] <= _VALLEY_GATE ** 2 or not _valley_between(
+                    target, accepted[nearest].mean, peaks[nearest], cand)):
+                decisions.append(DedupDecision(idx, survival, False, "duplicate"))
+                continue
+            note = "valley"
         hess = eval_hessian(target, cand.location)
         if _is_indefinite(hess):
             decisions.append(DedupDecision(idx, survival, False, "saddle"))
             continue
         accepted.append(_component_from_hessian(cand.location, hess))
-        decisions.append(DedupDecision(idx, survival, True))
+        peaks.append(-cand.objective)
+        decisions.append(DedupDecision(idx, survival, True, note))
     return accepted, decisions
 
 

@@ -451,6 +451,35 @@ class TestRealConfigValues:
         assert not (out / "mixture.json").exists()
 
 
+class TestEverySectionChecked:
+    @pytest.mark.parametrize("command, doc, error, message", [
+        ("fit", {"target": {"name": "gauss2d"},
+                 "vi": {"step_size": "x", "max_epochs": 2.5}},
+         "ValueError", "step_size must be a finite real number"),
+        ("generate", {"gola": {"gradient_tol": "x"}},
+         "ValueError", "gradient_tol must be a finite real number"),
+        ("fit", {"target": {"name": "gauss2d"}, "factors": {"d": "x", "preset": "nope"}},
+         "ConfigError", "unknown factors preset 'nope'"),
+        ("refine", {"target": {"name": "gauss2d"}, "vi": {"step_size": "x"}},
+         "ValueError", "step_size must be a finite real number"),
+    ])
+    def test_unused_section_rejected_before_any_work(self, tmp_path, monkeypatch,
+                                                     command, doc, error, message):
+        # the README promises each key is checked even where the command
+        # does not use it; refine without --init would fit first
+        for name in ("run_gola", "generate_test_gmm"):
+            monkeypatch.setattr(cli, name,
+                                lambda *args, name=name: pytest.fail(f"{name} ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == error
+        assert message in err["message"]
+        assert [path.name for path in out.iterdir()] == ["error.json"]
+
+
 class TestGenerateCommand:
     def test_writes_valid_mixture(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -266,7 +266,9 @@ class TestEvalGradientBatch:
 
 
 def _hessian_stencil_size(d):
-    return 1 + 2 * d + 2 * d * (d - 1)
+    """Log-density points of a finite-difference Hessian: the gradient
+    stencil of each of the 2d rows of the point's own gradient stencil."""
+    return (2 * d) ** 2
 
 
 @st.composite
@@ -361,6 +363,35 @@ class TestEvalHessian:
             fd[:, i] = -(mix.gradient(zp) - mix.gradient(zm)) / (2 * h)
         fd = 0.5 * (fd + fd.T)
         np.testing.assert_allclose(hess, fd, rtol=1e-4, atol=1e-6)
+
+    def test_sinh_arcsinh_d15_matches_richardson_jacobian(self):
+        # the warm-start target: analytic gradient, no analytic Hessian
+        mix = random_sinh_arcsinh_mixture(15, 2, seed=42)
+        target = mix.as_target()
+
+        def jacobian(z, h):
+            return np.array([(mix.gradient(z + e) - mix.gradient(z - e)) / (2.0 * h)
+                             for e in h * np.eye(15)])
+
+        for z in (*mix.loc, *mix.sample(2, seed=1)):
+            # Richardson extrapolation cancels the h^2 term: error O(h^4)
+            ref = -(4.0 * jacobian(z, 5e-4) - jacobian(z, 1e-3)) / 3.0
+            ref = 0.5 * (ref + ref.T)
+            err = np.linalg.norm(eval_hessian(target, z) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-9
+
+    @pytest.mark.parametrize("field", ["gradient", "gradient_batch"])
+    def test_non_finite_analytic_gradient_names_its_stencil_row(self, field):
+        def gradient(z):
+            return np.where(z[..., :1] > 0.5, math.nan, -z)
+
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z), **{field: gradient})
+        z = np.array([0.5, 0.5])
+        with pytest.raises(DerivativeError) as err:
+            eval_hessian(target, z)
+        # the row z + h e_0, the only one past z[0] = 0.5
+        offsets = err.value.point - z
+        assert offsets[0] > 0.0 and offsets[1] == 0.0
 
 
 class TestMixtureLogPdf:

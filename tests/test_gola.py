@@ -23,6 +23,10 @@ from postmix.exceptions import (
 )
 from postmix.gola import (
     _DEDUP_THRESHOLD,
+    _MAX_FLAT_STEPS,
+    _VALLEY_DEPTH,
+    _VALLEY_GATE,
+    _VALLEY_POINTS,
     GolaConfig,
     LocalMinimum,
     _component_from_hessian,
@@ -35,7 +39,7 @@ from postmix.gola import (
 )
 from postmix.mathkit import chi_square_survival, sobol_points
 from postmix.metrics import jsd_normalized
-from postmix.sensibench import ProblemFactors, generate_test_gmm
+from postmix.sensibench import FactorSpec, ProblemFactors, generate_test_gmm
 
 
 def _box(dim, lo=-5.0, hi=5.0):
@@ -109,6 +113,28 @@ class TestLocalMinimize:
             search.send(eval_log_density(target, z))
         assert stop.value.value is None
         assert _descend(target, [2.0], GolaConfig()) is None
+
+    def test_start_at_the_rounding_floor_stops_after_the_flat_steps(self):
+        # f = 1e12 + 1e-6 z: each step lowers f by far less than half an ulp,
+        # so the Armijo test accepts steps that leave f bitwise equal while
+        # the gradient stays 100 times gradient_tol
+        gradient_calls = []
+
+        def gradient(z):
+            gradient_calls.append(z)
+            return np.array([-1e-6])
+
+        target = UnnormalizedTarget(
+            dim=1,
+            log_phi=lambda z: -(1e12 + 1e-6 * float(z[0])),
+            search_box=_box(1),
+            gradient=gradient,
+        )
+        result = _descend(target, [0.0], GolaConfig())
+        assert not result.converged
+        assert result.objective == 1e12
+        # the start's gradient, then one per accepted step
+        assert len(gradient_calls) == 1 + _MAX_FLAT_STEPS
 
     def test_methods_reach_a_minimum_from_far_start(self):
         # large early steps may hop basins; the descent must still land on
@@ -458,6 +484,21 @@ class TestLaplaceProperties:
             err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
             assert err <= rtol
 
+    @given(st.integers(1, 8), st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+    def test_covariance_is_the_inverse_hessian(self, d, log_cond, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        hess = (q * 10.0 ** rng.uniform(0.0, log_cond, d)) @ q.T
+        hess = 0.5 * (hess + hess.T)
+        comp = _component_from_hessian(np.zeros(d), hess)
+        inverse = np.linalg.inv(hess)
+        err = np.linalg.norm(comp.cov - inverse) / np.linalg.norm(inverse)
+        # d eps cond(H), times 4 for the roundings of a square root, a
+        # reciprocal and a square that bound it at d = 1 (cond 1)
+        assert err <= 4.0 * d * np.finfo(float).eps * np.linalg.cond(hess)
+        assert np.array_equal(np.tril(comp.chol_cov), comp.chol_cov)
+        assert np.all(np.diag(comp.chol_cov) > 0.0)
+
 
 @st.composite
 def _dedup_cases(draw):
@@ -535,20 +576,63 @@ class TestDedup:
     def test_survival_at_the_nearest_component(self, case):
         target, candidates = case
         comps, log = dedup_modes(candidates, target)
-        accepted = []
+        accepted, peaks = [], []
         for cand, decision in zip(candidates, log):
             # per-component triangular solves against the Cholesky factors
             # of the components accepted so far
-            reference = max(
-                (chi_square_survival(float(y @ y), target.dim) for y in (
-                    solve_triangular(c.chol_cov, cand.location - c.mean, lower=True)
-                    for c in accepted)),
-                default=0.0)
+            dist2 = [float(y @ y) for y in (
+                solve_triangular(c.chol_cov, cand.location - c.mean, lower=True)
+                for c in accepted)]
+            reference = max((chi_square_survival(v, target.dim) for v in dist2),
+                            default=0.0)
             np.testing.assert_allclose(decision.survival, reference, rtol=1e-12)
-            assert (decision.note == "duplicate") == (reference >= _DEDUP_THRESHOLD)
+            typical = reference >= _DEDUP_THRESHOLD
+            valley = False
+            if typical and min(dist2) > _VALLEY_GATE ** 2:
+                # log phi point by point on the segment from the nearest mean
+                j = int(np.argmin(dist2))
+                mean = accepted[j].mean
+                dip = min(eval_log_density(target, mean + t * (cand.location - mean))
+                          for t in _VALLEY_POINTS)
+                valley = dip < min(peaks[j], -cand.objective) - _VALLEY_DEPTH
+            assert (decision.note == "duplicate") == (typical and not valley)
+            assert (decision.note == "valley") == (valley and decision.accepted)
             if decision.accepted:
                 accepted.append(comps[len(accepted)])
+                peaks.append(-cand.objective)
         assert len(accepted) == len(comps)
+
+    def test_valley_keeps_a_chi_square_duplicate(self):
+        # two unit Gaussians 2.5 apart in d = 9: the chi-square rule calls
+        # the second mean typical under the first (survival 0.71), but
+        # log phi dips between them
+        d = 9
+        second = np.zeros(d)
+        second[0] = 2.5
+        _, target = _gaussian_mixture_target([np.zeros(d), second],
+                                             [np.eye(d), np.eye(d)], [0.5, 0.5])
+        locations = [np.zeros(d), second]
+        cands = self._minima(locations, [-eval_log_density(target, z) for z in locations])
+        comps, log = dedup_modes(cands, target)
+        assert log[1].survival >= _DEDUP_THRESHOLD
+        assert len(comps) == 2 and log[1].accepted and log[1].note == "valley"
+
+    def test_hard_case_2_of_seed_707_finds_every_mode(self):
+        # case 2 of acceptance criterion 3's hard table (d = 9, M = 3), seeded
+        # as robustness_study and evaluate_case seed it; the chi-square rule
+        # alone merged its three modes into one
+        spec = FactorSpec.hard()
+        case_seeds = np.random.SeedSequence(707).generate_state(2 * 40)
+        factors = spec.sample(np.random.default_rng(int(case_seeds[4])))
+        seeds = np.random.SeedSequence(int(case_seeds[5])).generate_state(4)
+        assert (factors.d, factors.n_components) == (9, 3)
+        truth = generate_test_gmm(factors, int(seeds[0]))
+        report = run_gola(truth.as_target(), GolaConfig(master_seed=int(seeds[2])))
+        assert report.mixture.n_components == 3
+        # overlap moves each mode slightly off its component's mean
+        fit = sorted(tuple(c.mean) for c in report.mixture.components)
+        true = sorted(tuple(c.mean) for c in truth.components)
+        np.testing.assert_allclose(fit, true, atol=1e-2)
 
 
 @st.composite
