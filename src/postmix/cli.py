@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from importlib import metadata
 from pathlib import Path
 from typing import Optional
 
@@ -379,6 +380,20 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
+def _versions() -> dict:
+    """Versions for the run manifest; scipy's only where it is installed.
+
+    Read from the installed metadata: importing scipy to ask it would cost a
+    tenth of a second, and the package does not otherwise use it.
+    """
+    versions = {"postmix": __version__, "numpy": np.__version__}
+    try:
+        versions["scipy"] = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        pass
+    return versions
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured command; returns the process exit status.
 
@@ -402,14 +417,10 @@ def run(cfg: RunConfig) -> int:
         started = time.perf_counter()
         artifacts = _RUNNERS[cfg.command](cfg, out)
         if out is not None:
-            import scipy
-
             manifest = {
                 "config": cfg.echo(),
                 "seed": cfg.seed,
-                "versions": {"postmix": __version__,
-                             "numpy": np.__version__,
-                             "scipy": scipy.__version__},
+                "versions": _versions(),
                 "wall_clock_seconds": time.perf_counter() - started,
                 "artifacts": artifacts,
             }

@@ -3,9 +3,9 @@
 Provides an SPD Cholesky factorization with an escalating jitter ladder,
 the Sobol low-discrepancy sequence, the closed-form chi-square survival
 function at integer degrees of freedom, and a nonnegative least-squares
-solver. (Matrix exponentials come from ``scipy.linalg.expm`` at their one
-call site, the shear-frame simulator.) Everything here is a pure function
-of its inputs.
+solver. (The matrix exponential lives with its one caller, the shear-frame
+simulator in ``exemplar``.) Everything here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations

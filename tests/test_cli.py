@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -638,6 +641,34 @@ class TestExemplarCommand:
         assert mixture.n_components >= 2
         push = (out / "pushforward.csv").read_text().strip().splitlines()
         assert push[0] == "time,floor,mean,lo95,hi95"
+
+    def test_manifest_records_scipy_without_importing_it(self, tmp_path):
+        # a fresh interpreter: this one has scipy loaded by the tests
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gola": {"n_starts": 16, "gradient_tol": 1e-5},
+                                   "exemplar": {"n_pushforward": 100}}))
+        out = tmp_path / "out"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "from postmix.cli import main",
+            f"assert main(['exemplar', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0",
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "assert loaded == [], f'loaded by the run: {loaded}'",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        versions = _read_json(out / "run_manifest.json")["versions"]
+        assert versions["scipy"] == metadata.version("scipy")
+
+    def test_manifest_omits_scipy_when_not_installed(self, monkeypatch):
+        def missing(name):
+            raise metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(cli.metadata, "version", missing)
+        assert set(cli._versions()) == {"postmix", "numpy"}
 
     def test_small_pushforward_rejected_before_any_artifact(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_gola", lambda *args: pytest.fail("the fit ran"))

@@ -38,18 +38,22 @@ def _mechanical_energy(frame, states):
     return kinetic + potential
 
 
-def test_scipy_linalg_loads_only_at_the_first_simulation():
-    # a fresh interpreter: this one has scipy.linalg loaded by the tests
+def test_simulation_and_likelihood_load_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by the tests
     src = str(Path(postmix.__file__).resolve().parents[1])
     code = "\n".join([
         "import sys",
         f"sys.path.insert(0, {src!r})",
         "import numpy as np",
         "import postmix, postmix.cli, postmix.exemplar",
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg loaded at import'",
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert loaded() == [], f'loaded at import: {loaded()}'",
         "frame = postmix.exemplar.ShearFrame(1.0, 1.0, 1.0, 1.0, 0.1, 0.1)",
         "postmix.exemplar.simulate(frame, [1.0, 0.0, 0.0, 0.0], [0.5, 1.0])",
-        "assert 'scipy.linalg' in sys.modules",
+        "target = postmix.exemplar.default_scenario().target()",
+        "values = target.log_phi_batch(np.array([[0.3, 0.2], [0.5, 0.5]]))",
+        "assert np.all(np.isfinite(values))",
+        "assert loaded() == [], f'loaded by a simulation: {loaded()}'",
     ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120)

@@ -1,16 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 from scipy.stats import qmc
 
 from postmix.exceptions import SingularMatrixError
-from postmix.exemplar import ShearFrame, matrix_exponential, simulate
+from postmix.exemplar import (
+    ShearFrame,
+    _expm_batch,
+    _state_matrices,
+    default_scenario,
+    simulate,
+)
 from postmix.mathkit import (
     SOBOL_MAX_DIM,
     chi_square_survival,
@@ -74,11 +82,21 @@ class TestCholeskySpd:
             cholesky_spd(-np.eye(2))
 
 
+def _random_stack(seed, m, n, log_scale):
+    """m random (n, n) matrices, each at its own scale within 10**log_scale."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-log_scale, log_scale, size=(m, 1, 1))
+    return scales * rng.standard_normal((m, n, n))
+
+
 class TestMatrixExponential:
     # mathkit has no exponential; these pin the one the frame simulator uses
     def test_zero_matrix(self):
-        np.testing.assert_allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3),
-                                   atol=1e-15)
+        np.testing.assert_array_equal(_expm_batch(np.zeros((3, 3))), np.eye(3))
+        stack = _random_stack(0, 5, 4, 1.0)
+        stack[[1, 3]] = 0.0
+        out = _expm_batch(stack)
+        np.testing.assert_array_equal(out[[1, 3]], np.broadcast_to(np.eye(4), (2, 4, 4)))
 
     def test_nonfinite_rejected(self):
         # the exponential itself returns NaN, so non-finite exponents are
@@ -89,6 +107,53 @@ class TestMatrixExponential:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 simulate(frame, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5, bad]))
+
+    def test_matches_scipy_on_the_damping_box(self):
+        # the exemplar's step dt = 5 on a fine grid, and every per-time
+        # exponent up to the horizon on a coarser one
+        scenario = default_scenario()
+        (lo1, hi1), (lo2, hi2) = scenario.search_box
+
+        def states(n):
+            c1, c2 = np.meshgrid(np.linspace(lo1, hi1, n), np.linspace(lo2, hi2, n))
+            return _state_matrices(np.column_stack([c1.ravel(), c2.ravel()]),
+                                   scenario.constants())
+
+        dt = scenario.horizon / scenario.n_obs
+        times = np.linspace(0.0, scenario.horizon, 61)[1:]
+        exponents = np.concatenate([dt * states(64),
+                                    (states(12)[:, None] * times[:, None, None]).reshape(-1, 4, 4)])
+        ours, ref = _expm_batch(exponents), scipy.linalg.expm(exponents)
+        err = np.linalg.norm(ours - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert err.max() <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.floats(0.0, 3.0))
+    def test_row_equals_a_stack_of_one(self, seed, m, n, log_scale):
+        stack = _random_stack(seed, m, n, log_scale)
+        out = _expm_batch(stack)
+        for i in range(m):
+            np.testing.assert_array_equal(out[i], _expm_batch(stack[i:i + 1])[0])
+
+    def test_nonfinite_row_is_nan_and_leaves_the_others(self):
+        stack = _random_stack(1, 4, 4, 1.0)
+        expected = _expm_batch(stack)
+        for bad in (np.inf, -np.inf, np.nan):
+            poisoned = stack.copy()
+            poisoned[2, 1, 3] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = _expm_batch(poisoned)
+            assert np.all(np.isnan(out[2]))
+            np.testing.assert_array_equal(np.delete(out, 2, axis=0),
+                                          np.delete(expected, 2, axis=0))
+
+    def test_matrix_in_matrix_out(self):
+        a = _random_stack(2, 1, 4, 1.0)
+        out = _expm_batch(a[0])
+        assert out.shape == (4, 4)
+        np.testing.assert_array_equal(out, _expm_batch(a)[0])
 
 
 def _star_discrepancy_estimate(points, grid=24):
