@@ -135,6 +135,9 @@ def parse_config(path: Optional[str] = None,
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config {path}: line {exc.lineno}: {exc.msg}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must be a JSON object, "
+                              f"got {type(doc).__name__}")
     _reject_unknown(doc, _TOP_KEYS, "config")
     for section, allowed in (("target", _TARGET_KEYS), ("gola", _GOLA_KEYS),
                              ("vi", _VI_KEYS), ("factors", _FACTOR_KEYS),

@@ -282,8 +282,7 @@ class GaussianComponent:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         chol = np.asarray(self.chol_cov, dtype=float)
-        d = mean.shape[0]
-        if mean.ndim != 1 or chol.shape != (d, d):
+        if mean.ndim != 1 or chol.shape != (mean.size, mean.size):
             raise ValueError(f"inconsistent shapes: mean {mean.shape}, chol {chol.shape}")
         if np.any(np.triu(chol, 1) != 0.0):
             raise ValueError("chol_cov must be lower triangular")
@@ -455,19 +454,27 @@ def mixture_to_dict(m: MixtureModel) -> dict:
 
 
 def mixture_from_dict(doc: dict) -> MixtureModel:
-    """Inverse of :func:`mixture_to_dict`."""
-    d = int(doc["dim"])
+    """Inverse of :func:`mixture_to_dict`; a malformed document raises ``ValueError``."""
+    try:
+        d = int(doc["dim"])
+        entries = [(np.asarray(entry["mean"], float),
+                    list(entry["chol_cov_rowmajor_lower"]))
+                   for entry in doc["components"]]
+        weights = np.asarray(doc["weights"], float)
+    except KeyError as exc:
+        raise ValueError(f"mixture JSON has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed mixture JSON: {exc}") from None
     comps = []
-    for entry in doc["components"]:
-        packed = entry["chol_cov_rowmajor_lower"]
+    for mean, packed in entries:
         if len(packed) != d * (d + 1) // 2:
             raise ValueError(
                 f"packed Cholesky length {len(packed)} does not match dim {d}"
             )
         chol = np.zeros((d, d))
         chol[np.tril_indices(d)] = packed
-        comps.append(GaussianComponent(np.asarray(entry["mean"], float), chol))
-    return MixtureModel(tuple(comps), np.asarray(doc["weights"], float))
+        comps.append(GaussianComponent(mean, chol))
+    return MixtureModel(tuple(comps), weights)
 
 
 class SinhArcsinhMixture:

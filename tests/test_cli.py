@@ -96,6 +96,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line"):
             parse_config(str(path), {"command": "fit"})
 
+    @pytest.mark.parametrize("doc", [[], 3, None, "fit"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            parse_config(str(path), {"command": "fit"})
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="unknown command"):
             parse_config(None, {"command": "fitt"})
@@ -262,6 +271,48 @@ class TestEvalCommand:
                      "--q", str(DATA / "mixture_q.json"), "--n", "1"])
         assert code == 1
         assert "n must be at least 2" in capsys.readouterr().err
+
+
+_GOOD_MIXTURE = {"dim": 1, "weights": [1.0],
+                 "components": [{"mean": [0.0], "chol_cov_rowmajor_lower": [1.0]}]}
+
+
+def _without(key):
+    doc = json.loads(json.dumps(_GOOD_MIXTURE))
+    if key in doc:
+        del doc[key]
+    else:
+        del doc["components"][0][key]
+    return doc
+
+
+class TestMalformedMixtureJson:
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param(_without(key), repr(key), id=f"no-{key}")
+        for key in ("components", "weights", "dim", "chol_cov_rowmajor_lower", "mean")
+    ] + [
+        pytest.param({**_GOOD_MIXTURE,
+                      "components": [{"mean": 0.0, "chol_cov_rowmajor_lower": [1.0]}]},
+                     "inconsistent shapes", id="scalar-mean"),
+        pytest.param({**_GOOD_MIXTURE, "dim": None}, "malformed", id="null-dim"),
+        pytest.param({**_GOOD_MIXTURE, "components": 5}, "malformed",
+                     id="scalar-components"),
+        pytest.param({**_GOOD_MIXTURE,
+                      "components": [{"mean": [0.0], "chol_cov_rowmajor_lower": 1.0}]},
+                     "malformed", id="scalar-cholesky"),
+        pytest.param([], "malformed", id="list-document"),
+    ])
+    def test_error_json_names_the_fault(self, tmp_path, command, doc, message):
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps(doc))
+        inputs = (["--mixture-json", str(path)] if command == "fit"
+                  else ["--p", str(path), "--q", str(path)])
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
 
 
 class TestRefineCommand:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from postmix import sensibench
 from postmix.density import MixtureModel
@@ -75,6 +77,22 @@ class TestGenerateTestGmm:
             generate_test_gmm(line, seed=0)
         pair = generate_test_gmm(dataclasses.replace(line, n_components=2), seed=0)
         assert max(_pairwise_overlaps(pair)) == pytest.approx(1e-3, rel=0.01)
+
+    @given(d=st.integers(2, 10), m=st.integers(2, 4),
+           c=st.floats(0.0, 0.7), lam=st.floats(1e-4, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_largest_overlap_is_exactly_lambda(self, d, m, c, lam, seed):
+        factors = ProblemFactors(d=d, n_components=m, weight_decay=1.5,
+                                 correlation=c, max_overlap=lam)
+        mix = generate_test_gmm(factors, seed)
+        assert max(_pairwise_overlaps(mix)) == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_overlap_outside_unit_interval_raises(self, lam):
+        factors = ProblemFactors(d=3, n_components=2, weight_decay=1.0,
+                                 correlation=0.0, max_overlap=lam)
+        with pytest.raises(GenerationError, match=rf"lambda .*got {lam!r}$"):
+            generate_test_gmm(factors, seed=0)
 
     def test_deterministic_per_seed(self):
         factors = ProblemFactors(d=3, n_components=3, weight_decay=1.2,
@@ -269,16 +287,22 @@ class TestRobustnessStudy:
         assert lines[0] == "case,d,M,omega,c,lambda,Y,status"
         assert len(lines) == 4
 
-    def test_failures_scored_worst(self):
-        # impossible overlap target: generation fails, case scores 1
-        spec = FactorSpec(d_range=(2, 2), m_range=(2, 2),
-                          omega_range=(1.0, 1.0), corr_range=(0.0, 0.0),
-                          overlap_range=(0.97, 0.98))
+    def test_failures_scored_worst(self, monkeypatch):
+        # three means on a line: generation fails, once per case, and the
+        # case scores 1
+        calls = []
+
+        def counted(factors, seed):
+            calls.append(seed)
+            return generate_test_gmm(factors, seed)
+
+        monkeypatch.setattr(sensibench, "generate_test_gmm", counted)
+        spec = FactorSpec(d_range=(1, 1), m_range=(3, 3))
         cfg = GolaConfig(n_starts=8, master_seed=0)
         table = robustness_study(spec, 2, cfg, jsd_samples=512, seed=9)
-        for case in table.cases:
-            if case.status != "ok":
-                assert case.score == 1.0
+        assert [(c.status, c.score) for c in table.cases] == [
+            ("GenerationError", 1.0)] * 2
+        assert len(calls) == 2
 
     def test_one_jsd_sample_rejected_before_any_case(self, monkeypatch):
         def evaluated(*args):
