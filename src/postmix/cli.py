@@ -229,11 +229,8 @@ def _build_target(cfg: RunConfig):
         )
         return MixtureModel((comp,), np.ones(1)).as_target()
     if name == "sinh":
-        dim, n_components = spec.get("dim", 15), spec.get("n_components", 2)
-        if min(dim, n_components) < 1:
-            raise ValueError("target.dim and target.n_components must be at least 1, "
-                             f"got {dim} and {n_components}")
-        return random_sinh_arcsinh_mixture(dim, n_components, cfg.seed).as_target()
+        return random_sinh_arcsinh_mixture(spec.get("dim", 15), spec.get("n_components", 2),
+                                           cfg.seed).as_target()
     raise ConfigError(
         "target requires either mixture_json or a built-in name "
         "('gauss2d' or 'sinh')"
@@ -413,7 +410,7 @@ def run(cfg: RunConfig) -> int:
             out.mkdir(parents=True, exist_ok=True)
         # bootstrap_ci's and pushforward's floors, before any fit is spent
         check_fields(vars(cfg), RunConfig.__annotations__, replicates=MIN_REPLICATES)
-        check_fields(cfg.target, _TARGET_KEYS, "target.")
+        check_fields(cfg.target, _TARGET_KEYS, "target.", dim=1, n_components=1)
         check_fields(cfg.exemplar, _EXEMPLAR_KEYS, "exemplar.", n_pushforward=MIN_PUSHFORWARD)
         for build in (_gola_config, _vi_config, _factor_spec):
             build(cfg)  # each section, also where the command does not use it

@@ -7,6 +7,7 @@ explicit seed and owns a private generator per call.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -284,6 +285,8 @@ class GaussianComponent:
         chol = np.asarray(self.chol_cov, dtype=float)
         if mean.ndim != 1 or chol.shape != (mean.size, mean.size):
             raise ValueError(f"inconsistent shapes: mean {mean.shape}, chol {chol.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(chol))):
+            raise ValueError("mean and chol_cov must be finite (no NaN or infinity)")
         if np.any(np.triu(chol, 1) != 0.0):
             raise ValueError("chol_cov must be lower triangular")
         if np.any(np.diag(chol) <= 0.0):
@@ -323,8 +326,8 @@ class MixtureModel:
             raise ValueError(
                 f"{len(comps)} components but {weights.shape} weights"
             )
-        if np.any(weights < 0.0) or np.any(weights > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
+        if not np.all((weights >= 0.0) & (weights <= 1.0)):  # NaN fails too
+            raise ValueError(f"weights must lie in [0, 1], got {weights.tolist()}")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {np.sum(weights)!r}")
         dims = {c.dim for c in comps}
@@ -390,7 +393,7 @@ def mixture_log_pdf_gradient(m: MixtureModel, z: NDArray) -> NDArray[np.float64]
     """Analytic gradient of the mixture log-density at one point (d,) or a
     batch (n, d): the responsibility-weighted score vectors."""
     pts, single = _as_points(z, m.dim)
-    resp, scores = _responsibilities_and_grads(m, pts)
+    _, resp, _, scores = mixture_terms(m._means, m._chol_invs, m._log_weights, pts)
     # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
     grads = (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
     return grads[0] if single else grads
@@ -399,7 +402,7 @@ def mixture_log_pdf_gradient(m: MixtureModel, z: NDArray) -> NDArray[np.float64]
 def mixture_log_pdf_hessian(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
     """Analytic Hessian of the mixture log-density at a single point."""
     pts, _ = _as_points(z, m.dim)
-    resp, grads = _responsibilities_and_grads(m, pts)
+    _, resp, _, grads = mixture_terms(m._means, m._chol_invs, m._log_weights, pts)
     resp, grads = resp[0], grads[0]
     precisions = m._chol_invs.transpose(0, 2, 1) @ m._chol_invs
     mean_grad = grads.T @ resp
@@ -407,14 +410,17 @@ def mixture_log_pdf_hessian(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
     return total - np.outer(mean_grad, mean_grad)
 
 
-def _responsibilities_and_grads(m: MixtureModel, pts: NDArray):
-    """Posterior component responsibilities at (n, d) points, shape (n, K),
-    and the per-component score vectors ``-L_k^-T L_k^-1 (z - mu_k)``,
-    shape (n, K, d)."""
-    log_n, whitened = gaussian_log_pdfs(m._means, m._chol_invs, pts)
-    _, resp = log_sum_exp(log_n + m._log_weights)
-    scores = -(m._chol_invs.transpose(0, 2, 1) @ whitened)
-    return resp, scores.transpose(2, 0, 1)
+def mixture_terms(means: NDArray, chol_invs: NDArray, log_weights: NDArray,
+                  pts: NDArray):
+    """A Gaussian mixture's log-density ``log_q`` (n,), responsibilities
+    (n, K), whitened residuals ``L_k^-1 (z - mu_k)`` (K, d, n) and scores
+    ``-L_k^-T L_k^-1 (z - mu_k)`` (n, K, d) at (n, d) points, from (K, d)
+    means, inverse Cholesky factors and normalized log-weights (K,): the
+    gradient, the Hessian and the VI estimator are all built on them."""
+    log_n, whitened = gaussian_log_pdfs(means, chol_invs, pts)
+    log_q, resp = log_sum_exp(log_n + log_weights)
+    scores = -(chol_invs.transpose(0, 2, 1) @ whitened)
+    return log_q, resp, whitened, scores.transpose(2, 0, 1)
 
 
 def mixture_sample(m: MixtureModel, n: int, seed: int) -> NDArray[np.float64]:
@@ -451,6 +457,19 @@ def mixture_to_dict(m: MixtureModel) -> dict:
     comps = [{"mean": list(c.mean), "chol_cov_rowmajor_lower": list(c.chol_cov[lower])}
              for c in m.components]
     return {"dim": m.dim, "weights": list(m.weights), "components": comps}
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of raw values as CSV: a float (numpy's
+    included) as ``repr(float(v))``, None as an empty field, and ints and
+    strings as they are."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(
+            ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating))
+             else v for v in row]
+            for row in rows)
 
 
 def mixture_from_dict(doc: dict) -> MixtureModel:

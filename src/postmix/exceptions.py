@@ -99,5 +99,9 @@ class WeightUnderflowError(PostmixError):
     """Every density evaluation in the weight solve underflowed to zero."""
 
 
+class EvidenceOverflowError(PostmixError):
+    """The evidence, the sum of the unnormalized weights, overflows a double."""
+
+
 class GenerationError(PostmixError):
     """A synthetic test posterior could not be constructed as requested."""

@@ -12,14 +12,13 @@ pushed forward to displacement trajectories.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import MixtureModel, UnnormalizedTarget
+from .density import MixtureModel, UnnormalizedTarget, _write_csv
 
 # The fewest posterior samples a pushforward summarizes.
 MIN_PUSHFORWARD = 100
@@ -204,11 +203,7 @@ class ObservationSet:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "y"])
-            for t, y in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(y))])
+        _write_csv(path, ["t", "y"], zip(self.times, self.values))
 
     def sidecar_dict(self, frame: ShearFrame) -> dict:
         return {
@@ -283,17 +278,10 @@ class PushforwardSummary:
     high_rejection_warning: bool
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time", "floor", "mean", "lo95", "hi95"])
-            for floor in (0, 1):
-                for i, t in enumerate(self.times):
-                    writer.writerow([
-                        repr(float(t)), floor + 1,
-                        repr(float(self.mean[floor, i])),
-                        repr(float(self.lo95[floor, i])),
-                        repr(float(self.hi95[floor, i])),
-                    ])
+        _write_csv(path, ["time", "floor", "mean", "lo95", "hi95"],
+                   ([t, floor + 1, self.mean[floor, i], self.lo95[floor, i],
+                     self.hi95[floor, i]]
+                    for floor in (0, 1) for i, t in enumerate(self.times)))
 
 
 def pushforward(posterior: MixtureModel, constants: tuple, u0: NDArray,

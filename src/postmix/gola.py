@@ -32,6 +32,7 @@ from .density import (
 )
 from .exceptions import (
     DegenerateModeError,
+    EvidenceOverflowError,
     NoModesFoundError,
     SingularMatrixError,
     WeightUnderflowError,
@@ -382,7 +383,8 @@ def solve_weights(target: UnnormalizedTarget,
     pi_tilde : ndarray, shape (K,)
         Unnormalized weights; their sum estimates the integral of phi.
     rms_residual : float
-        Root-mean-square fit residual, in units of max(phi) = 1.
+        Root-mean-square fit residual, in units of max(phi) = 1. A sum of
+        the weights past the largest double raises ``EvidenceOverflowError``.
     """
     k = len(components)
     if k < 1:
@@ -402,7 +404,13 @@ def solve_weights(target: UnnormalizedTarget,
     y = np.exp(log_phi - offset)
     design = np.exp(gaussian_log_pdfs(sampler._means, sampler._chol_invs, points)[0])
     x, rnorm = nnls(design, y)
-    pi_tilde = np.where(x > 0.0, np.exp(np.log(np.where(x > 0.0, x, 1.0)) + offset), 0.0)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        pi_tilde = np.where(x > 0.0, np.exp(np.log(np.where(x > 0.0, x, 1.0)) + offset), 0.0)
+        evidence = np.sum(pi_tilde)
+    if evidence == np.inf:
+        raise EvidenceOverflowError(f"the evidence overflows a double: log phi peaks at "
+                                    f"{offset!r} at the weight samples; subtract a "
+                                    "constant from log phi")
     return pi_tilde, rnorm / np.sqrt(n)
 
 

@@ -5,7 +5,6 @@ scoring pipeline accuracy over an ensemble of generated test problems.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -13,7 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import GaussianComponent, MixtureModel, _inverse_lower
+from .density import GaussianComponent, MixtureModel, _inverse_lower, _write_csv
 from .exceptions import GenerationError, PostmixError, check_integer
 from .gola import GolaConfig, run_gola
 from .mathkit import sobol_points
@@ -263,16 +262,13 @@ class SensitivityResult:
     skipped_replicates: int = 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["factor", "S", "S_lo", "S_hi", "ST", "ST_lo", "ST_hi"])
-            for i, name in enumerate(self.factor_names):
-                s_lo = repr(float(self.first_ci[i, 0])) if self.first_ci is not None else ""
-                s_hi = repr(float(self.first_ci[i, 1])) if self.first_ci is not None else ""
-                t_lo = repr(float(self.total_ci[i, 0])) if self.total_ci is not None else ""
-                t_hi = repr(float(self.total_ci[i, 1])) if self.total_ci is not None else ""
-                writer.writerow([name, repr(float(self.first_order[i])), s_lo, s_hi,
-                                 repr(float(self.total_order[i])), t_lo, t_hi])
+        no_ci = [(None, None)] * len(self.factor_names)
+        first_ci = no_ci if self.first_ci is None else self.first_ci
+        total_ci = no_ci if self.total_ci is None else self.total_ci
+        _write_csv(path, ["factor", "S", "S_lo", "S_hi", "ST", "ST_lo", "ST_hi"],
+                   ([name, self.first_order[i], *first_ci[i],
+                     self.total_order[i], *total_ci[i]]
+                    for i, name in enumerate(self.factor_names)))
 
 
 def _indices_from_outputs(f_a: NDArray, f_b: NDArray, f_ab: NDArray):
@@ -370,16 +366,10 @@ class RobustnessTable:
         return float(np.mean([c.score for c in self.cases]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["case", "d", "M", "omega", "c", "lambda", "Y", "status"])
-            for case in self.cases:
-                f = case.factors
-                writer.writerow([
-                    case.index, f.d, f.n_components, repr(f.weight_decay),
-                    repr(f.correlation), repr(f.max_overlap),
-                    repr(case.score), case.status,
-                ])
+        _write_csv(path, ["case", "d", "M", "omega", "c", "lambda", "Y", "status"],
+                   ([c.index, c.factors.d, c.factors.n_components, c.factors.weight_decay,
+                     c.factors.correlation, c.factors.max_overlap, c.score, c.status]
+                    for c in self.cases))
 
 
 def evaluate_case(factors: ProblemFactors, gola_cfg: GolaConfig,

@@ -9,7 +9,6 @@ baseline.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,10 +22,11 @@ from .density import (
     MixtureModel,
     UnnormalizedTarget,
     _inverse_lower,
+    _write_csv,
     draw_mixture,
     eval_log_density_batch,
-    gaussian_log_pdfs,
     log_sum_exp,
+    mixture_terms,
 )
 from .exceptions import check_fields
 
@@ -62,6 +62,9 @@ class VariationalParams:
 
     def weights(self) -> NDArray[np.float64]:
         return log_sum_exp(self.logits[np.newaxis])[1][0]
+
+    def log_weights(self) -> NDArray[np.float64]:
+        return self.logits - log_sum_exp(self.logits[np.newaxis])[0]
 
     def chol_factors(self) -> NDArray[np.float64]:
         chol = np.tril(self.chol_params, -1)
@@ -108,22 +111,6 @@ def _unpack(vec: NDArray, k: int, d: int) -> VariationalParams:
     return VariationalParams(logits.copy(), means.copy(), chol.copy())
 
 
-def _mixture_internals(params: VariationalParams, chol: NDArray, points: NDArray):
-    """Responsibilities and whitened/precision-weighted residuals.
-
-    ``chol`` is ``params.chol_factors()``, inverted here in one stacked
-    call. Returns ``log_q`` (n,), ``resp`` (n, K), and per-component arrays
-    ``v[k] = L_k^-1 (z - mu_k)`` and ``w[k] = Sigma_k^-1 (z - mu_k)``,
-    each of shape (d, n).
-    """
-    chol_inv = _inverse_lower(chol)
-    log_n, v_all = gaussian_log_pdfs(params.means, chol_inv, points)
-    log_w = params.logits - log_sum_exp(params.logits[np.newaxis])[0]
-    log_q, resp = log_sum_exp(log_n + log_w)
-    w_all = chol_inv.transpose(0, 2, 1) @ v_all
-    return log_q, resp, v_all, w_all
-
-
 def _f_values(target: UnnormalizedTarget, points: NDArray, log_q: NDArray):
     """Per-sample integrand f = log q - log phi with finite penalties."""
     log_phi = eval_log_density_batch(target, points)
@@ -140,25 +127,23 @@ def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
     # the draws of mixture_sample(to_mixture(params), n, seed), bit for bit,
     # without validating and inverting K components every epoch
     chol = params.chol_factors()
-    points = draw_mixture(params.weights(), params.means, chol, n, seed)
-    log_q, resp, v_all, w_all = _mixture_internals(params, chol, points)
+    pi = params.weights()
+    points = draw_mixture(pi, params.means, chol, n, seed)
+    log_q, resp, v, scores = mixture_terms(params.means, _inverse_lower(chol),
+                                           params.log_weights(), points)
     f, violations = _f_values(target, points, log_q)
     coeff = (n * f - np.sum(f)) / (n - 1)
 
-    k, d = params.means.shape
-    pi = params.weights()
+    # per component k: s_k = coeff * resp_k, Sigma_k^-1 (z - mu_k) = w_k
     g_logits = np.mean(coeff[:, None] * (resp - pi), axis=0)
-    g_means = np.empty((k, d))
-    g_chol = np.zeros((k, d, d))
-    inv_diag = 1.0 / np.einsum("kii->ki", chol)
-    for i in range(k):
-        s = coeff * resp[:, i]
-        g_means[i] = (w_all[i] @ s) / n
-        g_l = (w_all[i] * s) @ v_all[i].T / n
-        g_l -= np.mean(s) * np.diag(inv_diag[i])
-        g_l = np.tril(g_l)
-        g_l[np.arange(d), np.arange(d)] *= np.diag(chol[i])
-        g_chol[i] = g_l
+    w = -scores.transpose(1, 2, 0)
+    s = (coeff * resp.T)[:, np.newaxis, :]
+    g_means = (w @ s.transpose(0, 2, 1))[:, :, 0] / n
+    g_chol = np.tril((w * s) @ v.transpose(0, 2, 1) / n)
+    idx = np.arange(params.dim)
+    diag = chol[:, idx, idx]
+    g_chol[:, idx, idx] -= s.mean(axis=2) * (1.0 / diag)
+    g_chol[:, idx, idx] *= diag
     grad = VariationalParams(g_logits, g_means, g_chol)
     return grad, float(np.mean(f)), violations
 
@@ -216,13 +201,8 @@ class ViTrace:
     best_epoch: int = 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "elapsed_seconds", "neg_elbo", "jsd"])
-            for r in self.records:
-                jsd = "" if r.jsd is None else repr(r.jsd)
-                writer.writerow([r.epoch, repr(r.elapsed_seconds),
-                                 repr(r.neg_elbo), jsd])
+        _write_csv(path, ["epoch", "elapsed_seconds", "neg_elbo", "jsd"],
+                   ([r.epoch, r.elapsed_seconds, r.neg_elbo, r.jsd] for r in self.records))
 
 
 def refine(init: MixtureModel, target: UnnormalizedTarget, cfg: ViConfig,

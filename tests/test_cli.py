@@ -302,6 +302,16 @@ class TestMalformedMixtureJson:
                       "components": [{"mean": [0.0], "chol_cov_rowmajor_lower": 1.0}]},
                      "malformed", id="scalar-cholesky"),
         pytest.param([], "malformed", id="list-document"),
+        # JSON's NaN and Infinity literals used to become a NaN result, exit 0
+        pytest.param({**_GOOD_MIXTURE,
+                      "components": [{"mean": [math.nan], "chol_cov_rowmajor_lower": [1.0]}]},
+                     "must be finite", id="nan-mean"),
+        pytest.param({**_GOOD_MIXTURE,
+                      "components": [{"mean": [0.0], "chol_cov_rowmajor_lower": [math.inf]}]},
+                     "must be finite", id="infinite-cholesky"),
+        pytest.param({"dim": 1, "weights": [math.nan, 1.0],
+                      "components": 2 * _GOOD_MIXTURE["components"]},
+                     "weights must lie in [0, 1]", id="nan-weight"),
     ])
     def test_error_json_names_the_fault(self, tmp_path, command, doc, message):
         path = tmp_path / "mixture.json"
@@ -406,6 +416,15 @@ class TestTargetCounts:
         assert err["error"] == "ValueError"
         assert f"target.{key}" in err["message"]
         assert "at least 1" in err["message"]
+
+    def test_floor_checked_where_the_target_ignores_it(self, tmp_path):
+        # gauss2d has a fixed dimension, but the section is still checked
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": {"name": "gauss2d", "dim": 0}}))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        err = _read_json(out / "error.json")
+        assert err["message"] == "target.dim must be at least 1, got 0"
 
 
 class TestPathConfigValues:

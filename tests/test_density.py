@@ -17,7 +17,6 @@ from postmix.density import (
     SinhArcsinhMixture,
     UnnormalizedTarget,
     _inverse_lower,
-    _responsibilities_and_grads,
     draw_mixture,
     eval_gradient,
     eval_hessian,
@@ -31,6 +30,7 @@ from postmix.density import (
     mixture_log_pdf_gradient,
     mixture_log_pdf_hessian,
     mixture_sample,
+    mixture_terms,
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
 )
@@ -490,6 +490,18 @@ class TestMixtureLogPdf:
                                    np.sum(ref ** 2, axis=0), rtol=1e-12)
 
 
+def _terms(mixture, points):
+    """:func:`mixture_terms` on a mixture's cached stacks, as its gradient
+    and Hessian call it."""
+    return mixture_terms(mixture._means, mixture._chol_invs, mixture._log_weights, points)
+
+
+def _vi_terms(params, points):
+    """:func:`mixture_terms` on VI parameters, as the estimator calls it."""
+    return mixture_terms(params.means, _inverse_lower(params.chol_factors()),
+                         params.log_weights(), points)
+
+
 @st.composite
 def _mixtures(draw):
     """Random mixtures in d = 1..10 with K = 1..5, sometimes with a zero weight."""
@@ -599,7 +611,7 @@ class TestMixtureKernelProperties:
         # logits are defined up to a constant; shift them off the normalized ones
         params = vi.from_mixture(mixture)
         params = dataclasses.replace(params, logits=params.logits + 3.0)
-        log_q = vi._mixture_internals(params, params.chol_factors(), points)[0]
+        log_q = _vi_terms(params, points)[0]
         np.testing.assert_allclose(log_q, vi.to_mixture(params).log_pdf(points),
                                    rtol=1e-13, atol=1e-13)
 
@@ -608,12 +620,12 @@ class TestMixtureKernelProperties:
         mixture, points = case
         per_point = np.array([mixture_log_pdf_gradient(mixture, z) for z in points])
         # an entry that cancels to near zero keeps the largest score's rounding
-        scale = np.abs(_responsibilities_and_grads(mixture, points)[1]).max()
+        scale = np.abs(_terms(mixture, points)[3]).max()
         np.testing.assert_allclose(mixture_log_pdf_gradient(mixture, points), per_point,
                                    rtol=1e-13, atol=1e-13 * scale)
         for z, grad in zip(points, per_point):
             # one point takes the single (d, K) @ (K,) contraction, bit for bit
-            resp, scores = _responsibilities_and_grads(mixture, z[np.newaxis])
+            _, resp, _, scores = _terms(mixture, z[np.newaxis])
             assert np.array_equal(grad, scores[0].T @ resp[0])
         target = mixture.as_target()
         assert target.gradient_batch is not None
@@ -634,9 +646,9 @@ class TestMixtureKernelProperties:
     def test_responsibilities_sum_to_one(self, case):
         mixture, points = case
         params = vi.from_mixture(mixture)
-        resp = vi._mixture_internals(params, params.chol_factors(), points)[1]
+        resp = _vi_terms(params, points)[1]
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-14)
-        resp, scores = _responsibilities_and_grads(mixture, points)
+        _, resp, _, scores = _terms(mixture, points)
         assert scores.shape == (len(points), np.count_nonzero(mixture.weights), mixture.dim)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-14)
 
@@ -725,6 +737,23 @@ class TestValidation:
             GaussianComponent(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             GaussianComponent(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_or_factor_rejected(self, bad):
+        # every ordering test is False for NaN, so only a finiteness check sees it
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent(np.array([0.0, bad]), np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent(np.zeros(2), np.array([[1.0, 0.0], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent(np.zeros(2), np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.nan, math.nan],
+                                         [1.0, math.nan]])
+    def test_nan_weight_rejected(self, weights):
+        comp = GaussianComponent(np.zeros(1), np.eye(1))
+        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+            MixtureModel((comp, comp), np.array(weights))
 
     def test_singular_factor_has_no_inverse(self):
         with pytest.raises(np.linalg.LinAlgError):

@@ -17,6 +17,7 @@ from postmix.density import (
     mixture_sample,
 )
 from postmix.exceptions import (
+    EvidenceOverflowError,
     NoModesFoundError,
     NonFiniteDensityError,
     WeightUnderflowError,
@@ -738,6 +739,14 @@ class TestSolveWeights:
 
 
 class TestRunGola:
+    def test_evidence_overflow_raises(self):
+        # phi peaks at e^800: the weights overflowed to inf and normalized to NaN
+        target = UnnormalizedTarget(dim=2, log_phi=lambda z: -0.5 * z @ z + 800.0,
+                                    search_box=[[-5, 5], [-5, 4]], gradient=lambda z: -z)
+        with pytest.raises(EvidenceOverflowError,
+                           match=r"log phi peaks at 799\.9.*subtract a constant"):
+            run_gola(target, GolaConfig(n_starts=8, master_seed=0))
+
     def test_unimodal_exact_recovery_and_evidence(self):
         mean = np.array([1.0, -0.5])
         cov = np.array([[1.5, 0.4], [0.4, 0.8]])

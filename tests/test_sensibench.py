@@ -265,6 +265,18 @@ class TestBootstrap:
         assert lines[0] == "factor,S,S_lo,S_hi,ST,ST_lo,ST_hi"
         assert len(lines) == 3
 
+    def test_csv_without_intervals(self, tmp_path):
+        # a missing interval is an empty field; a numpy float is written as
+        # a plain float, never as "np.float64(...)"
+        result = sensibench.SensitivityResult(("x1", "x2"), np.array([0.25, 0.1]),
+                                              np.array([0.5, np.float64(1) / 3]),
+                                              total_ci=np.array([[0.4, 0.6], [0.2, 0.5]]))
+        path = tmp_path / "sens.csv"
+        result.to_csv(path)
+        assert path.read_bytes() == (b"factor,S,S_lo,S_hi,ST,ST_lo,ST_hi\r\n"
+                                     b"x1,0.25,,,0.5,0.4,0.6\r\n"
+                                     b"x2,0.1,,,0.3333333333333333,0.2,0.5\r\n")
+
 
 class TestRobustnessStudy:
     def test_easy_regime_all_pass(self):

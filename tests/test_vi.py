@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from postmix.density import (
     GaussianComponent,
     MixtureModel,
     SinhArcsinhMixture,
     UnnormalizedTarget,
+    _inverse_lower,
     draw_mixture,
     eval_gradient,
     gradient_rows,
+    mixture_terms,
     random_sinh_arcsinh_mixture,
 )
 from postmix.exceptions import NonFiniteDensityError
@@ -21,7 +25,7 @@ from postmix.vi import (
     VariationalParams,
     ViConfig,
     _f_values,
-    _mixture_internals,
+    _score_gradient_raw,
     from_mixture,
     random_cold_start,
     refine,
@@ -45,9 +49,51 @@ def _negative_elbo_estimate(params, target, n, seed):
     contribute a large finite penalty instead of infinity."""
     chol = params.chol_factors()
     points = draw_mixture(params.weights(), params.means, chol, n, seed)
-    log_q, *_ = _mixture_internals(params, chol, points)
+    log_q, *_ = mixture_terms(params.means, _inverse_lower(chol), params.log_weights(),
+                              points)
     f, _ = _f_values(target, points, log_q)
     return float(np.mean(f))
+
+
+def _score_gradient_loop(params, target, n, seed):
+    """The score-function estimator with one pass per component, as it was
+    written before it became stacked products: an oracle for the stacked
+    estimator, fed the same draws and the same :func:`mixture_terms`."""
+    chol = params.chol_factors()
+    pi = params.weights()
+    points = draw_mixture(pi, params.means, chol, n, seed)
+    log_q, resp, v_all, scores = mixture_terms(
+        params.means, _inverse_lower(chol), params.log_weights(), points)
+    w_all = -scores.transpose(1, 2, 0)
+    f, violations = _f_values(target, points, log_q)
+    coeff = (n * f - np.sum(f)) / (n - 1)
+    k, d = params.means.shape
+    g_logits = np.mean(coeff[:, None] * (resp - pi), axis=0)
+    g_means = np.empty((k, d))
+    g_chol = np.zeros((k, d, d))
+    inv_diag = 1.0 / np.einsum("kii->ki", chol)
+    for i in range(k):
+        s = coeff * resp[:, i]
+        g_means[i] = (w_all[i] @ s) / n
+        g_l = (w_all[i] * s) @ v_all[i].T / n
+        g_l -= np.mean(s) * np.diag(inv_diag[i])
+        g_l = np.tril(g_l)
+        g_l[np.arange(d), np.arange(d)] *= np.diag(chol[i])
+        g_chol[i] = g_l
+    return VariationalParams(g_logits, g_means, g_chol), float(np.mean(f)), violations
+
+
+@st.composite
+def _variational_cases(draw):
+    """Random VI parameters (K 1-5, d 1-8), a sinh-arcsinh target of the same
+    dimension, a sample count n in 2-599 and a seed."""
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = VariationalParams(rng.normal(size=k), 2.0 * rng.normal(size=(k, d)),
+                               np.tril(0.3 * rng.normal(size=(k, d, d))))
+    target = random_sinh_arcsinh_mixture(d, draw(st.integers(1, 3)),
+                                         draw(st.integers(0, 1000))).as_target()
+    return params, target, draw(st.integers(2, 599)), draw(st.integers(0, 2**31 - 1))
 
 
 def _reparam_gradient(params, target, n, seed):
@@ -249,6 +295,19 @@ class TestScoreFunctionGradient:
         # combined error: estimator se plus FD sampling noise (~1/sqrt(n_big))
         tol = 4.0 * se + 4.0 / math.sqrt(n_big) / (2 * h) + 2e-3
         assert np.all(np.abs(est - fd) <= tol)
+
+    @given(_variational_cases())
+    def test_stacked_equals_per_component_loop(self, case):
+        params, target, n, seed = case
+        grad, neg_elbo, violations = _score_gradient_raw(params, target, n, seed)
+        oracle, oracle_elbo, oracle_violations = _score_gradient_loop(params, target, n, seed)
+        assert neg_elbo == oracle_elbo
+        assert violations == oracle_violations
+        for name in ("logits", "means", "chol_params"):
+            got, want = getattr(grad, name), getattr(oracle, name)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
     def test_baseline_needs_two_samples(self):
         mix = _gaussian_mixture([[0.0]], [np.eye(1)], [1.0])
