@@ -28,6 +28,11 @@ _GRAD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _BOX_PADDING = 4.0
 # Spacing of the component centers of ``random_sinh_arcsinh_mixture``.
 _SINH_SEPARATION = 6.0
+# Entries of one (rows, K, d) temporary of a blocked mixture log-density:
+# 2**14 doubles (128 KiB) stay under the allocator's threshold for fresh
+# memory maps (glibc's default), so a block's temporaries come back from
+# the heap call after call instead of being mapped and faulted in anew.
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,8 @@ class UnnormalizedTarget:
             raise ValueError(
                 f"search_box must have shape ({self.dim}, 2), got {box.shape}"
             )
+        if not np.all(np.isfinite(box)):
+            raise ValueError("search_box bounds must be finite (no NaN or infinity)")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("search_box requires lower < upper in every coordinate")
         object.__setattr__(self, "search_box", box)
@@ -255,11 +262,50 @@ def _as_points(z: NDArray, dim: int):
 
 def log_sum_exp(stacked: NDArray):
     """Row-wise log-sum-exp of an (n, K) array, and the responsibilities
-    ``exp(s - max) / sum(exp(s - max))``, shape (n, K)."""
+    ``exp(s - max) / sum(exp(s - max))``, shape (n, K).
+
+    A row of ``-inf`` sums to zero: its log-sum-exp is ``-inf`` and its
+    responsibilities are zeros, without a warning.
+    """
     peak = stacked.max(axis=1, keepdims=True)
+    if peak.min(initial=np.inf) == -np.inf:  # -inf - -inf would be NaN
+        summed = peak[:, 0] != -np.inf
+        out, resp = np.full(len(stacked), -np.inf), np.zeros_like(stacked)
+        out[summed], resp[summed] = log_sum_exp(stacked[summed])
+        return out, resp
     scaled = np.exp(stacked - peak)
     total = scaled.sum(axis=1, keepdims=True)
     return (peak + np.log(total))[:, 0], scaled / total
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block for a kernel with ``width = K * d`` entries per row."""
+    return max(2, _BLOCK_ENTRIES // width)
+
+
+def _log_pdf_rows(kernel: Callable[[NDArray], NDArray], pts: NDArray,
+                  width: int) -> NDArray:
+    """The (n,) log-densities that ``kernel`` gives at (n, d) points, taken
+    :func:`_block_rows` rows at a time; rows do not interact, so the blocks
+    only bound the size of the temporaries.
+
+    A block never holds a single row unless the batch does: BLAS takes a
+    matrix-vector path for one column, which rounds differently, so a lone
+    last row joins the block before it.
+
+    A finite point whose squares overflow lies where the density is zero,
+    and gets ``-inf`` without a warning; a point with a NaN or infinite
+    coordinate has no density and gets NaN.
+    """
+    rows = _block_rows(width)
+    cuts = list(range(rows, pts.shape[0] - 1, rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (np.concatenate([kernel(block) for block in np.split(pts, cuts)]) if cuts
+               else kernel(pts))
+    if not out.min(initial=np.inf) > -np.inf:  # a -inf or a NaN
+        low = ~(out > -np.inf)
+        out[low] = np.where(np.isfinite(pts[low]).all(axis=1), -np.inf, np.nan)
+    return out
 
 
 @dataclass(frozen=True)
@@ -377,15 +423,23 @@ class MixtureModel:
 
 
 def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:
-    """Log-density of the mixture via a log-sum-exp over the components.
+    """Log-density of the mixture at one point (d,) or a batch (n, d), via a
+    log-sum-exp over the components, in the row blocks of :func:`_log_pdf_rows`.
 
     Components with zero weight were dropped at construction, so they
     contribute nothing rather than a NaN. Stable far into the tails: the
-    result stays finite 40 sigma and beyond from every mean.
+    result stays finite 40 sigma and beyond from every mean, and is
+    ``-inf`` where the squared distance overflows. A point with a NaN or
+    infinite coordinate gets NaN. Blocking leaves every value bitwise what
+    one whole-batch evaluation gives.
     """
     pts, single = _as_points(z, m.dim)
-    log_n, _ = gaussian_log_pdfs(m._means, m._chol_invs, pts)
-    out, _ = log_sum_exp(log_n + m._log_weights)
+
+    def kernel(block):
+        log_n, _ = gaussian_log_pdfs(m._means, m._chol_invs, block)
+        return log_sum_exp(log_n + m._log_weights)[0]
+
+    out = _log_pdf_rows(kernel, pts, m._means.size)
     return float(out[0]) if single else out
 
 
@@ -529,58 +583,100 @@ class SinhArcsinhMixture:
             if getattr(self, name).shape != self.loc.shape:
                 raise ValueError(f"{name} must have shape {self.loc.shape}, "
                                  f"got {getattr(self, name).shape}")
+        for name in ("weights", "loc", "scale", "skew", "tail"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite (no NaN or infinity)")
         if np.any(self.weights < 0.0) or abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("weights must be a simplex vector")
         if np.any(self.scale <= 0.0) or np.any(self.tail <= 0.0):
             raise ValueError("scale and tail must be strictly positive")
         self.dim = self.loc.shape[1]
+        # folded once for every evaluation: log w_k - sum_d (log tail +
+        # log scale) - (d/2) log 2 pi per component, and the reciprocals
+        with np.errstate(divide="ignore"):  # a zero weight gives -inf
+            self._log_const = (np.log(self.weights)
+                               - np.log(self.tail).sum(axis=1)
+                               - np.log(self.scale).sum(axis=1)
+                               - 0.5 * self.dim * _LOG_2PI)
+        self._inv_scale = 1.0 / self.scale
+        self._inv_tail = 1.0 / self.tail
 
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    def _coordinate_terms(self, pts: NDArray):
-        """Per-coordinate x, u, z arrays of shape (n, K, d)."""
-        x = (pts[:, np.newaxis, :] - self.loc) / self.scale
-        u = np.arcsinh(x) / self.tail - self.skew
-        z = np.sinh(u)
-        return x, u, z
+    def _component_terms(self, pts: NDArray):
+        """The (n, K) weighted component log-densities ``log w_k + log p_k``
+        at (n, d) points, and the (n, K, d) coordinates ``x = (y - loc) /
+        scale`` and ``z = sinh(u)``, ``u = arcsinh(x) / tail - skew``.
 
-    def _component_log_pdfs(self, x: NDArray, u: NDArray, z: NDArray) -> NDArray:
-        """Summed per-coordinate log densities, shape (n, K), from the
-        terms of :meth:`_coordinate_terms`."""
-        logp = (
-            -0.5 * (_LOG_2PI + z * z)
-            + np.log(np.cosh(u))
-            - np.log(self.tail)
-            - 0.5 * np.log1p(x * x)
-            - np.log(self.scale)
-        )
-        return np.sum(logp, axis=2)
+        With ``log cosh u = log1p(z^2) / 2`` a coordinate's log-density is
+        ``(log1p(z^2) - z^2 - log1p(x^2)) / 2`` plus the constant folded at
+        construction: one arcsinh, one sinh and two log1p, and every pass
+        writes in place into one of four (n, K, d) buffers. Where ``z^2``
+        overflows, ``inf - inf`` is NaN; the density there is zero, so the
+        component gets ``-inf``.
+        """
+        x = pts[:, np.newaxis, :] - self.loc
+        x *= self._inv_scale
+        z = np.arcsinh(x)
+        z *= self._inv_tail
+        z -= self.skew
+        np.sinh(z, out=z)
+        log1p_x2 = np.square(x)
+        np.log1p(log1p_x2, out=log1p_x2)
+        terms = np.square(z)
+        log1p_x2 += terms
+        np.log1p(terms, out=terms)
+        terms -= log1p_x2
+        comp = terms.sum(axis=2)
+        comp *= 0.5
+        comp += self._log_const
+        return np.fmax(comp, -np.inf, out=comp), x, z
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
+        """Log-density at one point (d,) or a batch (n, d), in the row
+        blocks of :func:`_log_pdf_rows`: ``-inf`` where it underflows, NaN
+        at a point with a NaN or infinite coordinate."""
         pts, single = _as_points(points, self.dim)
-        terms = self._coordinate_terms(pts)
-        out, _ = log_sum_exp(self._component_log_pdfs(*terms) + np.log(self.weights))
+        out = _log_pdf_rows(lambda block: log_sum_exp(self._component_terms(block)[0])[0],
+                            pts, self.loc.size)
         return float(out[0]) if single else out
 
     def gradient(self, points: NDArray) -> NDArray[np.float64]:
-        """Gradient of the log-density at one point (d,) or a batch (n, d)."""
+        """Gradient of the log-density at one point (d,) or a batch (n, d).
+
+        Per coordinate, ``tanh(u) - z cosh(u) = -z^2 tanh(u)``, so the
+        derivative is ``-(z^2 tanh(u) / tail + x / r) / (scale r)`` with
+        ``r = sqrt(1 + x^2)`` and ``tanh(u) = z / sqrt(1 + z^2)``.
+        """
         pts, single = _as_points(points, self.dim)
-        x, u, zz = self._coordinate_terms(pts)
-        _, resp = log_sum_exp(self._component_log_pdfs(x, u, zz) + np.log(self.weights))
-        w = 1.0 / (self.tail * self.scale * np.sqrt(1.0 + x * x))
-        dlogp = w * (np.tanh(u) - zz * np.cosh(u)) - x / (self.scale * (1.0 + x * x))
+        comp, x, z = self._component_terms(pts)
+        _, resp = log_sum_exp(comp)
+        inv_r = 1.0 / np.sqrt(1.0 + x * x)
+        dlogp = z / np.sqrt(1.0 + z * z)
+        dlogp *= z * z
+        dlogp *= self._inv_tail
+        dlogp += x * inv_r
+        dlogp *= inv_r
+        dlogp *= -self._inv_scale
         grads = np.einsum("nk,nkd->nd", resp, dlogp)
         return grads[0] if single else grads
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
+        """``n`` exact draws: ancestral component choice, then the
+        transform of standard normal draws, done in place."""
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         rng = np.random.default_rng(seed)
         ks = rng.choice(self.n_components, size=n, p=self.weights)
-        eps = rng.standard_normal((n, self.dim))
-        loc, scale = self.loc[ks], self.scale[ks]
-        skew, tail = self.skew[ks], self.tail[ks]
-        return loc + scale * np.sinh((np.arcsinh(eps) + skew) * tail)
+        out = np.arcsinh(rng.standard_normal((n, self.dim)))
+        out += self.skew[ks]
+        out *= self.tail[ks]
+        np.sinh(out, out=out)
+        out *= self.scale[ks]
+        out += self.loc[ks]
+        return out
 
     def default_search_box(self) -> NDArray[np.float64]:
         """Bounding box of the +-6 standard-normal quantile images across

@@ -60,11 +60,10 @@ class VariationalParams:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def weights(self) -> NDArray[np.float64]:
-        return log_sum_exp(self.logits[np.newaxis])[1][0]
-
-    def log_weights(self) -> NDArray[np.float64]:
-        return self.logits - log_sum_exp(self.logits[np.newaxis])[0]
+    def softmax(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """The weights and their logs, from one log-sum-exp of the logits."""
+        log_total, (weights,) = log_sum_exp(self.logits[np.newaxis])
+        return weights, self.logits - log_total
 
     def chol_factors(self) -> NDArray[np.float64]:
         chol = np.tril(self.chol_params, -1)
@@ -97,7 +96,7 @@ def to_mixture(params: VariationalParams) -> MixtureModel:
         GaussianComponent(params.means[k], chol[k])
         for k in range(params.n_components)
     )
-    return MixtureModel(comps, params.weights())
+    return MixtureModel(comps, params.softmax()[0])
 
 
 def _pack(p: VariationalParams) -> NDArray[np.float64]:
@@ -127,10 +126,10 @@ def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
     # the draws of mixture_sample(to_mixture(params), n, seed), bit for bit,
     # without validating and inverting K components every epoch
     chol = params.chol_factors()
-    pi = params.weights()
+    pi, log_pi = params.softmax()
     points = draw_mixture(pi, params.means, chol, n, seed)
-    log_q, resp, v, scores = mixture_terms(params.means, _inverse_lower(chol),
-                                           params.log_weights(), points)
+    log_q, resp, v, scores = mixture_terms(params.means, _inverse_lower(chol), log_pi,
+                                           points)
     f, violations = _f_values(target, points, log_q)
     coeff = (n * f - np.sum(f)) / (n - 1)
 
@@ -140,10 +139,10 @@ def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
     s = (coeff * resp.T)[:, np.newaxis, :]
     g_means = (w @ s.transpose(0, 2, 1))[:, :, 0] / n
     g_chol = np.tril((w * s) @ v.transpose(0, 2, 1) / n)
-    idx = np.arange(params.dim)
-    diag = chol[:, idx, idx]
-    g_chol[:, idx, idx] -= s.mean(axis=2) * (1.0 / diag)
-    g_chol[:, idx, idx] *= diag
+    diag = chol.diagonal(0, 1, 2)
+    g_diag = np.einsum("kii->ki", g_chol)  # a writable view of the diagonals
+    g_diag -= s.mean(axis=2) * (1.0 / diag)
+    g_diag *= diag
     grad = VariationalParams(g_logits, g_means, g_chol)
     return grad, float(np.mean(f)), violations
 

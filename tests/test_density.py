@@ -16,6 +16,7 @@ from postmix.density import (
     MixtureModel,
     SinhArcsinhMixture,
     UnnormalizedTarget,
+    _block_rows,
     _inverse_lower,
     draw_mixture,
     eval_gradient,
@@ -433,6 +434,21 @@ class TestMixtureLogPdf:
         assert np.isfinite(val)
         assert val == pytest.approx(exact_near, rel=1e-12)
 
+    def test_overflowing_distance_is_minus_inf_without_a_warning(self):
+        # the squared distance overflows: the density there is zero, not NaN
+        # (a RuntimeWarning fails the suite)
+        mix = MixtureModel((GaussianComponent(np.zeros(2), np.eye(2)),), np.ones(1))
+        assert mix.log_pdf(np.array([1e200, 0.0])) == -math.inf
+        np.testing.assert_array_equal(
+            mix.log_pdf(np.array([[0.0, 0.0], [1e200, 0.0]])), [-LOG_2PI, -math.inf])
+        assert eval_log_density(mix.as_target(), np.array([0.0, -1e200])) == -math.inf
+
+    def test_row_of_minus_inf_sums_to_zero_without_a_warning(self):
+        stacked = np.array([[-math.inf, -math.inf], [0.0, -math.inf], [-math.inf, 1.0]])
+        total, resp = log_sum_exp(stacked)
+        np.testing.assert_array_equal(total, [-math.inf, 0.0, 1.0])
+        np.testing.assert_array_equal(resp, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
     def test_zero_weight_component_dropped(self):
         comps = (
             GaussianComponent(np.array([0.0]), np.eye(1)),
@@ -499,7 +515,7 @@ def _terms(mixture, points):
 def _vi_terms(params, points):
     """:func:`mixture_terms` on VI parameters, as the estimator calls it."""
     return mixture_terms(params.means, _inverse_lower(params.chol_factors()),
-                         params.log_weights(), points)
+                         params.softmax()[1], points)
 
 
 @st.composite
@@ -639,7 +655,7 @@ class TestMixtureKernelProperties:
         mixture, _ = case
         params = vi.from_mixture(mixture)
         np.testing.assert_array_equal(
-            draw_mixture(params.weights(), params.means, params.chol_factors(), n, 5),
+            draw_mixture(params.softmax()[0], params.means, params.chol_factors(), n, 5),
             mixture_sample(vi.to_mixture(params), n, 5))
 
     @given(_mixtures())
@@ -775,6 +791,14 @@ class TestValidation:
             UnnormalizedTarget(dim=1, log_phi=lambda z: 0.0,
                                search_box=np.array([[1.0, -1.0]]))
 
+    @pytest.mark.parametrize("bounds", [[-math.inf, 1.0], [0.0, math.inf],
+                                        [-math.inf, math.inf], [math.nan, 1.0]])
+    def test_search_box_bounds_must_be_finite(self, bounds):
+        # multistart starts at lo + u (hi - lo), which is NaN in an infinite box
+        with pytest.raises(ValueError, match="search_box bounds must be finite"):
+            UnnormalizedTarget(dim=2, log_phi=lambda z: 0.0,
+                               search_box=np.array([[0.0, 1.0], bounds]))
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self):
@@ -809,6 +833,28 @@ def _sinh_arcsinh_batches(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     mix = random_sinh_arcsinh_mixture(d, k, seed=seed)
     return mix, mix.sample(draw(st.integers(1, 16)), seed)
+
+
+def _per_coordinate_log_pdf(mix, points):
+    """The sinh-arcsinh mixture log-density term by term per coordinate, as
+    written before the constants were folded: the oracle of the kernel."""
+    x = (points[:, np.newaxis, :] - mix.loc) / mix.scale
+    u = np.arcsinh(x) / mix.tail - mix.skew
+    z = np.sinh(u)
+    logp = (-0.5 * (LOG_2PI + z * z) + np.log(np.cosh(u)) - np.log(mix.tail)
+            - 0.5 * np.log1p(x * x) - np.log(mix.scale))
+    return log_sum_exp(logp.sum(axis=2) + np.log(mix.weights))[0]
+
+
+def _two_component_sinh(field=None, bad=None):
+    """A 1-d two-component sinh-arcsinh mixture, with ``bad`` put into the
+    first entry of parameter ``field`` when given."""
+    params = {"weights": [0.5, 0.5], "loc": [[0.0], [1.0]], "scale": [[1.0], [1.0]],
+              "skew": [[0.0], [0.0]], "tail": [[0.8], [1.25]]}
+    params = {name: np.array(value, float) for name, value in params.items()}
+    if field is not None:
+        params[field].flat[0] = bad
+    return SinhArcsinhMixture(**params)
 
 
 class TestSinhArcsinh:
@@ -896,3 +942,91 @@ class TestSinhArcsinh:
             )
         se = draws.std(axis=0) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - target_mean) <= 5 * se)
+
+    @given(_sinh_arcsinh_batches(), st.sampled_from([0.25, 1.0, 4.0]))
+    def test_folded_log_pdf_equals_per_coordinate_formula(self, case, spread):
+        mix, points = case
+        center = mix.loc.mean(axis=0)
+        points = center + spread * (points - center)  # the core and the tails
+        want = _per_coordinate_log_pdf(mix, points)
+        got = mix.log_pdf(points)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    @given(_sinh_arcsinh_batches(), st.integers(1, 64))
+    def test_sample_equals_gather_then_transform_bitwise(self, case, n):
+        mix, _ = case
+        rng = np.random.default_rng(3)
+        ks = rng.choice(mix.n_components, size=n, p=mix.weights)
+        eps = rng.standard_normal((n, mix.dim))
+        gathered = mix.loc[ks] + mix.scale[ks] * np.sinh(
+            (np.arcsinh(eps) + mix.skew[ks]) * mix.tail[ks])
+        np.testing.assert_array_equal(mix.sample(n, 3), gathered)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_needs_a_positive_count(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            _two_component_sinh().sample(n, seed=0)
+
+    @pytest.mark.parametrize("field", ["weights", "loc", "scale", "skew", "tail"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected_by_name(self, field, bad):
+        # every ordering test is False for NaN, so only a finiteness check sees it
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            _two_component_sinh(field, bad)
+
+    def test_far_point_has_zero_density_not_an_error(self):
+        mix = _two_component_sinh()
+        target = mix.as_target()
+        # every component underflows: the density is zero
+        assert eval_log_density(target, np.array([1e200])) == -math.inf
+        assert eval_log_density(target, np.array([-1e300])) == -math.inf
+        # z^2 overflows in the tail-0.8 component only, whose inf - inf must
+        # not hide the tail-1.25 component
+        values = eval_log_density_batch(target, np.array([[1e130], [0.5]]))
+        alone = SinhArcsinhMixture(np.ones(1), mix.loc[1:], mix.scale[1:], mix.skew[1:],
+                                   mix.tail[1:])
+        assert values[0] == pytest.approx(math.log(0.5) + alone.log_pdf(np.array([1e130])),
+                                          rel=1e-14)
+        assert values[1] == pytest.approx(_per_coordinate_log_pdf(mix, np.array([[0.5]]))[0],
+                                          rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises_with_point(self, bad):
+        target = random_sinh_arcsinh_mixture(2, 2, seed=1).as_target()
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_log_density_batch(target, np.array([[0.0, 0.0], [bad, 1.0]]))
+        np.testing.assert_array_equal(exc.value.point, [bad, 1.0])
+
+
+# n = block - 1, block, block + 1 and 2 block + 3, in blocks of one row count
+_BLOCK_SPLITS = [(1, -1), (1, 0), (1, 1), (2, 3)]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("blocks, extra", _BLOCK_SPLITS)
+    def test_sinh_arcsinh_blocks_equal_rows_bitwise(self, blocks, extra):
+        mix = random_sinh_arcsinh_mixture(15, 2, seed=21)
+        points = mix.sample(blocks * _block_rows(mix.loc.size) + extra, seed=22)
+        values = mix.log_pdf(points)
+        np.testing.assert_array_equal(values, [mix.log_pdf(z) for z in points])
+        np.testing.assert_array_equal(
+            values, log_sum_exp(mix._component_terms(points)[0])[0])
+
+    @pytest.mark.parametrize("blocks, extra", _BLOCK_SPLITS)
+    def test_gaussian_mixture_blocks_equal_one_batch_bitwise(self, blocks, extra):
+        # a lone row would take BLAS's matrix-vector product, which rounds
+        # apart from the matrix product (hence the tolerance of
+        # test_batched_log_pdf_equals_per_point), so the oracle is one
+        # whole-batch kernel call
+        rng = np.random.default_rng(23)
+        comps = tuple(GaussianComponent(3.0 * rng.standard_normal(6),
+                                        np.linalg.cholesky(a @ a.T + np.eye(6)))
+                      for a in rng.standard_normal((4, 6, 6)))
+        mix = MixtureModel(comps, np.array([0.1, 0.2, 0.3, 0.4]))
+        points = mix.sample(blocks * _block_rows(mix._means.size) + extra, seed=24)
+        log_n, _ = gaussian_log_pdfs(mix._means, mix._chol_invs, points)
+        np.testing.assert_array_equal(mixture_log_pdf(mix, points),
+                                      log_sum_exp(log_n + mix._log_weights)[0])
+        np.testing.assert_allclose(mixture_log_pdf(mix, points),
+                                   [mixture_log_pdf(mix, z) for z in points],
+                                   rtol=1e-13, atol=1e-13)

@@ -48,8 +48,9 @@ def _negative_elbo_estimate(params, target, n, seed):
     integrand that ``refine`` uses; samples outside the target's support
     contribute a large finite penalty instead of infinity."""
     chol = params.chol_factors()
-    points = draw_mixture(params.weights(), params.means, chol, n, seed)
-    log_q, *_ = mixture_terms(params.means, _inverse_lower(chol), params.log_weights(),
+    weights, log_weights = params.softmax()
+    points = draw_mixture(weights, params.means, chol, n, seed)
+    log_q, *_ = mixture_terms(params.means, _inverse_lower(chol), log_weights,
                               points)
     f, _ = _f_values(target, points, log_q)
     return float(np.mean(f))
@@ -60,10 +61,10 @@ def _score_gradient_loop(params, target, n, seed):
     written before it became stacked products: an oracle for the stacked
     estimator, fed the same draws and the same :func:`mixture_terms`."""
     chol = params.chol_factors()
-    pi = params.weights()
+    pi, log_pi = params.softmax()
     points = draw_mixture(pi, params.means, chol, n, seed)
     log_q, resp, v_all, scores = mixture_terms(
-        params.means, _inverse_lower(chol), params.log_weights(), points)
+        params.means, _inverse_lower(chol), log_pi, points)
     w_all = -scores.transpose(1, 2, 0)
     f, violations = _f_values(target, points, log_q)
     coeff = (n * f - np.sum(f)) / (n - 1)
