@@ -178,16 +178,23 @@ def gradient_rows(target: UnnormalizedTarget, points: NDArray,
     central differences from the stencils of all rows in one batched
     evaluation, each row bitwise what :func:`eval_gradient` returns for it.
     NaN or ``+inf`` anywhere in the stencil raises ``NonFiniteDensityError``,
-    whatever else the row met.
+    whatever else the row met. An analytic gradient with a NaN or infinite
+    entry raises ``DerivativeError`` carrying the first such row's point.
     """
     if target.gradient_batch is not None:
-        return np.asarray(target.gradient_batch(points), dtype=float), {}
-    if target.gradient is not None:
-        return np.array([eval_gradient(target, p) for p in points]).reshape(points.shape), {}
-    stencil, steps = _gradient_stencil(points)
-    n, d = points.shape
-    values = eval_log_density_batch(target, stencil.reshape(-1, d)).reshape(n, 2 * d)
-    return _central_differences(stencil, values, steps)
+        grads = np.asarray(target.gradient_batch(points), dtype=float)
+    elif target.gradient is not None:
+        grads = np.array([eval_gradient(target, p) for p in points]).reshape(points.shape)
+    else:
+        stencil, steps = _gradient_stencil(points)
+        n, d = points.shape
+        values = eval_log_density_batch(target, stencil.reshape(-1, d)).reshape(n, 2 * d)
+        return _central_differences(stencil, values, steps)
+    finite = np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        bad = points[~finite][0]
+        raise DerivativeError(f"analytic gradient is NaN or infinite at {bad}", point=bad)
+    return grads, {}
 
 
 def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:

@@ -47,12 +47,14 @@ class PostmixError(Exception):
 
 
 class DerivativeError(PostmixError):
-    """A finite-difference stencil hit a non-finite density value.
+    """A derivative could not be formed: a finite-difference stencil met
+    ``log phi = -inf``, or an analytic gradient was NaN or infinite.
 
     Attributes
     ----------
     point : ndarray
-        The offending evaluation point.
+        The offending evaluation point: the stencil point that met ``-inf``,
+        or the point whose analytic gradient is not finite.
     """
 
     def __init__(self, message, point=None):

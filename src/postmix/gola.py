@@ -152,10 +152,11 @@ def _clamp(z, lo, hi):
     return np.minimum(np.maximum(z, lo), hi)
 
 
-def _projected_gradient_norm(z, grad, lo, hi):
-    """Norm of the box-projected gradient step; zero exactly at a KKT point."""
-    r = z - _clamp(z - grad, lo, hi)
-    return math.sqrt(r @ r)
+def _projected_gradient_norm(z, g, lo, hi):
+    """Norm of the box-projected ascent step ``z + g`` on ``log phi``; zero
+    exactly at a KKT point."""
+    r = z - _clamp(z + g, lo, hi)
+    return math.sqrt(r.dot(r))
 
 
 def local_minimize(target: UnnormalizedTarget, start: NDArray,
@@ -170,20 +171,25 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
     (it is sent ``-inf``). :func:`run_lockstep` drives many at once.
 
     Iterates stay clamped to the search box and the objective never
-    increases across accepted steps. Steps go along the negative gradient,
-    with trial step sizes from a safeguarded Barzilai-Borwein estimate.
+    increases across accepted steps. Steps go along the gradient ``g`` of
+    ``log phi`` (the negative gradient of the objective), with trial step
+    sizes from a safeguarded Barzilai-Borwein estimate. ``g`` is kept as
+    sent, never negated: IEEE rounding is sign-symmetric, so the Armijo
+    decrease ``-(g . dz)`` with ``dz = z - z_new``, and the Barzilai-Borwein
+    terms ``s . s = dz . dz`` and ``s . y = dz . (g_new - g)``, are bitwise
+    what the objective's gradient ``-g`` and ``s = -dz`` would give.
     """
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
     z = _clamp(np.asarray(start, dtype=float), lo, hi)
     f = -(yield "log_phi", z)
     if not math.isfinite(f):
         return None
-    grad = -(yield "gradient", z)
+    g = yield "gradient", z
 
     step = 1.0
     flat = 0
     for _ in range(_MAX_LOCAL_ITERS):
-        pg_norm = _projected_gradient_norm(z, grad, lo, hi)
+        pg_norm = _projected_gradient_norm(z, g, lo, hi)
         if pg_norm <= cfg.gradient_tol:
             return LocalMinimum(z, f, pg_norm, True, start_index)
         if flat == _MAX_FLAT_STEPS:
@@ -192,8 +198,9 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
         alpha = step
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            z_new = _clamp(z - alpha * grad, lo, hi)
-            decrease = float(grad @ (z - z_new))
+            z_new = _clamp(z + alpha * g, lo, hi)
+            dz = z - z_new
+            decrease = -float(g.dot(dz))
             if decrease <= 0.0:
                 alpha *= _BACKTRACK
                 continue
@@ -205,17 +212,15 @@ def local_minimize(target: UnnormalizedTarget, start: NDArray,
         if not accepted:  # line search stalled
             return LocalMinimum(z, f, pg_norm, False, start_index)
 
-        grad_new = -(yield "gradient", z_new)
-        s = z_new - z
-        y = grad_new - grad
+        g_new = yield "gradient", z_new
         # Barzilai-Borwein trial step for the next iteration.
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
+        sy = float(dz.dot(g_new - g))
+        step = float(dz.dot(dz)) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
         step = min(max(step, 1e-12), 1e6)
         flat = flat + 1 if f_new == f else 0
-        z, f, grad = z_new, f_new, grad_new
+        z, f, g = z_new, f_new, g_new
 
-    pg_norm = _projected_gradient_norm(z, grad, lo, hi)
+    pg_norm = _projected_gradient_norm(z, g, lo, hi)
     return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol, start_index)
 
 
@@ -231,7 +236,8 @@ def run_lockstep(target: UnnormalizedTarget,
     search whose gradient stencil met ``-inf`` is dropped there. Rows go in
     search order, so a rerun is bitwise the same, and where the target
     evaluates each row on its own, a search gets the replies it would get
-    driven alone. ``NonFiniteDensityError`` aborts the whole run.
+    driven alone. ``NonFiniteDensityError`` aborts the whole run, and so
+    does the ``DerivativeError`` of an analytic gradient that is not finite.
     """
     results: list[Optional[LocalMinimum]] = [None] * len(searches)
     waiting = {i: next(search) for i, search in enumerate(searches)}
@@ -323,11 +329,13 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     with a hill-valley check.
 
     Candidates must arrive sorted by objective ascending so the deepest
-    modes anchor the accepted set. Each candidate is whitened against all
-    accepted components at once, and its smallest squared Mahalanobis
-    distance is referred to a chi-square with ``dim`` degrees of freedom; a
-    candidate typical under the nearest component (survival >= 0.01)
-    is a duplicate, and one improbably far from all of them is a new mode.
+    modes anchor the accepted set. Each accepted component whitens every
+    later candidate in one call, so each candidate holds its smallest
+    squared Mahalanobis distance to the components accepted before it (the
+    first one on a tie). That distance is referred to a chi-square with
+    ``dim`` degrees of freedom; a candidate typical under the nearest
+    component (survival >= 0.01) is a duplicate, and one improbably far
+    from all of them is a new mode.
     In high dimension the chi-square rule calls far candidates typical, so
     a typical one more than ``_VALLEY_GATE`` whitened units from the
     nearest component is still a new mode when ``log phi`` dips between
@@ -341,19 +349,19 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     accepted: list[GaussianComponent] = []
     peaks: list[float] = []  # log phi at each accepted mean
     decisions: list[DedupDecision] = []
+    locations = np.array([c.location for c in candidates])
+    # Each candidate's smallest squared whitened distance to the accepted
+    # set, and where it is reached (the first such component on a tie).
+    best = np.full(len(candidates), np.inf)
+    nearest = np.zeros(len(candidates), dtype=int)
     for idx, cand in enumerate(candidates):
         survival, note = 0.0, ""
         if accepted:
-            _, whitened = gaussian_log_pdfs(
-                np.array([c.mean for c in accepted]),
-                np.array([c._chol_inv for c in accepted]),
-                cand.location[np.newaxis])
-            dist2 = (whitened * whitened).sum(axis=1)[:, 0]
-            nearest = int(np.argmin(dist2))
-            survival = chi_square_survival(float(dist2[nearest]), target.dim)
+            survival = chi_square_survival(float(best[idx]), target.dim)
         if survival >= _DEDUP_THRESHOLD:
-            if (dist2[nearest] <= _VALLEY_GATE ** 2 or not _valley_between(
-                    target, accepted[nearest].mean, peaks[nearest], cand)):
+            j = nearest[idx]
+            if (best[idx] <= _VALLEY_GATE ** 2 or not _valley_between(
+                    target, accepted[j].mean, peaks[j], cand)):
                 decisions.append(DedupDecision(idx, survival, False, "duplicate"))
                 continue
             note = "valley"
@@ -361,7 +369,14 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
         if _is_indefinite(hess):
             decisions.append(DedupDecision(idx, survival, False, "saddle"))
             continue
-        accepted.append(_component_from_hessian(cand.location, hess))
+        comp = _component_from_hessian(cand.location, hess)
+        _, whitened = gaussian_log_pdfs(comp.mean[np.newaxis], comp._chol_inv[np.newaxis],
+                                        locations[idx + 1:])
+        dist2 = (whitened[0] * whitened[0]).sum(axis=0)
+        closer = dist2 < best[idx + 1:]
+        best[idx + 1:][closer] = dist2[closer]
+        nearest[idx + 1:][closer] = len(accepted)
+        accepted.append(comp)
         peaks.append(-cand.objective)
         decisions.append(DedupDecision(idx, survival, True, note))
     return accepted, decisions

@@ -265,6 +265,20 @@ class TestEvalGradientBatch:
             gradient_rows(_simple_target(2, log_phi), np.array(rows))
         assert exc.value.point[0] <= 1.0 < exc.value.point[1]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gradient", "gradient_batch"])
+    def test_non_finite_analytic_gradient_raises_with_its_row(self, field, bad):
+        # the analytic gradient is the fault, not the log-density: the error
+        # names the row it was evaluated at, not a point a step made from it
+        def gradient(z):
+            return np.where(z[..., :1] > 2.0, bad, -z)
+
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z), **{field: gradient})
+        rows = np.array([[0.0, 1.0], [3.0, -1.0], [4.0, 0.5]])
+        with pytest.raises(DerivativeError, match="analytic gradient") as exc:
+            gradient_rows(target, rows)
+        np.testing.assert_array_equal(exc.value.point, rows[1])
+
 
 def _hessian_stencil_size(d):
     """Log-density points of a finite-difference Hessian: the gradient

@@ -14,23 +14,33 @@ from postmix.density import (
     eval_gradient,
     eval_hessian,
     eval_log_density,
+    gaussian_log_pdfs,
     mixture_sample,
 )
 from postmix.exceptions import (
+    DerivativeError,
     EvidenceOverflowError,
     NoModesFoundError,
     NonFiniteDensityError,
     WeightUnderflowError,
 )
+from postmix.exemplar import damping_log_likelihood, default_scenario
 from postmix.gola import (
+    _ARMIJO_C1,
+    _BACKTRACK,
     _DEDUP_THRESHOLD,
+    _MAX_BACKTRACKS,
     _MAX_FLAT_STEPS,
+    _MAX_LOCAL_ITERS,
     _VALLEY_DEPTH,
     _VALLEY_GATE,
     _VALLEY_POINTS,
     GolaConfig,
     LocalMinimum,
+    _clamp,
     _component_from_hessian,
+    _is_indefinite,
+    _valley_between,
     dedup_modes,
     local_minimize,
     multistart_minimize,
@@ -411,6 +421,22 @@ class TestMultistart:
         with pytest.raises(NonFiniteDensityError) as exc:
             multistart_minimize(target, GolaConfig(n_starts=4))
         assert exc.value.point[0] > 5.0
+
+    @pytest.mark.parametrize("field", ["gradient", "gradient_batch"])
+    def test_non_finite_analytic_gradient_raises_at_an_iterate(self, field):
+        # a Gaussian whose analytic gradient is NaN past z[0] = 2: the error
+        # blames the gradient at a point the search reached, not the
+        # log-density at the NaN point a step along that gradient would make
+        def gradient(z):
+            return np.where(z[..., :1] > 2.0, math.nan, -z)
+
+        target = UnnormalizedTarget(
+            dim=2, log_phi=lambda z: -0.5 * float(z @ z), search_box=_box(2),
+            **{field: gradient})
+        with pytest.raises(DerivativeError) as exc:
+            run_gola(target, GolaConfig(n_starts=8))
+        assert np.all(np.isfinite(exc.value.point))
+        assert exc.value.point[0] > 2.0
 
 
 def _laplace_at_mode(target, mode):
@@ -843,3 +869,214 @@ class TestRunGola:
         assert doc["mixture"]["dim"] == 1
         assert all({"candidate", "survival", "accepted", "note"} == set(e)
                    for e in doc["dedup_log"])
+
+
+def _reference_local_minimize(target, start, cfg, start_index=0):
+    """:func:`local_minimize` in its reference form: the objective's
+    gradient is the reply negated, and every 1-D product is ``@``."""
+    lo, hi = target.search_box[:, 0], target.search_box[:, 1]
+
+    def projected_gradient_norm(z, grad):
+        r = z - _clamp(z - grad, lo, hi)
+        return math.sqrt(r @ r)
+
+    z = _clamp(np.asarray(start, dtype=float), lo, hi)
+    f = -(yield "log_phi", z)
+    if not math.isfinite(f):
+        return None
+    grad = -(yield "gradient", z)
+
+    step = 1.0
+    flat = 0
+    for _ in range(_MAX_LOCAL_ITERS):
+        pg_norm = projected_gradient_norm(z, grad)
+        if pg_norm <= cfg.gradient_tol:
+            return LocalMinimum(z, f, pg_norm, True, start_index)
+        if flat == _MAX_FLAT_STEPS:
+            return LocalMinimum(z, f, pg_norm, False, start_index)
+
+        alpha = step
+        accepted = False
+        for _ in range(_MAX_BACKTRACKS):
+            z_new = _clamp(z - alpha * grad, lo, hi)
+            decrease = float(grad @ (z - z_new))
+            if decrease <= 0.0:
+                alpha *= _BACKTRACK
+                continue
+            f_new = -(yield "log_phi", z_new)
+            if math.isfinite(f_new) and f_new <= f - _ARMIJO_C1 * decrease:
+                accepted = True
+                break
+            alpha *= _BACKTRACK
+        if not accepted:
+            return LocalMinimum(z, f, pg_norm, False, start_index)
+
+        grad_new = -(yield "gradient", z_new)
+        s = z_new - z
+        y = grad_new - grad
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
+        step = min(max(step, 1e-12), 1e6)
+        flat = flat + 1 if f_new == f else 0
+        z, f, grad = z_new, f_new, grad_new
+
+    pg_norm = projected_gradient_norm(z, grad)
+    return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol, start_index)
+
+
+def _recorded(search, requests):
+    """Forward a search's requests and replies, appending each request's
+    kind and point bytes to ``requests``."""
+    request = next(search)
+    while True:
+        requests.append((request[0], request[1].tobytes()))
+        try:
+            request = search.send((yield request))
+        except StopIteration as done:
+            return done.value
+
+
+@st.composite
+def _search_cases(draw):
+    """A Gaussian mixture in d = 1..6 with K = 1..3, its means partly outside
+    the box [-3, 3]^d, with analytic or finite-difference gradients; starts
+    inside the box, some with coordinates on its faces or beyond them."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = 2.5 * rng.standard_normal((k, d))
+    covs = []
+    for _ in range(k):
+        f = rng.standard_normal((d, d))
+        covs.append(0.3 * f @ f.T + 0.2 * np.eye(d))
+    raw = rng.uniform(0.5, 1.5, k)
+    _, target = _gaussian_mixture_target(means, covs, raw / raw.sum())
+    target = dataclasses.replace(target, search_box=_box(d, -3.0, 3.0))
+    if draw(st.booleans()):
+        target = dataclasses.replace(target, gradient=None, gradient_batch=None,
+                                     hessian=None)
+    starts = rng.uniform(-3.0, 3.0, size=(6, d))
+    faces = rng.random((6, d)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    starts[faces] = rng.choice([-3.0, 3.0, -4.0, 4.0], size=int(faces.sum()))
+    tol = draw(st.sampled_from([1e-8, 1e-5]))
+    return target, starts, GolaConfig(gradient_tol=tol)
+
+
+class TestLocalSearchReference:
+    @given(_search_cases())
+    def test_bitwise_equal_to_the_reference_form(self, case):
+        target, starts, cfg = case
+        runs = []
+        for search in (local_minimize, _reference_local_minimize):
+            requests = [[] for _ in starts]
+            results = run_lockstep(target, [
+                _recorded(search(target, s, cfg, i), requests[i])
+                for i, s in enumerate(starts)])
+            runs.append((results, requests))
+        (got, got_requests), (want, want_requests) = runs
+        assert got_requests == want_requests
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.location.tobytes() == b.location.tobytes()
+                assert (a.objective, a.gradient_norm, a.converged, a.start_index) == \
+                    (b.objective, b.gradient_norm, b.converged, b.start_index)
+
+
+def _reference_dedup(candidates, target):
+    """:func:`dedup_modes` in its reference form: each candidate whitened
+    against all components accepted so far, in a call of its own."""
+    accepted, peaks, decisions = [], [], []
+    for idx, cand in enumerate(candidates):
+        survival, note = 0.0, ""
+        if accepted:
+            _, whitened = gaussian_log_pdfs(
+                np.array([c.mean for c in accepted]),
+                np.array([c._chol_inv for c in accepted]),
+                cand.location[np.newaxis])
+            dist2 = (whitened * whitened).sum(axis=1)[:, 0]
+            nearest = int(np.argmin(dist2))
+            survival = chi_square_survival(float(dist2[nearest]), target.dim)
+        if survival >= _DEDUP_THRESHOLD:
+            if (dist2[nearest] <= _VALLEY_GATE ** 2 or not _valley_between(
+                    target, accepted[nearest].mean, peaks[nearest], cand)):
+                decisions.append((idx, survival, False, "duplicate"))
+                continue
+            note = "valley"
+        hess = eval_hessian(target, cand.location)
+        if _is_indefinite(hess):
+            decisions.append((idx, survival, False, "saddle"))
+            continue
+        accepted.append(_component_from_hessian(cand.location, hess))
+        peaks.append(-cand.objective)
+        decisions.append((idx, survival, True, note))
+    return accepted, decisions
+
+
+def _ensemble_targets():
+    """The first case of dimension 2, 4 and 6 of acceptance criterion 3's
+    broad study (design seed 303), generated as ``evaluate_case`` does."""
+    spec = FactorSpec(d_range=(2, 6))
+    case_seeds = np.random.SeedSequence(303).generate_state(200)
+    targets = {}
+    for i in range(100):
+        factors = spec.sample(np.random.default_rng(int(case_seeds[2 * i])))
+        if factors.d in (2, 4, 6) and factors.d not in targets:
+            seed = np.random.SeedSequence(int(case_seeds[2 * i + 1])).generate_state(1)[0]
+            targets[factors.d] = generate_test_gmm(factors, int(seed)).as_target()
+    return [targets[d] for d in (2, 4, 6)]
+
+
+def _dedup_reference_cases():
+    cases = [(t, multistart_minimize(t, GolaConfig())) for t in _ensemble_targets()]
+    gmm10 = generate_test_gmm(ProblemFactors(10, 4, 1.5, 0.3, 1e-3), 7).as_target()
+    cases.append((gmm10, multistart_minimize(gmm10, GolaConfig())))
+    scenario = default_scenario()
+    frame = damping_log_likelihood(scenario.observations(), scenario.constants(),
+                                   scenario.search_box)
+    cases.append((frame, multistart_minimize(frame, GolaConfig(n_starts=16,
+                                                                gradient_tol=1e-5))))
+    # two unit Gaussians 2.5 apart in d = 9: a chi-square duplicate kept
+    # across a valley
+    second = np.zeros(9)
+    second[0] = 2.5
+    _, valley = _gaussian_mixture_target([np.zeros(9), second], [np.eye(9)] * 2,
+                                         [0.5, 0.5])
+    # -log phi = 4 (x^2 - 1)^2 + y^2: modes at (+-1, 0), a saddle at the
+    # origin, and candidates near each
+    saddle = UnnormalizedTarget(
+        dim=2, log_phi=lambda z: -(4.0 * (z[0] ** 2 - 1.0) ** 2 + z[1] ** 2),
+        search_box=_box(2, -2.0, 2.0),
+        gradient=lambda z: np.array([-16.0 * z[0] * (z[0] ** 2 - 1.0), -2.0 * z[1]]))
+    for target, locations in (
+            (valley, [np.zeros(9), second, second + 1e-4, np.full(9, 1e-6)]),
+            (saddle, [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 1e-3], [-1.0, 1e-9],
+                      [0.0, 1e-6]])):
+        locations = np.asarray(locations, dtype=float)
+        minima = [LocalMinimum(z, -eval_log_density(target, z), 0.0, True, i)
+                  for i, z in enumerate(locations)]
+        minima.sort(key=lambda m: (m.objective, tuple(m.location)))
+        cases.append((target, minima))
+    return cases
+
+
+class TestDedupReference:
+    # one candidate whitened alone (a matrix-vector product) and one whitened
+    # in a stack (a matrix-matrix product) may round apart in the last bits
+    SURVIVAL_ATOL = 1e-15
+
+    def test_decisions_equal_the_reference_form(self):
+        notes = set()
+        for target, candidates in _dedup_reference_cases():
+            comps, log = dedup_modes(candidates, target)
+            want_comps, want_log = _reference_dedup(candidates, target)
+            assert [(d.candidate_index, d.accepted, d.note) for d in log] == \
+                [(i, accepted, note) for i, _, accepted, note in want_log]
+            for d, (_, survival, _, _) in zip(log, want_log):
+                assert abs(d.survival - survival) <= self.SURVIVAL_ATOL
+            assert len(comps) == len(want_comps)
+            for a, b in zip(comps, want_comps):
+                assert a.mean.tobytes() == b.mean.tobytes()
+                assert a.chol_cov.tobytes() == b.chol_cov.tobytes()
+            notes.update(d.note for d in log)
+        assert notes == {"", "duplicate", "valley", "saddle"}
