@@ -16,8 +16,6 @@ from .density import (
     eval_hessian,
     eval_log_density,
     mixture_from_dict,
-    mixture_log_pdf,
-    mixture_sample,
     mixture_to_dict,
 )
 from .gola import GolaConfig, GolaReport, LocalMinimum, run_gola
@@ -47,8 +45,6 @@ __all__ = [
     "jsd_normalized",
     "kl_mc",
     "mixture_from_dict",
-    "mixture_log_pdf",
-    "mixture_sample",
     "mixture_to_dict",
     "random_cold_start",
     "refine",

@@ -46,14 +46,14 @@ class UnnormalizedTarget:
     log_phi : callable
         Maps a length-``dim`` vector to the unnormalized log-density.
         May return ``-inf`` as an out-of-support sentinel so optimizers
-        can reject points without exception handling in hot loops; the
-        evaluators raise ``NonFiniteDensityError`` on NaN or ``+inf``.
+        can reject points without exception handling in hot loops. The
+        evaluators check every field's reply (shape, finiteness: ``_reply``).
     search_box : ndarray, shape (dim, 2)
         Per-coordinate [lower, upper] bounds for global search.
     gradient : callable, optional
-        Analytic gradient of ``log_phi``; finite differences otherwise.
+        Analytic gradient (dim,) of ``log_phi``; finite differences otherwise.
     hessian : callable, optional
-        Analytic Hessian of ``log_phi``; finite differences otherwise.
+        Analytic Hessian (dim, dim) of ``log_phi``; finite differences otherwise.
     log_phi_batch : callable, optional
         Vectorized evaluation mapping an (n, dim) array to an (n,) array;
         used by multistart, samplers, grid scans and the finite-difference
@@ -83,7 +83,31 @@ class UnnormalizedTarget:
             raise ValueError("search_box bounds must be finite (no NaN or infinity)")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("search_box requires lower < upper in every coordinate")
+        for name in ("log_phi", "gradient", "hessian", "log_phi_batch", "gradient_batch"):
+            fn = getattr(self, name)
+            if not callable(fn) and (fn is not None or name == "log_phi"):
+                raise ValueError(f"{name} must be callable, got {fn!r}")
         object.__setattr__(self, "search_box", box)
+
+
+def _reply(field: str, out, points: NDArray, shape: tuple) -> NDArray[np.float64]:
+    """The reply ``out`` of the target's ``field`` at ``points`` (one point, or
+    an (n, dim) batch along its first axis) as a float array of ``shape``,
+    else ``ValueError``. A log-density (``log_phi*``) of NaN or ``+inf`` raises
+    ``NonFiniteDensityError``, a derivative with a NaN or infinite entry
+    ``DerivativeError``, each at the first offending row; ``-inf`` is a value."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{field} replied with shape {out.shape}, expected {shape}")
+    density = field.startswith("log_phi")
+    ok = out < np.inf if density else np.isfinite(out)
+    if ok.all():
+        return out
+    rows = np.atleast_2d(points)
+    bad = rows[np.argmin(ok.reshape(len(rows), -1).all(axis=1))]
+    if density:
+        raise NonFiniteDensityError(bad)
+    raise DerivativeError(f"analytic {field} is NaN or infinite at {bad}", point=bad)
 
 
 def eval_log_density(target: UnnormalizedTarget, z: NDArray) -> float:
@@ -91,10 +115,7 @@ def eval_log_density(target: UnnormalizedTarget, z: NDArray) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (target.dim,):
         raise ValueError(f"expected a length-{target.dim} vector, got shape {z.shape}")
-    value = float(target.log_phi(z))
-    if math.isnan(value) or value == math.inf:
-        raise NonFiniteDensityError(z)
-    return value
+    return float(_reply("log_phi", target.log_phi(z), z, ()))
 
 
 def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArray:
@@ -103,13 +124,8 @@ def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArr
     if points.ndim != 2 or points.shape[1] != target.dim:
         raise ValueError(f"expected an (n, {target.dim}) array, got {points.shape}")
     if target.log_phi_batch is not None:
-        values = np.asarray(target.log_phi_batch(points), dtype=float)
-    else:
-        values = np.array([target.log_phi(p) for p in points], dtype=float)
-    bad = np.isnan(values) | (values == np.inf)
-    if bad.any():
-        raise NonFiniteDensityError(points[np.argmax(bad)])
-    return values
+        return _reply("log_phi_batch", target.log_phi_batch(points), points, points.shape[:1])
+    return _reply("log_phi", [target.log_phi(p) for p in points], points, points.shape[:1])
 
 
 def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
@@ -119,7 +135,8 @@ def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]
     Raises
     ------
     DerivativeError
-        If a stencil point has ``log_phi = -inf``; ``.point`` is the first.
+        If a stencil point has ``log_phi = -inf`` (``.point`` is the first), or
+        the analytic gradient has a NaN or infinite entry (``.point`` is ``z``).
     NonFiniteDensityError
         If a stencil point evaluates to NaN or ``+inf``.
     """
@@ -127,7 +144,7 @@ def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]
     if z.shape != (target.dim,):
         raise ValueError(f"expected a length-{target.dim} vector, got shape {z.shape}")
     if target.gradient is not None:
-        return np.asarray(target.gradient(z), dtype=float)
+        return _reply("gradient", target.gradient(z), z, z.shape)
     stencil, steps = _gradient_stencil(z[np.newaxis])
     values = np.array([[eval_log_density(target, p) for p in stencil[0]]])
     grads, failed = _central_differences(stencil, values, steps)
@@ -178,29 +195,27 @@ def gradient_rows(target: UnnormalizedTarget, points: NDArray,
     central differences from the stencils of all rows in one batched
     evaluation, each row bitwise what :func:`eval_gradient` returns for it.
     NaN or ``+inf`` anywhere in the stencil raises ``NonFiniteDensityError``,
-    whatever else the row met. An analytic gradient with a NaN or infinite
-    entry raises ``DerivativeError`` carrying the first such row's point.
+    whatever else the row met. An analytic reply goes through :func:`_reply`:
+    one with a NaN or infinite entry raises ``DerivativeError`` carrying the
+    first such row's point.
     """
     if target.gradient_batch is not None:
-        grads = np.asarray(target.gradient_batch(points), dtype=float)
-    elif target.gradient is not None:
-        grads = np.array([eval_gradient(target, p) for p in points]).reshape(points.shape)
-    else:
-        stencil, steps = _gradient_stencil(points)
-        n, d = points.shape
-        values = eval_log_density_batch(target, stencil.reshape(-1, d)).reshape(n, 2 * d)
-        return _central_differences(stencil, values, steps)
-    finite = np.isfinite(grads).all(axis=1)
-    if not finite.all():
-        bad = points[~finite][0]
-        raise DerivativeError(f"analytic gradient is NaN or infinite at {bad}", point=bad)
-    return grads, {}
+        return _reply("gradient_batch", target.gradient_batch(points), points,
+                      points.shape), {}
+    if target.gradient is not None:
+        return _reply("gradient", [target.gradient(p) for p in points], points,
+                      points.shape), {}
+    stencil, steps = _gradient_stencil(points)
+    n, d = points.shape
+    values = eval_log_density_batch(target, stencil.reshape(-1, d)).reshape(n, 2 * d)
+    return _central_differences(stencil, values, steps)
 
 
 def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     """Hessian of ``-log_phi`` (note the sign), symmetrized.
 
-    Analytic when the target carries a Hessian of ``log_phi``; otherwise
+    Analytic when the target carries a Hessian of ``log_phi`` (one with a
+    NaN or infinite entry raises ``DerivativeError`` carrying ``z``); otherwise
     central differences of the gradients that one :func:`gradient_rows`
     call returns at the ``2d`` rows of ``z``'s gradient stencil. A
     ``-inf`` in a finite-difference stencil raises ``DerivativeError``
@@ -211,7 +226,7 @@ def eval_hessian(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
     if z.shape != (target.dim,):
         raise ValueError(f"expected a length-{target.dim} vector, got shape {z.shape}")
     if target.hessian is not None:
-        neg = -np.asarray(target.hessian(z), dtype=float)
+        neg = -_reply("hessian", target.hessian(z), z, (target.dim, target.dim))
         return 0.5 * (neg + neg.T)
     stencil, steps = _gradient_stencil(z[np.newaxis])
     grads, failed = gradient_rows(target, stencil[0])
@@ -403,10 +418,49 @@ class MixtureModel:
         return len(self.components)
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
-        return mixture_log_pdf(self, points)
+        """Log-density at one point (d,) or a batch (n, d), via a log-sum-exp
+        over the components, in the row blocks of :func:`_log_pdf_rows`,
+        which leave every value bitwise the whole batch's.
+
+        Components with zero weight were dropped at construction, so they
+        contribute nothing rather than a NaN. Stable far into the tails: the
+        result stays finite 40 sigma and beyond from every mean, and is
+        ``-inf`` where the squared distance overflows (NaN at a point with a
+        NaN or infinite coordinate)."""
+        pts, single = _as_points(points, self.dim)
+
+        def kernel(block):
+            log_n, _ = gaussian_log_pdfs(self._means, self._chol_invs, block)
+            return log_sum_exp(log_n + self._log_weights)[0]
+
+        out = _log_pdf_rows(kernel, pts, self._means.size)
+        return float(out[0]) if single else out
+
+    def gradient(self, points: NDArray) -> NDArray[np.float64]:
+        """Analytic gradient of the log-density at one point (d,) or a batch
+        (n, d): the responsibility-weighted score vectors."""
+        pts, single = _as_points(points, self.dim)
+        _, resp, _, scores = mixture_terms(self._means, self._chol_invs,
+                                           self._log_weights, pts)
+        # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
+        grads = (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
+        return grads[0] if single else grads
+
+    def hessian(self, point: NDArray) -> NDArray[np.float64]:
+        """Analytic Hessian of the log-density at a single point."""
+        pts, _ = _as_points(point, self.dim)
+        _, resp, _, grads = mixture_terms(self._means, self._chol_invs,
+                                          self._log_weights, pts)
+        resp, grads = resp[0], grads[0]
+        precisions = self._chol_invs.transpose(0, 2, 1) @ self._chol_invs
+        mean_grad = grads.T @ resp
+        total = (grads.T * resp) @ grads - np.einsum("k,kij->ij", resp, precisions)
+        return total - np.outer(mean_grad, mean_grad)
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
-        return mixture_sample(self, n, seed)
+        """Ancestral sampling: categorical on the weights, then Gaussian draws."""
+        return draw_mixture(self.weights, np.array([c.mean for c in self.components]),
+                            np.array([c.chol_cov for c in self.components]), n, seed)
 
     def as_target(self) -> UnnormalizedTarget:
         """Wrap this mixture as an UnnormalizedTarget with analytic derivatives.
@@ -420,55 +474,13 @@ class MixtureModel:
         hi = np.max(means + _BOX_PADDING * sigmas, axis=0)
         return UnnormalizedTarget(
             dim=self.dim,
-            log_phi=lambda z: float(mixture_log_pdf(self, z)),
+            log_phi=self.log_pdf,
             search_box=np.column_stack([lo, hi]),
-            gradient=lambda z: mixture_log_pdf_gradient(self, z),
-            hessian=lambda z: mixture_log_pdf_hessian(self, z),
-            log_phi_batch=lambda pts: mixture_log_pdf(self, pts),
-            gradient_batch=lambda pts: mixture_log_pdf_gradient(self, pts),
+            gradient=self.gradient,
+            hessian=self.hessian,
+            log_phi_batch=self.log_pdf,
+            gradient_batch=self.gradient,
         )
-
-
-def mixture_log_pdf(m: MixtureModel, z: NDArray) -> NDArray | float:
-    """Log-density of the mixture at one point (d,) or a batch (n, d), via a
-    log-sum-exp over the components, in the row blocks of :func:`_log_pdf_rows`.
-
-    Components with zero weight were dropped at construction, so they
-    contribute nothing rather than a NaN. Stable far into the tails: the
-    result stays finite 40 sigma and beyond from every mean, and is
-    ``-inf`` where the squared distance overflows. A point with a NaN or
-    infinite coordinate gets NaN. Blocking leaves every value bitwise what
-    one whole-batch evaluation gives.
-    """
-    pts, single = _as_points(z, m.dim)
-
-    def kernel(block):
-        log_n, _ = gaussian_log_pdfs(m._means, m._chol_invs, block)
-        return log_sum_exp(log_n + m._log_weights)[0]
-
-    out = _log_pdf_rows(kernel, pts, m._means.size)
-    return float(out[0]) if single else out
-
-
-def mixture_log_pdf_gradient(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
-    """Analytic gradient of the mixture log-density at one point (d,) or a
-    batch (n, d): the responsibility-weighted score vectors."""
-    pts, single = _as_points(z, m.dim)
-    _, resp, _, scores = mixture_terms(m._means, m._chol_invs, m._log_weights, pts)
-    # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
-    grads = (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
-    return grads[0] if single else grads
-
-
-def mixture_log_pdf_hessian(m: MixtureModel, z: NDArray) -> NDArray[np.float64]:
-    """Analytic Hessian of the mixture log-density at a single point."""
-    pts, _ = _as_points(z, m.dim)
-    _, resp, _, grads = mixture_terms(m._means, m._chol_invs, m._log_weights, pts)
-    resp, grads = resp[0], grads[0]
-    precisions = m._chol_invs.transpose(0, 2, 1) @ m._chol_invs
-    mean_grad = grads.T @ resp
-    total = (grads.T * resp) @ grads - np.einsum("k,kij->ij", resp, precisions)
-    return total - np.outer(mean_grad, mean_grad)
 
 
 def mixture_terms(means: NDArray, chol_invs: NDArray, log_weights: NDArray,
@@ -482,12 +494,6 @@ def mixture_terms(means: NDArray, chol_invs: NDArray, log_weights: NDArray,
     log_q, resp = log_sum_exp(log_n + log_weights)
     scores = -(chol_invs.transpose(0, 2, 1) @ whitened)
     return log_q, resp, whitened, scores.transpose(2, 0, 1)
-
-
-def mixture_sample(m: MixtureModel, n: int, seed: int) -> NDArray[np.float64]:
-    """Ancestral sampling: categorical on the weights, then Gaussian draws."""
-    return draw_mixture(m.weights, np.array([c.mean for c in m.components]),
-                        np.array([c.chol_cov for c in m.components]), n, seed)
 
 
 def draw_mixture(weights: NDArray, means: NDArray, chols: NDArray, n: int,
@@ -700,7 +706,7 @@ class SinhArcsinhMixture:
         """Wrap this mixture as an UnnormalizedTarget over its default box."""
         return UnnormalizedTarget(
             dim=self.dim,
-            log_phi=lambda z: float(self.log_pdf(z)),
+            log_phi=self.log_pdf,
             search_box=self.default_search_box(),
             gradient=self.gradient,
             log_phi_batch=self.log_pdf,

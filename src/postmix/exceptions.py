@@ -48,13 +48,13 @@ class PostmixError(Exception):
 
 class DerivativeError(PostmixError):
     """A derivative could not be formed: a finite-difference stencil met
-    ``log phi = -inf``, or an analytic gradient was NaN or infinite.
+    ``log phi = -inf``, or an analytic gradient or Hessian was NaN or infinite.
 
     Attributes
     ----------
     point : ndarray
         The offending evaluation point: the stencil point that met ``-inf``,
-        or the point whose analytic gradient is not finite.
+        or the point whose analytic gradient or Hessian is not finite.
     """
 
     def __init__(self, message, point=None):

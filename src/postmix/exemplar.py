@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import MixtureModel, UnnormalizedTarget, _write_csv
+from .density import MixtureModel, UnnormalizedTarget, _as_points, _write_csv
 
 # The fewest posterior samples a pushforward summarizes.
 MIN_PUSHFORWARD = 100
@@ -248,22 +248,19 @@ def damping_log_likelihood(obs: ObservationSet, constants: tuple,
     inv_two_var = 1.0 / (2.0 * obs.noise_sigma**2)
     uniform = _is_uniform_grid(times)
 
-    def log_phi_batch(points: NDArray) -> NDArray:
-        points = np.asarray(points, dtype=float)
-        out = np.full(points.shape[0], -np.inf)
-        ok = np.all(points > 0.0, axis=1)
+    def log_phi(points: NDArray) -> NDArray | float:  # one point or a batch
+        pts, single = _as_points(points, 2)
+        out = np.full(pts.shape[0], -np.inf)
+        ok = np.all(pts > 0.0, axis=1)
         if np.any(ok):
-            x1 = _simulate_batch(points[ok], constants, u0, times, uniform)[:, :, 0]
+            x1 = _simulate_batch(pts[ok], constants, u0, times, uniform)[:, :, 0]
             residuals = values - x1
             out[ok] = -inv_two_var * np.sum(residuals * residuals, axis=1)
-        return out
+        return float(out[0]) if single else out
 
-    return UnnormalizedTarget(
-        dim=2,
-        log_phi=lambda z: float(log_phi_batch(np.asarray(z, float)[np.newaxis])[0]),
-        search_box=np.asarray(search_box, dtype=float),
-        log_phi_batch=log_phi_batch,
-    )
+    return UnnormalizedTarget(dim=2, log_phi=log_phi,
+                              search_box=np.asarray(search_box, dtype=float),
+                              log_phi_batch=log_phi)
 
 
 @dataclass(frozen=True)

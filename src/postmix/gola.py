@@ -27,7 +27,6 @@ from .density import (
     eval_log_density_batch,
     gaussian_log_pdfs,
     gradient_rows,
-    mixture_sample,
     mixture_to_dict,
 )
 from .exceptions import (
@@ -407,7 +406,7 @@ def solve_weights(target: UnnormalizedTarget,
     if n < k:
         raise ValueError(f"need at least K={k} samples, got {n}")
     sampler = MixtureModel(tuple(components), np.full(k, 1.0 / k))
-    points = mixture_sample(sampler, n, seed)
+    points = sampler.sample(n, seed)
     log_phi = eval_log_density_batch(target, points)
     offset = float(np.max(log_phi))
     if not np.isfinite(offset):

@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 from .density import (
     GaussianComponent,
     UnnormalizedTarget,
+    _as_points,
     eval_log_density_batch,
     log_sum_exp,
 )
@@ -136,9 +137,7 @@ class GridDensity2D:
         self._cell_probs = log_sum_exp(log_phi.reshape(1, -1))[1][0]
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = points[np.newaxis] if single else points
+        pts, single = _as_points(points, 2)
         out = eval_log_density_batch(self.target, pts) - self.log_z
         return float(out[0]) if single else out
 

@@ -123,7 +123,7 @@ def _score_gradient_raw(params: VariationalParams, target: UnnormalizedTarget,
     """Score-function gradient plus the per-sample f statistics."""
     if n < 2:
         raise ValueError("the leave-one-out baseline requires n >= 2")
-    # the draws of mixture_sample(to_mixture(params), n, seed), bit for bit,
+    # the draws of to_mixture(params).sample(n, seed), bit for bit,
     # without validating and inverting K components every epoch
     chol = params.chol_factors()
     pi, log_pi = params.softmax()

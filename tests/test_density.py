@@ -27,10 +27,6 @@ from postmix.density import (
     gradient_rows,
     log_sum_exp,
     mixture_from_dict,
-    mixture_log_pdf,
-    mixture_log_pdf_gradient,
-    mixture_log_pdf_hessian,
-    mixture_sample,
     mixture_terms,
     mixture_to_dict,
     random_sinh_arcsinh_mixture,
@@ -75,7 +71,7 @@ class TestEvalLogDensity:
             0.5 * math.exp(-0.5 * LOG_2PI - 0.5)
             + 0.5 * math.exp(-0.5 * LOG_2PI - 0.5)
         )
-        assert mixture_log_pdf(mix, np.array([0.0])) == pytest.approx(direct, rel=1e-14)
+        assert mix.log_pdf(np.array([0.0])) == pytest.approx(direct, rel=1e-14)
 
     def test_dimension_mismatch(self):
         target = _gaussian_target(np.zeros(2), np.eye(2))
@@ -409,6 +405,53 @@ class TestEvalHessian:
         assert offsets[0] > 0.0 and offsets[1] == 0.0
 
 
+class TestTargetReplies:
+    """Every reply from a target callable is checked once, on its way in:
+    a wrong shape names the field, a non-finite derivative its row."""
+
+    def test_nan_analytic_gradient_raises_with_its_point(self):
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z),
+                                gradient=lambda z: np.full(2, math.nan))
+        z = np.array([0.5, -1.0])
+        with pytest.raises(DerivativeError, match="analytic gradient") as err:
+            eval_gradient(target, z)
+        np.testing.assert_array_equal(err.value.point, z)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_analytic_hessian_raises_with_its_point(self, bad):
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z),
+                                hessian=lambda z: np.array([[-1.0, 0.0], [0.0, bad]]))
+        z = np.array([0.5, -1.0])
+        with pytest.raises(DerivativeError, match="analytic hessian") as err:
+            eval_hessian(target, z)
+        np.testing.assert_array_equal(err.value.point, z)
+
+    @pytest.mark.parametrize("reply", [lambda pts: -np.ones((len(pts), 1)),
+                                       lambda pts: -np.ones(1)], ids=["column", "one"])
+    def test_log_phi_batch_of_the_wrong_shape_names_the_field(self, reply):
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z), log_phi_batch=reply)
+        with pytest.raises(ValueError, match=r"log_phi_batch .*expected \(3,\)"):
+            eval_log_density_batch(target, np.zeros((3, 2)))
+
+    def test_scalar_log_phi_of_the_wrong_shape_names_the_field(self):
+        target = _simple_target(2, lambda z: -0.5 * z * z)
+        with pytest.raises(ValueError, match=r"log_phi replied with shape \(2,\)"):
+            eval_log_density(target, np.zeros(2))
+
+    @pytest.mark.parametrize("field,reply", [
+        ("gradient_batch", lambda pts: -pts[:, :1]),
+        ("gradient", lambda z: -np.append(z, 0.0)),
+        ("hessian", lambda z: -np.eye(3)),
+    ], ids=["gradient_batch", "gradient", "hessian"])
+    def test_derivative_of_the_wrong_shape_names_the_field(self, field, reply):
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z), **{field: reply})
+        with pytest.raises(ValueError, match=rf"{field} replied with shape"):
+            if field == "hessian":
+                eval_hessian(target, np.zeros(2))
+            else:
+                gradient_rows(target, np.zeros((3, 2)))
+
+
 class TestMixtureLogPdf:
     def test_single_component_exact(self):
         mean = np.array([0.4, -1.2])
@@ -419,7 +462,7 @@ class TestMixtureLogPdf:
         rng = np.random.default_rng(12)
         pts = rng.standard_normal((50, 2))
         ref = multivariate_normal(mean, cov).logpdf(pts)
-        np.testing.assert_allclose(mixture_log_pdf(mix, pts), ref, rtol=1e-12)
+        np.testing.assert_allclose(mix.log_pdf(pts), ref, rtol=1e-12)
 
     def test_symmetric_midpoint(self):
         comps = (
@@ -428,7 +471,7 @@ class TestMixtureLogPdf:
         )
         mix = MixtureModel(comps, np.array([0.5, 0.5]))
         component_term = math.log(0.5) + comps[0].log_pdf(np.array([0.0]))
-        assert mixture_log_pdf(mix, np.array([0.0])) == pytest.approx(
+        assert mix.log_pdf(np.array([0.0])) == pytest.approx(
             math.log(2.0) + component_term, rel=1e-14
         )
 
@@ -441,7 +484,7 @@ class TestMixtureLogPdf:
             np.array([0.5, 0.5]),
         )
         z = np.array([50.0])  # 50 sigma past the closest mean
-        val = mixture_log_pdf(mix, z)
+        val = mix.log_pdf(z)
         # extended-precision oracle: the nearer component dominates, and its
         # exact log term is analytic
         exact_near = math.log(0.5) - 0.5 * LOG_2PI - 0.5 * 47.0**2
@@ -469,7 +512,7 @@ class TestMixtureLogPdf:
             GaussianComponent(np.array([100.0]), np.eye(1)),
         )
         mix = MixtureModel(comps, np.array([1.0, 0.0]))
-        assert mixture_log_pdf(mix, np.array([0.0])) == pytest.approx(
+        assert mix.log_pdf(np.array([0.0])) == pytest.approx(
             -0.5 * LOG_2PI, rel=1e-14
         )
 
@@ -482,7 +525,7 @@ class TestMixtureLogPdf:
         )
         mix = MixtureModel(comps, np.array([0.35, 0.65]))
         total, _ = dblquad(
-            lambda y, x: math.exp(mixture_log_pdf(mix, np.array([x, y]))),
+            lambda y, x: math.exp(mix.log_pdf(np.array([x, y]))),
             -8.0, 8.0, -8.0, 8.0, epsabs=1e-6,
         )
         assert total == pytest.approx(1.0, abs=1e-4)
@@ -623,16 +666,16 @@ class TestMixtureKernelProperties:
         mixture, points = case
         for z in points:
             grad, hess, g_scale, h_scale = _solve_triangular_derivatives(mixture, z)
-            np.testing.assert_allclose(mixture_log_pdf_gradient(mixture, z), grad,
+            np.testing.assert_allclose(mixture.gradient(z), grad,
                                        rtol=1e-10, atol=1e-10 * g_scale)
-            np.testing.assert_allclose(mixture_log_pdf_hessian(mixture, z), hess,
+            np.testing.assert_allclose(mixture.hessian(z), hess,
                                        rtol=1e-10, atol=1e-10 * h_scale)
 
     @given(_mixtures())
     def test_batched_log_pdf_equals_per_point(self, case):
         mixture, points = case
-        per_point = np.array([mixture_log_pdf(mixture, z) for z in points])
-        np.testing.assert_allclose(mixture_log_pdf(mixture, points), per_point,
+        per_point = np.array([mixture.log_pdf(z) for z in points])
+        np.testing.assert_allclose(mixture.log_pdf(points), per_point,
                                    rtol=1e-13, atol=1e-13)
 
     @given(_mixtures())
@@ -648,10 +691,10 @@ class TestMixtureKernelProperties:
     @given(_mixtures())
     def test_batched_gradient_equals_per_point(self, case):
         mixture, points = case
-        per_point = np.array([mixture_log_pdf_gradient(mixture, z) for z in points])
+        per_point = np.array([mixture.gradient(z) for z in points])
         # an entry that cancels to near zero keeps the largest score's rounding
         scale = np.abs(_terms(mixture, points)[3]).max()
-        np.testing.assert_allclose(mixture_log_pdf_gradient(mixture, points), per_point,
+        np.testing.assert_allclose(mixture.gradient(points), per_point,
                                    rtol=1e-13, atol=1e-13 * scale)
         for z, grad in zip(points, per_point):
             # one point takes the single (d, K) @ (K,) contraction, bit for bit
@@ -660,7 +703,7 @@ class TestMixtureKernelProperties:
         target = mixture.as_target()
         assert target.gradient_batch is not None
         grads, failed = gradient_rows(target, points)
-        np.testing.assert_array_equal(grads, mixture_log_pdf_gradient(mixture, points))
+        np.testing.assert_array_equal(grads, mixture.gradient(points))
         assert failed == {}
 
     @given(_mixtures(), st.integers(1, 64))
@@ -670,7 +713,7 @@ class TestMixtureKernelProperties:
         params = vi.from_mixture(mixture)
         np.testing.assert_array_equal(
             draw_mixture(params.softmax()[0], params.means, params.chol_factors(), n, 5),
-            mixture_sample(vi.to_mixture(params), n, 5))
+            vi.to_mixture(params).sample(n, 5))
 
     @given(_mixtures())
     def test_responsibilities_sum_to_one(self, case):
@@ -696,7 +739,7 @@ class TestMixtureSample:
     def test_single_component_mean(self):
         mix = MixtureModel((GaussianComponent(np.zeros(3), np.eye(3)),), np.ones(1))
         n = 10**5
-        draws = mixture_sample(mix, n, seed=0)
+        draws = mix.sample(n, seed=0)
         assert np.all(np.abs(draws.mean(axis=0)) <= 4.0 / math.sqrt(n))
 
     def test_degenerate_weights(self):
@@ -705,7 +748,7 @@ class TestMixtureSample:
             GaussianComponent(np.array([100.0]), 0.01 * np.eye(1)),
         )
         mix = MixtureModel(comps, np.array([1.0, 0.0]))
-        draws = mixture_sample(mix, 1000, seed=1)
+        draws = mix.sample(1000, seed=1)
         assert np.all(np.abs(draws) < 1.0)
 
     def test_component_frequencies(self):
@@ -714,7 +757,7 @@ class TestMixtureSample:
             GaussianComponent(np.array([100.0]), 0.01 * np.eye(1)),
         )
         mix = MixtureModel(comps, np.array([0.25, 0.75]))
-        draws = mixture_sample(mix, 10**5, seed=2)
+        draws = mix.sample(10**5, seed=2)
         freq = float(np.mean(draws > 50.0))
         assert abs(freq - 0.75) <= 0.01  # binomial sd ~ 0.0014
 
@@ -724,7 +767,7 @@ class TestMixtureSample:
         mix = MixtureModel((GaussianComponent(mean, np.linalg.cholesky(cov)),),
                            np.ones(1))
         n = 10**6
-        draws = mixture_sample(mix, n, seed=3)
+        draws = mix.sample(n, seed=3)
         se_mean = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= 5.0 * se_mean)
         emp_cov = np.cov(draws.T)
@@ -736,8 +779,8 @@ class TestMixtureSample:
 
     def test_deterministic(self):
         mix = MixtureModel((GaussianComponent(np.zeros(2), np.eye(2)),), np.ones(1))
-        np.testing.assert_array_equal(mixture_sample(mix, 64, 9),
-                                      mixture_sample(mix, 64, 9))
+        np.testing.assert_array_equal(mix.sample(64, 9),
+                                      mix.sample(64, 9))
 
 
 class TestValidation:
@@ -799,6 +842,15 @@ class TestValidation:
             refactored = np.linalg.cholesky(comp.cov)
             err = np.linalg.norm(refactored - chol, "fro")
             assert err <= 1e-12 * np.linalg.norm(chol, "fro")
+
+    @pytest.mark.parametrize("field,value", [("log_phi", None),
+                                             ("gradient", np.zeros(2)),
+                                             ("log_phi_batch", "x")])
+    def test_target_fields_must_be_callable(self, field, value):
+        # a fit used to die later, on "'NoneType' object is not callable"
+        fields = {"log_phi": lambda z: 0.0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be callable"):
+            UnnormalizedTarget(dim=2, search_box=np.tile([0.0, 1.0], (2, 1)), **fields)
 
     def test_search_box_validation(self):
         with pytest.raises(ValueError):
@@ -1039,8 +1091,8 @@ class TestRowBlocks:
         mix = MixtureModel(comps, np.array([0.1, 0.2, 0.3, 0.4]))
         points = mix.sample(blocks * _block_rows(mix._means.size) + extra, seed=24)
         log_n, _ = gaussian_log_pdfs(mix._means, mix._chol_invs, points)
-        np.testing.assert_array_equal(mixture_log_pdf(mix, points),
+        np.testing.assert_array_equal(mix.log_pdf(points),
                                       log_sum_exp(log_n + mix._log_weights)[0])
-        np.testing.assert_allclose(mixture_log_pdf(mix, points),
-                                   [mixture_log_pdf(mix, z) for z in points],
+        np.testing.assert_allclose(mix.log_pdf(points),
+                                   [mix.log_pdf(z) for z in points],
                                    rtol=1e-13, atol=1e-13)

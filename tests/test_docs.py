@@ -2,9 +2,14 @@
 exports stay in step with the code: a key the code no longer accepts, a
 retired name or a quick start that no longer runs fails here."""
 
+import functools
+import importlib
+import inspect
 import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 import postmix
 from postmix import cli
@@ -63,3 +68,39 @@ def test_schema_observation_sidecar_keys_match():
     documented = _schema_example("Observations")
     assert set(documented) == set(sidecar)
     assert set(documented["constants"]) == set(sidecar["constants"])
+
+
+def _has(obj, dotted):
+    try:
+        functools.reduce(getattr, dotted.split("."), obj)
+    except AttributeError:
+        return False
+    return True
+
+
+def _resolves(module, name):
+    """Whether a dotted ``name`` is an attribute of ``module``, of one of the
+    classes in its namespace (a dataclass field counts), or of a sibling
+    module (``density.mixture_terms`` from ``postmix.vi``)."""
+    classes = [c for _, c in inspect.getmembers(module, inspect.isclass)]
+    fields = {f for c in classes for f in getattr(c, "__dataclass_fields__", {})}
+    sibling = inspect.ismodule(getattr(postmix, name.split(".")[0], None))
+    return (name in fields or any(_has(owner, name) for owner in (module, *classes))
+            or sibling and _has(postmix, name))
+
+
+def test_readme_layout_names_resolve():
+    # a Layout row that still names a deleted or renamed function fails here
+    text = (ROOT / "README.md").read_text()
+    layout = text.split("\n## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(postmix\.\w+)` \| (.*) \|$", layout, re.MULTILINE)
+    assert len(rows) == 8
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", contents):
+            if name == "postmix" or hasattr(np, name):
+                continue
+            if not _resolves(module, name):
+                missing.append(f"{module_name}: {name}")
+    assert missing == []

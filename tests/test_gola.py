@@ -15,7 +15,6 @@ from postmix.density import (
     eval_hessian,
     eval_log_density,
     gaussian_log_pdfs,
-    mixture_sample,
 )
 from postmix.exceptions import (
     DerivativeError,
@@ -731,7 +730,7 @@ class TestSolveWeights:
         )
         comps = list(mix.components)
         n = 1024
-        pts = mixture_sample(MixtureModel(tuple(comps), np.full(2, 0.5)), n, seed=3)
+        pts = MixtureModel(tuple(comps), np.full(2, 0.5)).sample(n, seed=3)
         weights, _ = solve_weights(target, comps, n, seed=3)
         design = np.column_stack([np.exp(c.log_pdf(pts)) for c in comps])
         y = np.exp(mix.log_pdf(pts))
@@ -760,7 +759,7 @@ class TestSolveWeights:
                                     search_box=_box(1), log_phi_batch=log_phi_batch)
         with pytest.raises(NonFiniteDensityError) as exc:
             solve_weights(target, [comp], 128, seed=4)
-        points = mixture_sample(MixtureModel((comp,), np.ones(1)), 128, 4)
+        points = MixtureModel((comp,), np.ones(1)).sample(128, 4)
         np.testing.assert_array_equal(exc.value.point, points[5])
 
 
@@ -771,6 +770,29 @@ class TestRunGola:
                                     search_box=[[-5, 5], [-5, 4]], gradient=lambda z: -z)
         with pytest.raises(EvidenceOverflowError,
                            match=r"log phi peaks at 799\.9.*subtract a constant"):
+            run_gola(target, GolaConfig(n_starts=8, master_seed=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_analytic_hessian_raises_at_the_mode(self, bad):
+        # used to surface as a ValueError of the Gaussian component, or a
+        # RuntimeWarning of the Cholesky factorization
+        _, plain = _gaussian_mixture_target([[0.0, 0.0]], [np.eye(2)], [1.0])
+        target = dataclasses.replace(plain, hessian=lambda z: np.full((2, 2), bad))
+        cfg = GolaConfig(n_starts=8, master_seed=0)
+        with pytest.raises(DerivativeError, match="analytic hessian") as exc:
+            run_gola(target, cfg)
+        np.testing.assert_array_equal(exc.value.point,
+                                      multistart_minimize(plain, cfg)[0].location)
+
+    @pytest.mark.parametrize("field,reply", [
+        ("log_phi_batch", lambda pts: -0.5 * (pts * pts).sum(axis=1, keepdims=True)),
+        ("log_phi_batch", lambda pts: np.zeros(1)),
+        ("gradient_batch", lambda pts: -pts[:, :1]),
+    ], ids=["log_phi_batch_column", "log_phi_batch_one", "gradient_batch_column"])
+    def test_batched_reply_of_the_wrong_shape_names_the_field(self, field, reply):
+        # these used to die inside the search on a list, an index or a dot product
+        target = dataclasses.replace(_quadratic_target(), **{field: reply})
+        with pytest.raises(ValueError, match=rf"{field} replied with shape"):
             run_gola(target, GolaConfig(n_starts=8, master_seed=0))
 
     def test_unimodal_exact_recovery_and_evidence(self):
