@@ -260,15 +260,15 @@ def _factor_spec(cfg: RunConfig) -> FactorSpec:
     return replace(spec, **kwargs) if kwargs else spec
 
 
-def _cmd_fit(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_fit(cfg: RunConfig, out: Path) -> dict:
     target = _build_target(cfg)
     report = run_gola(target, _gola_config(cfg))
     _json_dump(mixture_to_dict(report.mixture), out / "mixture.json")
     _json_dump(report.to_dict(), out / "gola_report.json")
-    return ["mixture.json", "gola_report.json"]
+    return {"artifacts": ["mixture.json", "gola_report.json"]}
 
 
-def _cmd_refine(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_refine(cfg: RunConfig, out: Path) -> dict:
     target = _build_target(cfg)
     if cfg.init:
         init = _load_mixture(cfg.init)
@@ -279,10 +279,13 @@ def _cmd_refine(cfg: RunConfig, out: Path) -> list[str]:
     refined, trace = refine(init, target, _vi_config(cfg), reference)
     _json_dump(mixture_to_dict(refined), out / "mixture.json")
     trace.to_csv(out / "vi_trace.csv")
-    return ["mixture.json", "vi_trace.csv"]
+    return {"artifacts": ["mixture.json", "vi_trace.csv"],
+            "diagnostics": {"diverged": trace.diverged,
+                            "support_violations": trace.support_violations,
+                            "best_epoch": trace.best_epoch}}
 
 
-def _cmd_eval(cfg: RunConfig, out: Optional[Path]) -> list[str]:
+def _cmd_eval(cfg: RunConfig, out: Optional[Path]) -> dict:
     if not (cfg.p and cfg.q):
         raise ConfigError("eval needs --p and --q mixture paths")
     p = _load_mixture(cfg.p)
@@ -294,11 +297,11 @@ def _cmd_eval(cfg: RunConfig, out: Optional[Path]) -> list[str]:
     print(json.dumps(doc))
     if out is not None:
         _json_dump(doc, out / "jsd.json")
-        return ["jsd.json"]
-    return []
+        return {"artifacts": ["jsd.json"]}
+    return {"artifacts": []}
 
 
-def _cmd_robustness(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_robustness(cfg: RunConfig, out: Path) -> dict:
     spec = _factor_spec(cfg)
     table = robustness_study(spec, cfg.n_cases, _gola_config(cfg),
                              cfg.jsd_samples, cfg.seed)
@@ -306,10 +309,10 @@ def _cmd_robustness(cfg: RunConfig, out: Path) -> list[str]:
     _json_dump({"fraction_below_threshold": table.fraction_below(),
                 "threshold": ACCURACY_THRESHOLD,
                 "mean_Y": table.mean_score()}, out / "robustness_summary.json")
-    return ["robustness.csv", "robustness_summary.json"]
+    return {"artifacts": ["robustness.csv", "robustness_summary.json"]}
 
 
-def _cmd_sensitivity(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_sensitivity(cfg: RunConfig, out: Path) -> dict:
     spec = _factor_spec(cfg)
     gola_cfg = _gola_config(cfg)
 
@@ -328,10 +331,10 @@ def _cmd_sensitivity(cfg: RunConfig, out: Path) -> list[str]:
     design = sobol_design(spec.factors(), cfg.n_design, cfg.seed, model)
     result = bootstrap_ci(design, cfg.replicates, seed=cfg.seed)
     result.to_csv(out / "sensitivity.csv")
-    return ["sensitivity.csv"]
+    return {"artifacts": ["sensitivity.csv"]}
 
 
-def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_exemplar(cfg: RunConfig, out: Path) -> dict:
     # c1_true and c2_true set the true frame's damping; the other keys but
     # n_pushforward are scenario fields. Reals become floats, like the defaults.
     doc = {key: float(value) if _EXEMPLAR_KEYS[key] == "float" else value
@@ -356,16 +359,18 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> list[str]:
     summary = pushforward(report.mixture, scenario.constants(), scenario.u0,
                           times, n_push, cfg.seed)
     summary.to_csv(out / "pushforward.csv")
-    return ["observations.csv", "observations.json", "mixture.json",
-            "gola_report.json", "pushforward.csv"]
+    return {"artifacts": ["observations.csv", "observations.json", "mixture.json",
+                          "gola_report.json", "pushforward.csv"],
+            "diagnostics": {"n_rejections": summary.n_rejections,
+                            "high_rejection_warning": summary.high_rejection_warning}}
 
 
-def _cmd_generate(cfg: RunConfig, out: Path) -> list[str]:
+def _cmd_generate(cfg: RunConfig, out: Path) -> dict:
     # a collapsed [v, v] range in the config pins its factor
     factors = _factor_spec(cfg).sample(np.random.default_rng(cfg.seed))
     mixture = generate_test_gmm(factors, cfg.seed)
     _json_dump(mixture_to_dict(mixture), out / "mixture.json")
-    return ["mixture.json"]
+    return {"artifacts": ["mixture.json"]}
 
 
 _RUNNERS = {
@@ -398,8 +403,10 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured command; returns the process exit status.
 
     Artifacts land in the output directory along with a run manifest
-    (config echo, seed, versions, wall-clock). Failures produce an
-    error.json and a nonzero status instead of a traceback.
+    (config echo, seed, versions, wall-clock, and the entries the command
+    returns: its artifacts, and for ``refine`` and ``exemplar`` the run's
+    diagnostics). Failures produce an error.json and a nonzero status
+    instead of a traceback.
     """
     out: Optional[Path] = None
     try:
@@ -415,14 +422,14 @@ def run(cfg: RunConfig) -> int:
         for build in (_gola_config, _vi_config, _factor_spec):
             build(cfg)  # each section, also where the command does not use it
         started = time.perf_counter()
-        artifacts = _RUNNERS[cfg.command](cfg, out)
+        entries = _RUNNERS[cfg.command](cfg, out)  # artifacts, and diagnostics
         if out is not None:
             manifest = {
                 "config": cfg.echo(),
                 "seed": cfg.seed,
                 "versions": _versions(),
                 "wall_clock_seconds": time.perf_counter() - started,
-                "artifacts": artifacts,
+                **entries,
             }
             _json_dump(manifest, out / "run_manifest.json")
         return 0

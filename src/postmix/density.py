@@ -28,7 +28,7 @@ _GRAD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _BOX_PADDING = 4.0
 # Spacing of the component centers of ``random_sinh_arcsinh_mixture``.
 _SINH_SEPARATION = 6.0
-# Entries of one (rows, K, d) temporary of a blocked mixture log-density:
+# Entries of one (rows, K, d) temporary of a blocked mixture kernel:
 # 2**14 doubles (128 KiB) stay under the allocator's threshold for fresh
 # memory maps (glibc's default), so a block's temporaries come back from
 # the heap call after call instead of being mapped and faulted in anew.
@@ -305,29 +305,48 @@ def _block_rows(width: int) -> int:
     return max(2, _BLOCK_ENTRIES // width)
 
 
-def _log_pdf_rows(kernel: Callable[[NDArray], NDArray], pts: NDArray,
-                  width: int) -> NDArray:
-    """The (n,) log-densities that ``kernel`` gives at (n, d) points, taken
-    :func:`_block_rows` rows at a time; rows do not interact, so the blocks
-    only bound the size of the temporaries.
+def _rows(kernel: Callable[[NDArray], NDArray], points: NDArray, dim: int,
+          width: int) -> NDArray | float:
+    """What a block ``kernel`` gives at one point (dim,) or a batch (n, dim):
+    a log-density kernel's (m,) reply becomes a float or (n,), a gradient
+    kernel's (m, dim) reply (dim,) or (n, dim).
 
-    A block never holds a single row unless the batch does: BLAS takes a
+    The kernel runs on :func:`_block_rows` rows at a time; rows do not
+    interact, so the blocks only bound the size of the temporaries. A block
+    never holds a single row unless the batch does: BLAS takes a
     matrix-vector path for one column, which rounds differently, so a lone
     last row joins the block before it.
 
-    A finite point whose squares overflow lies where the density is zero,
-    and gets ``-inf`` without a warning; a point with a NaN or infinite
-    coordinate has no density and gets NaN.
+    A point with a NaN or infinite coordinate has no density: every entry
+    of its reply is NaN. A finite point whose squares overflow lies where
+    the density is zero, and its log-density is ``-inf``, without a warning.
     """
+    pts, single = _as_points(points, dim)
     rows = _block_rows(width)
     cuts = list(range(rows, pts.shape[0] - 1, rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = (np.concatenate([kernel(block) for block in np.split(pts, cuts)]) if cuts
                else kernel(pts))
-    if not out.min(initial=np.inf) > -np.inf:  # a -inf or a NaN
-        low = ~(out > -np.inf)
-        out[low] = np.where(np.isfinite(pts[low]).all(axis=1), -np.inf, np.nan)
+    if not np.isfinite(out).all():
+        if out.ndim == 1:
+            out[np.isnan(out)] = -np.inf
+        out[~np.isfinite(pts).all(axis=1)] = np.nan
+    if single:
+        return float(out[0]) if out.ndim == 1 else out[0]
     return out
+
+
+def _nearest(log_p: NDArray, resp: NDArray, residuals: NDArray) -> NDArray:
+    """``resp`` (n, K), where each row with ``log_p = -inf`` takes its limit:
+    all the weight on the component of shortest (n, K, d) ``residuals``,
+    compared after scaling the row by its largest |residual| so that the
+    squares cannot overflow."""
+    far = log_p == -np.inf
+    if far.any():
+        near = np.nan_to_num(residuals[far])  # an overflowed residual: the largest double
+        near /= np.abs(near).max(axis=(1, 2), keepdims=True)
+        resp[far] = np.eye(resp.shape[1])[np.argmin((near * near).sum(axis=2), axis=1)]
+    return resp
 
 
 @dataclass(frozen=True)
@@ -372,10 +391,11 @@ class GaussianComponent:
         return self.chol_cov @ self.chol_cov.T
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
-        """Gaussian log-density at one point (d,) or a batch (n, d)."""
-        pts, single = _as_points(points, self.dim)
-        log_n, _ = gaussian_log_pdfs(self.mean[np.newaxis], self._chol_inv[np.newaxis], pts)
-        return float(log_n[0, 0]) if single else log_n[:, 0]
+        """Gaussian log-density at one point (d,) or a batch (n, d), by :func:`_rows`."""
+        return _rows(self._log_pdf_block, points, self.dim, self.dim)
+
+    def _log_pdf_block(self, pts: NDArray) -> NDArray[np.float64]:
+        return gaussian_log_pdfs(self.mean[np.newaxis], self._chol_inv[np.newaxis], pts)[0][:, 0]
 
 
 @dataclass(frozen=True)
@@ -419,38 +439,43 @@ class MixtureModel:
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
         """Log-density at one point (d,) or a batch (n, d), via a log-sum-exp
-        over the components, in the row blocks of :func:`_log_pdf_rows`,
-        which leave every value bitwise the whole batch's.
+        over the components, in the row blocks of :func:`_rows`, which leave
+        every value bitwise the whole batch's.
 
         Components with zero weight were dropped at construction, so they
         contribute nothing rather than a NaN. Stable far into the tails: the
         result stays finite 40 sigma and beyond from every mean, and is
         ``-inf`` where the squared distance overflows (NaN at a point with a
         NaN or infinite coordinate)."""
-        pts, single = _as_points(points, self.dim)
+        return _rows(self._log_pdf_block, points, self.dim, self._means.size)
 
-        def kernel(block):
-            log_n, _ = gaussian_log_pdfs(self._means, self._chol_invs, block)
-            return log_sum_exp(log_n + self._log_weights)[0]
-
-        out = _log_pdf_rows(kernel, pts, self._means.size)
-        return float(out[0]) if single else out
+    def _log_pdf_block(self, pts: NDArray) -> NDArray[np.float64]:
+        log_n, _ = gaussian_log_pdfs(self._means, self._chol_invs, pts)
+        return log_sum_exp(log_n + self._log_weights)[0]
 
     def gradient(self, points: NDArray) -> NDArray[np.float64]:
         """Analytic gradient of the log-density at one point (d,) or a batch
-        (n, d): the responsibility-weighted score vectors."""
-        pts, single = _as_points(points, self.dim)
-        _, resp, _, scores = mixture_terms(self._means, self._chol_invs,
-                                           self._log_weights, pts)
+        (n, d), by :func:`_rows`: the responsibility-weighted scores, where
+        the density underflows the nearest component's (:func:`_nearest`)."""
+        return _rows(self._gradient_block, points, self.dim, self._means.size)
+
+    def _gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
+        log_q, resp, whitened, scores = mixture_terms(self._means, self._chol_invs,
+                                                      self._log_weights, pts)
+        resp = _nearest(log_q, resp, whitened.transpose(2, 0, 1))
         # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
-        grads = (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
-        return grads[0] if single else grads
+        return (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
 
     def hessian(self, point: NDArray) -> NDArray[np.float64]:
-        """Analytic Hessian of the log-density at a single point."""
-        pts, _ = _as_points(point, self.dim)
+        """Analytic Hessian of the log-density at one point (d,). A batch
+        raises ``ValueError``: the rows of a stacked Hessian would round
+        apart from the Hessians of their points alone."""
+        point = np.asarray(point, dtype=float)
+        if point.shape != (self.dim,):
+            raise ValueError(f"hessian takes one point of dimension {self.dim}, "
+                             f"got shape {point.shape}")
         _, resp, _, grads = mixture_terms(self._means, self._chol_invs,
-                                          self._log_weights, pts)
+                                          self._log_weights, point[np.newaxis])
         resp, grads = resp[0], grads[0]
         precisions = self._chol_invs.transpose(0, 2, 1) @ self._chol_invs
         mean_grad = grads.T @ resp
@@ -649,32 +674,38 @@ class SinhArcsinhMixture:
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
         """Log-density at one point (d,) or a batch (n, d), in the row
-        blocks of :func:`_log_pdf_rows`: ``-inf`` where it underflows, NaN
-        at a point with a NaN or infinite coordinate."""
-        pts, single = _as_points(points, self.dim)
-        out = _log_pdf_rows(lambda block: log_sum_exp(self._component_terms(block)[0])[0],
-                            pts, self.loc.size)
-        return float(out[0]) if single else out
+        blocks of :func:`_rows`, which leave every value bitwise the whole
+        batch's: ``-inf`` where it underflows, NaN at a point with a NaN or
+        infinite coordinate."""
+        return _rows(self._log_pdf_block, points, self.dim, self.loc.size)
+
+    def _log_pdf_block(self, pts: NDArray) -> NDArray[np.float64]:
+        return log_sum_exp(self._component_terms(pts)[0])[0]
 
     def gradient(self, points: NDArray) -> NDArray[np.float64]:
-        """Gradient of the log-density at one point (d,) or a batch (n, d).
-
-        Per coordinate, ``tanh(u) - z cosh(u) = -z^2 tanh(u)``, so the
-        derivative is ``-(z^2 tanh(u) / tail + x / r) / (scale r)`` with
-        ``r = sqrt(1 + x^2)`` and ``tanh(u) = z / sqrt(1 + z^2)``.
+        """Gradient of the log-density at one point (d,) or a batch (n, d), by
+        :func:`_rows`. Per coordinate, ``tanh(u) - z cosh(u) = -z^2 tanh(u)``,
+        so the derivative is ``-(z (z / r) tanh(u) / tail + (x / r) / r) /
+        scale`` with ``r = hypot(1, x)``: no square is formed. A component of
+        zero responsibility contributes 0, and where all underflow the one of
+        smallest ``z`` takes all the weight (:func:`_nearest`).
         """
-        pts, single = _as_points(points, self.dim)
+        return _rows(self._gradient_block, points, self.dim, self.loc.size)
+
+    def _gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
         comp, x, z = self._component_terms(pts)
-        _, resp = log_sum_exp(comp)
-        inv_r = 1.0 / np.sqrt(1.0 + x * x)
-        dlogp = z / np.sqrt(1.0 + z * z)
-        dlogp *= z * z
+        resp = _nearest(*log_sum_exp(comp), z)
+        r = np.hypot(1.0, x)
+        dlogp = z / r
+        dlogp *= z
+        dlogp *= np.tanh(np.arcsinh(z))  # +-1, not NaN, where sinh overflowed
         dlogp *= self._inv_tail
-        dlogp += x * inv_r
-        dlogp *= inv_r
+        x /= r
+        x /= r
+        dlogp += x
         dlogp *= -self._inv_scale
-        grads = np.einsum("nk,nkd->nd", resp, dlogp)
-        return grads[0] if single else grads
+        dlogp[resp == 0.0] = 0.0  # not 0 * inf
+        return np.einsum("nk,nkd->nd", resp, dlogp)
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
         """``n`` exact draws: ancestral component choice, then the

@@ -239,9 +239,10 @@ def damping_log_likelihood(obs: ObservationSet, constants: tuple,
     """Gaussian log likelihood over the two damping coefficients.
 
     log phi(c1, c2) = -sum((y_i - x1(t_i; c1, c2))^2) / (2 sigma^2) with an
-    uninformative prior; nonpositive damping returns -inf. The gradient is
-    left to finite differences because every evaluation integrates the
-    system.
+    uninformative prior; nonpositive damping returns -inf, and a NaN
+    coordinate NaN, which the evaluators reject naming the point. The
+    gradient is left to finite differences because every evaluation
+    integrates the system.
     """
     u0, times = _checked_inputs(obs.initial_state, obs.times)
     values = obs.values
@@ -251,6 +252,7 @@ def damping_log_likelihood(obs: ObservationSet, constants: tuple,
     def log_phi(points: NDArray) -> NDArray | float:  # one point or a batch
         pts, single = _as_points(points, 2)
         out = np.full(pts.shape[0], -np.inf)
+        out[np.isnan(pts).any(axis=1)] = np.nan
         ok = np.all(pts > 0.0, axis=1)
         if np.any(ok):
             x1 = _simulate_batch(pts[ok], constants, u0, times, uniform)[:, :, 0]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from postmix import cli
 from postmix.cli import ConfigError, OUTPUT_DIR_ENV, main, parse_config
 from postmix.density import mixture_from_dict
+from postmix.exemplar import default_scenario, pushforward
 from postmix.exceptions import check_fields
 from postmix.gola import GolaConfig
 from postmix.vi import ViConfig
@@ -355,6 +356,20 @@ class TestRefineCommand:
         out = tmp_path / "out"
         assert main(["refine", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "mixture.json").exists()
+
+    def test_manifest_reports_a_diverged_run(self, tmp_path):
+        # a diverged refinement still exits 0 with its best iterate, so the
+        # manifest is where it shows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "target": {"name": "gauss2d"},
+            "vi": {"max_epochs": 40, "n_mc_samples": 16, "step_size": 50.0},
+        }))
+        out = tmp_path / "out"
+        assert main(["refine", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        manifest = _read_json(out / "run_manifest.json")
+        assert manifest["diagnostics"] == {"diverged": True, "support_violations": 0,
+                                           "best_epoch": 0}
 
     @pytest.mark.parametrize("key", ["report_interval", "max_epochs"])
     def test_zero_count_rejected(self, tmp_path, key):
@@ -711,6 +726,27 @@ class TestExemplarCommand:
         assert mixture.n_components >= 2
         push = (out / "pushforward.csv").read_text().strip().splitlines()
         assert push[0] == "time,floor,mean,lo95,hi95"
+
+    def test_manifest_reports_the_pushforward_rejections(self, tmp_path):
+        # damping near zero and noisy data put posterior mass on c <= 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "gola": {"n_starts": 16, "gradient_tol": 1e-5},
+            "exemplar": {"n_pushforward": 100, "c1_true": 0.05, "c2_true": 0.05,
+                         "noise_sigma": 1.0},
+        }))
+        out = tmp_path / "out"
+        assert main(["exemplar", "--config", str(cfg), "--out", str(out),
+                     "--seed", "4"]) == 0
+        # the same draws from the written mixture, rejected the same way
+        mixture = mixture_from_dict(_read_json(out / "mixture.json"))
+        scenario = default_scenario()
+        times = np.linspace(scenario.horizon / 100.0, scenario.horizon, 100)
+        summary = pushforward(mixture, scenario.constants(), scenario.u0, times, 100, 4)
+        assert summary.n_rejections > 0
+        assert _read_json(out / "run_manifest.json")["diagnostics"] == {
+            "n_rejections": summary.n_rejections,
+            "high_rejection_warning": summary.high_rejection_warning}
 
     def test_manifest_records_scipy_without_importing_it(self, tmp_path):
         # a fresh interpreter: this one has scipy loaded by the tests

@@ -500,6 +500,22 @@ class TestMixtureLogPdf:
             mix.log_pdf(np.array([[0.0, 0.0], [1e200, 0.0]])), [-LOG_2PI, -math.inf])
         assert eval_log_density(mix.as_target(), np.array([0.0, -1e200])) == -math.inf
 
+    @pytest.mark.parametrize("point, want", [([1e200, 0.0], [-1e200, 0.0]),
+                                             ([0.0, -1e250], [0.0, 1e250])])
+    def test_far_gradient_points_back_without_a_warning(self, point, want):
+        # the density underflows at both components: the softmax's limit
+        # gives the nearer one all the weight, where zero responsibilities
+        # would read as a stationary point
+        mix = MixtureModel((GaussianComponent(np.zeros(2), np.eye(2)),
+                            GaussianComponent(np.ones(2), np.eye(2))), np.array([0.5, 0.5]))
+        np.testing.assert_array_equal(mix.gradient(np.array(point)), want)
+        np.testing.assert_array_equal(mix.gradient(np.array([point, [0.5, 0.5]]))[0], want)
+
+    def test_hessian_of_a_batch_raises(self):
+        mix = MixtureModel((GaussianComponent(np.zeros(2), np.eye(2)),), np.ones(1))
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            mix.hessian(np.array([[0.0, 0.0], [5.0, 5.0]]))
+
     def test_row_of_minus_inf_sums_to_zero_without_a_warning(self):
         stacked = np.array([[-math.inf, -math.inf], [0.0, -math.inf], [-math.inf, 1.0]])
         total, resp = log_sum_exp(stacked)
@@ -923,6 +939,14 @@ def _two_component_sinh(field=None, bad=None):
     return SinhArcsinhMixture(**params)
 
 
+def _sinh_with_tails(*tails):
+    """A 1-d sinh-arcsinh mixture of equal weights, loc 0, scale 1, skew 0
+    and the given tails."""
+    k = len(tails)
+    return SinhArcsinhMixture(np.full(k, 1.0 / k), np.zeros((k, 1)), np.ones((k, 1)),
+                              np.zeros((k, 1)), np.array(tails, float)[:, np.newaxis])
+
+
 class TestSinhArcsinh:
     @given(_sinh_arcsinh_batches())
     def test_batched_gradient_equals_per_point_bitwise(self, case):
@@ -1056,6 +1080,26 @@ class TestSinhArcsinh:
         assert values[1] == pytest.approx(_per_coordinate_log_pdf(mix, np.array([[0.5]]))[0],
                                           rel=1e-14)
 
+    @pytest.mark.parametrize("tails, y", [((0.8, 1.3), 1e130), ((0.4, 1.0), 1e125)])
+    def test_tail_gradient_equals_the_surviving_component(self, tails, y):
+        # the smaller tail's z^2 overflows (at 1e125 its sinh does too), so
+        # that component has zero responsibility and contributes 0, not NaN
+        mix = _sinh_with_tails(*tails)
+        u = math.asinh(y) / tails[1]
+        z, r = math.sinh(u), math.hypot(1.0, y)  # z^2 fits a double here
+        want = -(z * z * math.tanh(u) / tails[1] + y / r) / r
+        grad = mix.gradient(np.array([y]))
+        assert grad[0] < 0.0
+        assert grad[0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [1e200, -1e300])
+    def test_gradient_where_every_component_underflows_points_back(self, y):
+        # the component with the smaller z takes all the weight; its exact
+        # gradient fits a double, so the reply is finite
+        grad = _sinh_with_tails(0.8, 1.3).gradient(np.array([y]))
+        assert np.isfinite(grad[0])
+        assert np.sign(grad[0]) == -np.sign(y)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_raises_with_point(self, bad):
         target = random_sinh_arcsinh_mixture(2, 2, seed=1).as_target()
@@ -1064,22 +1108,25 @@ class TestSinhArcsinh:
         np.testing.assert_array_equal(exc.value.point, [bad, 1.0])
 
 
-# n = block - 1, block, block + 1 and 2 block + 3, in blocks of one row count
+# n = block - 1, block, block + 1 and 2 block + 3, in blocks of one row count,
+# for the log-density (whose ids predate the gradient's) and the gradient
 _BLOCK_SPLITS = [(1, -1), (1, 0), (1, 1), (2, 3)]
+_BLOCK_CASES = ([pytest.param(b, e, "log_pdf", id=f"{b}-{e}") for b, e in _BLOCK_SPLITS]
+                + [pytest.param(b, e, "gradient", id=f"{b}-{e}-gradient")
+                   for b, e in _BLOCK_SPLITS])
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("blocks, extra", _BLOCK_SPLITS)
-    def test_sinh_arcsinh_blocks_equal_rows_bitwise(self, blocks, extra):
+    @pytest.mark.parametrize("blocks, extra, method", _BLOCK_CASES)
+    def test_sinh_arcsinh_blocks_equal_rows_bitwise(self, blocks, extra, method):
         mix = random_sinh_arcsinh_mixture(15, 2, seed=21)
         points = mix.sample(blocks * _block_rows(mix.loc.size) + extra, seed=22)
-        values = mix.log_pdf(points)
-        np.testing.assert_array_equal(values, [mix.log_pdf(z) for z in points])
-        np.testing.assert_array_equal(
-            values, log_sum_exp(mix._component_terms(points)[0])[0])
+        values = getattr(mix, method)(points)
+        np.testing.assert_array_equal(values, [getattr(mix, method)(z) for z in points])
+        np.testing.assert_array_equal(values, getattr(mix, f"_{method}_block")(points))
 
-    @pytest.mark.parametrize("blocks, extra", _BLOCK_SPLITS)
-    def test_gaussian_mixture_blocks_equal_one_batch_bitwise(self, blocks, extra):
+    @pytest.mark.parametrize("blocks, extra, method", _BLOCK_CASES)
+    def test_gaussian_mixture_blocks_equal_one_batch_bitwise(self, blocks, extra, method):
         # a lone row would take BLAS's matrix-vector product, which rounds
         # apart from the matrix product (hence the tolerance of
         # test_batched_log_pdf_equals_per_point), so the oracle is one
@@ -1090,9 +1137,7 @@ class TestRowBlocks:
                       for a in rng.standard_normal((4, 6, 6)))
         mix = MixtureModel(comps, np.array([0.1, 0.2, 0.3, 0.4]))
         points = mix.sample(blocks * _block_rows(mix._means.size) + extra, seed=24)
-        log_n, _ = gaussian_log_pdfs(mix._means, mix._chol_invs, points)
-        np.testing.assert_array_equal(mix.log_pdf(points),
-                                      log_sum_exp(log_n + mix._log_weights)[0])
-        np.testing.assert_allclose(mix.log_pdf(points),
-                                   [mix.log_pdf(z) for z in points],
+        values = getattr(mix, method)(points)
+        np.testing.assert_array_equal(values, getattr(mix, f"_{method}_block")(points))
+        np.testing.assert_allclose(values, [getattr(mix, method)(z) for z in points],
                                    rtol=1e-13, atol=1e-13)

@@ -104,3 +104,19 @@ def test_readme_layout_names_resolve():
             if not _resolves(module, name):
                 missing.append(f"{module_name}: {name}")
     assert missing == []
+
+
+def test_docstring_references_resolve():
+    # a :func:, :class: or :meth: target that still names a deleted or
+    # renamed function fails here
+    package = ROOT / "src" / "postmix"
+    targets, missing = 0, []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(
+            "postmix" if path.stem == "__init__" else f"postmix.{path.stem}")
+        for name in re.findall(r":(?:func|class|meth):`~?([\w.]+)`", path.read_text()):
+            targets += 1
+            if not _resolves(module, name):
+                missing.append(f"{path.name}: {name}")
+    assert targets > 0
+    assert missing == []

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import postmix
-from postmix.density import GaussianComponent, MixtureModel, eval_log_density_batch
+from postmix.density import (GaussianComponent, MixtureModel, eval_log_density,
+                             eval_log_density_batch)
+from postmix.exceptions import NonFiniteDensityError
 from postmix.exemplar import (
     ObservationSet,
     ShearFrame,
@@ -269,6 +271,17 @@ class TestDampingLikelihood:
         target = scenario.target()
         assert target.log_phi(np.array([-0.1, 0.5])) == -np.inf
         assert target.log_phi(np.array([0.5, 0.0])) == -np.inf
+
+    def test_nan_coordinate_raises_with_its_point(self):
+        # NaN is no damping value: the evaluator names the point instead of
+        # reading the reply as out of support, which -inf damping still is
+        target = default_scenario().target()
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_log_density(target, np.array([math.nan, 0.2]))
+        np.testing.assert_array_equal(exc.value.point, [math.nan, 0.2])
+        with pytest.raises(NonFiniteDensityError):
+            eval_log_density_batch(target, np.array([[0.3, 0.2], [0.3, math.nan]]))
+        assert eval_log_density(target, np.array([-math.inf, 0.2])) == -math.inf
 
     def test_default_scenario_is_bimodal_on_grid(self):
         target = default_scenario().target()
