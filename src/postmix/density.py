@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -243,7 +243,7 @@ def gaussian_log_pdfs(means: NDArray, chol_invs: NDArray, pts: NDArray):
     """Log-densities of K Gaussians at n points, and the whitened residuals.
 
     ``means`` is (K, d), ``chol_invs`` the (K, d, d) inverses of the lower
-    Cholesky factors of the covariances (each component caches its own at
+    Cholesky factors of the covariances (a mixture stacks them once, at
     construction) and ``pts`` (n, d). One stacked matmul whitens every
     residual, and the log-determinants come from the inverses' diagonals.
     Returns the (n, K) log-densities and the (K, d, n) residuals
@@ -349,12 +349,12 @@ def _nearest(log_p: NDArray, resp: NDArray, residuals: NDArray) -> NDArray:
     return resp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianComponent:
     """A Gaussian density stored as mean plus lower Cholesky factor.
 
-    The factor's inverse is computed once, at construction, and every
-    evaluation whitens with a matmul by it.
+    A component holds its factor only: a mixture inverts the factors of all
+    its components at once, and :meth:`log_pdf` inverts this one per call.
 
     Attributes
     ----------
@@ -380,7 +380,6 @@ class GaussianComponent:
             raise ValueError("chol_cov requires a strictly positive diagonal")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "chol_cov", chol)
-        object.__setattr__(self, "_chol_inv", _inverse_lower(chol))
 
     @property
     def dim(self) -> int:
@@ -392,18 +391,28 @@ class GaussianComponent:
 
     def log_pdf(self, points: NDArray) -> NDArray | float:
         """Gaussian log-density at one point (d,) or a batch (n, d), by :func:`_rows`."""
-        return _rows(self._log_pdf_block, points, self.dim, self.dim)
+        mean, chol_inv = self.mean[np.newaxis], _inverse_lower(self.chol_cov)[np.newaxis]
 
-    def _log_pdf_block(self, pts: NDArray) -> NDArray[np.float64]:
-        return gaussian_log_pdfs(self.mean[np.newaxis], self._chol_inv[np.newaxis], pts)[0][:, 0]
+        def block(pts):
+            return gaussian_log_pdfs(mean, chol_inv, pts)[0][:, 0]
+
+        return _rows(block, points, self.dim, self.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixtureModel:
-    """A weighted list of Gaussian components; the pipeline's central artifact."""
+    """A weighted list of Gaussian components; the pipeline's central artifact.
+
+    The positive-weight components are stacked once, at construction, for
+    the kernels: their means, the inverses of their factors (one
+    :func:`_inverse_lower` call on the stack) and their log-weights.
+    """
 
     components: tuple[GaussianComponent, ...]
     weights: NDArray[np.float64]
+    _means: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _chol_invs: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _log_weights: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -423,10 +432,10 @@ class MixtureModel:
             raise ValueError(f"components have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", weights)
-        # the positive-weight components, stacked once for the kernels
         active = [c for c, w in zip(comps, weights) if w > 0.0]
         object.__setattr__(self, "_means", np.array([c.mean for c in active]))
-        object.__setattr__(self, "_chol_invs", np.array([c._chol_inv for c in active]))
+        object.__setattr__(self, "_chol_invs",
+                           _inverse_lower(np.array([c.chol_cov for c in active])))
         object.__setattr__(self, "_log_weights", np.log(weights[weights > 0.0]))
 
     @property

@@ -287,9 +287,10 @@ def pushforward(posterior: MixtureModel, constants: tuple, u0: NDArray,
                 times: NDArray, n_samples: int, seed: int) -> PushforwardSummary:
     """Propagate damping-posterior samples through the frame model.
 
-    Draws (c1, c2) pairs from the posterior, rejecting nonpositive values
-    (counted; a rejection rate above 50% raises the warning flag), then
-    simulates every accepted pair and summarizes both floors' displacement
+    Draws (c1, c2) pairs from the posterior in rounds of ``n_samples``,
+    rejecting nonpositive values (counted; more than half of all draws
+    rejected raises the warning flag), then simulates the first
+    ``n_samples`` accepted pairs and summarizes both floors' displacement
     trajectories pointwise.
     """
     if n_samples < MIN_PUSHFORWARD:
@@ -314,7 +315,7 @@ def pushforward(posterior: MixtureModel, constants: tuple, u0: NDArray,
     mean = floors.mean(axis=0)
     lo95 = np.percentile(floors, 2.5, axis=0)
     hi95 = np.percentile(floors, 97.5, axis=0)
-    rate = rejected / max(1, rejected + n_samples)
+    rate = rejected / (len(accepted) * n_samples)
     return PushforwardSummary(times, mean, lo95, hi95, rejected, rate > 0.5)
 
 

@@ -11,9 +11,8 @@ weights is an estimate of the normalizing constant of ``phi``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -151,115 +150,156 @@ def _clamp(z, lo, hi):
     return np.minimum(np.maximum(z, lo), hi)
 
 
-def _projected_gradient_norm(z, g, lo, hi):
-    """Norm of the box-projected ascent step ``z + g`` on ``log phi``; zero
-    exactly at a KKT point."""
-    r = z - _clamp(z + g, lo, hi)
-    return math.sqrt(r.dot(r))
+def _row_dots(a, b):
+    """Row-wise dot products of two (n, d) arrays, each bitwise the 1-D
+    ``a[i].dot(b[i])``: a stacked (1, d) @ (d, 1) matmul takes numpy's
+    vector-vector path, the same BLAS dot."""
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def local_minimize(target: UnnormalizedTarget, start: NDArray,
-                   cfg: GolaConfig, start_index: int = 0,
-                   ) -> Generator[tuple[str, NDArray], object, Optional[LocalMinimum]]:
-    """Descend ``-log phi`` from one start with a backtracking line search.
+def local_minimize(target: UnnormalizedTarget, start: NDArray) -> NDArray[np.float64]:
+    """The first iterate of the local search from ``start``: the start
+    clamped to the search box.
 
-    A generator that holds one start's descent and asks for each target
-    value it needs: it yields ``("log_phi", z)`` or ``("gradient", z)``,
-    must be sent ``log phi(z)`` or its gradient, and returns the
-    :class:`LocalMinimum`, or None if the start point has zero density
-    (it is sent ``-inf``). :func:`run_lockstep` drives many at once.
+    :func:`run_lockstep` calls it once per start and then moves every
+    start's descent forward as a row of one (S, d) state. It stays a
+    function of its own because the benchmark harness counts its calls as
+    the local searches; ROADMAP item 3 moves that count to the starts.
+    """
+    return _clamp(np.asarray(start, dtype=float),
+                  target.search_box[:, 0], target.search_box[:, 1])
+
+
+def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
+                 cfg: GolaConfig) -> list[Optional[LocalMinimum]]:
+    """Descend ``-log phi`` from each row of the (S, d) ``starts`` with a
+    backtracking line search, all in lockstep; each start's
+    :class:`LocalMinimum`, or None where the start has zero density or a
+    derivative stencil failed.
+
+    Each start is a row of one state: iterate, objective, gradient,
+    Barzilai-Borwein step, flat-step count, iteration count, trial step
+    size, backtrack count and trial point. A round asks for ``log phi`` at
+    every row's trial point in one batched call, then for the gradient at
+    each accepted trial with one :func:`gradient_rows` call, which drops a
+    row whose stencil met ``-inf``. A row leaves the state when its search
+    ends. Rows stay in start order, so a rerun is bitwise the same, and
+    where the target evaluates each row on its own, a row gets the values
+    its start would get alone. ``NonFiniteDensityError`` aborts the whole
+    run, and so does the ``DerivativeError`` of an analytic gradient that
+    is not finite.
 
     Iterates stay clamped to the search box and the objective never
     increases across accepted steps. Steps go along the gradient ``g`` of
-    ``log phi`` (the negative gradient of the objective), with trial step
-    sizes from a safeguarded Barzilai-Borwein estimate. ``g`` is kept as
-    sent, never negated: IEEE rounding is sign-symmetric, so the Armijo
-    decrease ``-(g . dz)`` with ``dz = z - z_new``, and the Barzilai-Borwein
-    terms ``s . s = dz . dz`` and ``s . y = dz . (g_new - g)``, are bitwise
-    what the objective's gradient ``-g`` and ``s = -dz`` would give.
+    ``log phi``, kept as replied, never negated: IEEE rounding is
+    sign-symmetric, so the Armijo decrease ``-(g . dz)`` with
+    ``dz = z - z_new``, and the Barzilai-Borwein terms ``dz . dz`` and
+    ``dz . (g_new - g)``, are bitwise what the objective's gradient ``-g``
+    and ``s = -dz`` would give. The products are :func:`_row_dots` and all
+    else is elementwise, so each row is bitwise a start descending alone.
     """
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
-    z = _clamp(np.asarray(start, dtype=float), lo, hi)
-    f = -(yield "log_phi", z)
-    if not math.isfinite(f):
-        return None
-    g = yield "gradient", z
+    tol = cfg.gradient_tol
+    z = np.array([local_minimize(target, start) for start in starts])
+    results: list[Optional[LocalMinimum]] = [None] * len(z)
 
-    step = 1.0
-    flat = 0
-    for _ in range(_MAX_LOCAL_ITERS):
-        pg_norm = _projected_gradient_norm(z, g, lo, hi)
-        if pg_norm <= cfg.gradient_tol:
-            return LocalMinimum(z, f, pg_norm, True, start_index)
-        if flat == _MAX_FLAT_STEPS:
-            return LocalMinimum(z, f, pg_norm, False, start_index)
+    def gradients(points, fallback):
+        """Gradients at ``points``, and a mask of the rows whose stencil
+        failed (None if none did); such a row gets its ``fallback`` row, so
+        that it computes harmlessly until it leaves the state."""
+        grads, failed = gradient_rows(target, points)
+        if not failed:
+            return grads, None
+        rows = list(failed)
+        lost = np.zeros(len(points), dtype=bool)
+        lost[rows] = True
+        grads[rows] = fallback[rows]
+        return grads, lost
 
-        alpha = step
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            z_new = _clamp(z + alpha * g, lo, hi)
-            dz = z - z_new
-            decrease = -float(g.dot(dz))
-            if decrease <= 0.0:
-                alpha *= _BACKTRACK
-                continue
-            f_new = -(yield "log_phi", z_new)
-            if math.isfinite(f_new) and f_new <= f - _ARMIJO_C1 * decrease:
-                accepted = True
-                break
-            alpha *= _BACKTRACK
-        if not accepted:  # line search stalled
-            return LocalMinimum(z, f, pg_norm, False, start_index)
+    # The first round: log phi at every start, then the gradient at each
+    # start of positive density.
+    f = -eval_log_density_batch(target, z)
+    index = np.flatnonzero(np.isfinite(f))
+    if not index.size:
+        return results
+    z, f = z[index], f[index]
+    g, lost = gradients(z, np.zeros_like(z))
+    n = len(index)
+    step, alpha = np.ones(n), np.ones(n)
+    flat, iters, backtracks = (np.zeros(n, dtype=int) for _ in range(3))
+    top = np.ones(n, dtype=bool)  # rows at the top of an iteration
+    while True:
+        # A row at the top of an iteration stops when converged, flat or out
+        # of iterations, and otherwise tries alpha = step; a rejected row
+        # tries half its last alpha, and stops after _MAX_BACKTRACKS trials.
+        r = z - _clamp(z + g, lo, hi)
+        pg = np.sqrt(_row_dots(r, r))
+        done = (top & ((pg <= tol) | (flat == _MAX_FLAT_STEPS) | (iters == _MAX_LOCAL_ITERS))
+                | (backtracks == _MAX_BACKTRACKS))
+        if lost is not None:  # rows whose gradient stencil failed leave too
+            done |= lost
+        trial = _clamp(z + alpha[:, np.newaxis] * g, lo, hi)
+        dz = z - trial
+        decrease = -_row_dots(g, dz)
+        # A trial that does not decrease the objective to first order
+        # halves alpha without asking the target.
+        uphill = (decrease <= 0.0).nonzero()[0]
+        if uphill.size:
+            uphill = uphill[~done[uphill]]
+        while uphill.size:
+            alpha[uphill] *= _BACKTRACK
+            backtracks[uphill] += 1
+            stalled = backtracks[uphill] == _MAX_BACKTRACKS
+            done[uphill[stalled]] = True
+            uphill = uphill[~stalled]
+            zu, gu = z[uphill], g[uphill]
+            trial[uphill] = _clamp(zu + alpha[uphill, np.newaxis] * gu, lo, hi)
+            dz[uphill] = zu - trial[uphill]
+            decrease[uphill] = -_row_dots(gu, dz[uphill])
+            uphill = uphill[decrease[uphill] <= 0.0]
+        if done.any():
+            for i in done.nonzero()[0].tolist():
+                if lost is None or not lost[i]:
+                    norm = float(pg[i])
+                    results[index[i]] = LocalMinimum(z[i].copy(), float(f[i]), norm,
+                                                     norm <= tol, int(index[i]))
+            go = ~done
+            index, z, f, g, step, alpha, flat, iters, backtracks, trial, dz, decrease = (
+                a[go] for a in (index, z, f, g, step, alpha, flat, iters, backtracks,
+                                trial, dz, decrease))
+            n = len(index)
+            if not n:
+                return results
 
-        g_new = yield "gradient", z_new
+        # The round: log phi at every trial, then the gradient at each
+        # accepted one. phi = 0 gives f_new = +inf, which fails the test.
+        f_new = -eval_log_density_batch(target, trial)
+        ok = f_new <= f - _ARMIJO_C1 * decrease
+        accepted = ok.nonzero()[0]
+        lost = None
+        if accepted.size == n:
+            g_new, lost = gradients(trial, g)
+        else:
+            g_new = g.copy()
+            if accepted.size:
+                g_new[accepted], lost_rows = gradients(trial[accepted], g[accepted])
+                if lost_rows is not None:
+                    lost = np.zeros(n, dtype=bool)
+                    lost[accepted] = lost_rows
         # Barzilai-Borwein trial step for the next iteration.
-        sy = float(dz.dot(g_new - g))
-        step = float(dz.dot(dz)) / sy if sy > 1e-16 else min(1.0, 2.0 * alpha)
-        step = min(max(step, 1e-12), 1e6)
-        flat = flat + 1 if f_new == f else 0
-        z, f, g = z_new, f_new, g_new
-
-    pg_norm = _projected_gradient_norm(z, g, lo, hi)
-    return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol, start_index)
-
-
-def run_lockstep(target: UnnormalizedTarget,
-                 searches: list[Generator]) -> list[Optional[LocalMinimum]]:
-    """Drive :func:`local_minimize` generators together; each search's
-    result, or None where its start was rejected or a derivative stencil
-    failed.
-
-    Every search waits on a log-density at the top of a round. The round
-    answers all of them with one batched call, then answers the gradient
-    requests that leaves with one more, from :func:`gradient_rows`; a
-    search whose gradient stencil met ``-inf`` is dropped there. Rows go in
-    search order, so a rerun is bitwise the same, and where the target
-    evaluates each row on its own, a search gets the replies it would get
-    driven alone. ``NonFiniteDensityError`` aborts the whole run, and so
-    does the ``DerivativeError`` of an analytic gradient that is not finite.
-    """
-    results: list[Optional[LocalMinimum]] = [None] * len(searches)
-    waiting = {i: next(search) for i, search in enumerate(searches)}
-    while waiting:
-        for kind in ("log_phi", "gradient"):
-            rows = [i for i, (asked, _) in waiting.items() if asked == kind]
-            if not rows:
-                continue
-            points = np.array([waiting[i][1] for i in rows])
-            if kind == "log_phi":
-                replies, failed = eval_log_density_batch(target, points).tolist(), {}
-            else:
-                replies, failed = gradient_rows(target, points)
-            for row, i in enumerate(rows):
-                if row in failed:
-                    del waiting[i]
-                    continue
-                try:
-                    waiting[i] = searches[i].send(replies[row])
-                except StopIteration as done:
-                    results[i] = done.value
-                    del waiting[i]
-    return results
+        sy = _row_dots(dz, g_new - g)
+        curved = sy > 1e-16
+        bb = np.minimum(1.0, 2.0 * alpha)
+        np.divide(_row_dots(dz, dz), sy, out=bb, where=curved)
+        step = np.where(ok, _clamp(bb, 1e-12, 1e6), step)
+        flat = np.where(ok, np.where(f_new == f, flat + 1, 0), flat)
+        iters = iters + ok
+        z = np.where(ok[:, np.newaxis], trial, z)
+        f = np.where(ok, f_new, f)
+        g = g_new
+        alpha = np.where(ok, step, alpha * _BACKTRACK)
+        backtracks = np.where(ok, 0, backtracks + 1)
+        top = ok
 
 
 def multistart_minimize(target: UnnormalizedTarget,
@@ -275,9 +315,7 @@ def multistart_minimize(target: UnnormalizedTarget,
     n_starts = cfg.n_starts if cfg.n_starts is not None else 32 * target.dim
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
     starts = lo + sobol_points(target.dim, n_starts) * (hi - lo)
-    searches = [local_minimize(target, start, cfg, start_index=idx)
-                for idx, start in enumerate(starts)]
-    results = run_lockstep(target, searches)
+    results = run_lockstep(target, starts, cfg)
 
     converged = [r for r in results if r is not None and r.converged]
     if not converged:
@@ -295,7 +333,8 @@ def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:
 
     With J the index reversal, ``J H J = M M^T`` makes ``H = U U^T`` with
     ``U = J M J`` upper triangular, so the covariance ``U^-T U^-1`` has the
-    lower factor ``U^-T = J M^-T J``.
+    lower factor ``U^-T = J M^-T J``, stored as an array of its own rather
+    than a view that would keep the inverse alive.
     """
     try:
         chol, _ = cholesky_spd(hess[::-1, ::-1])
@@ -303,7 +342,7 @@ def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:
         raise DegenerateModeError(
             f"singular Hessian at mode {mode}", mode=mode
         ) from exc
-    return GaussianComponent(mean=mode, chol_cov=_inverse_lower(chol).T[::-1, ::-1])
+    return GaussianComponent(mean=mode, chol_cov=_inverse_lower(chol).T[::-1, ::-1].copy())
 
 
 def _is_indefinite(hess: NDArray) -> bool:
@@ -369,7 +408,8 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
             decisions.append(DedupDecision(idx, survival, False, "saddle"))
             continue
         comp = _component_from_hessian(cand.location, hess)
-        _, whitened = gaussian_log_pdfs(comp.mean[np.newaxis], comp._chol_inv[np.newaxis],
+        _, whitened = gaussian_log_pdfs(comp.mean[np.newaxis],
+                                        _inverse_lower(comp.chol_cov)[np.newaxis],
                                         locations[idx + 1:])
         dist2 = (whitened[0] * whitened[0]).sum(axis=0)
         closer = dist2 < best[idx + 1:]

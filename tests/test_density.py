@@ -564,8 +564,8 @@ class TestMixtureLogPdf:
         np.testing.assert_allclose(resp, np.exp(log_n - total[:, None]), rtol=1e-12)
 
     def test_cached_inverse_whitens_ill_conditioned_covariance(self):
-        # cond(Sigma) = 1e6: multiplying by the cached inverse factor must
-        # keep the squared Mahalanobis terms of a triangular solve
+        # cond(Sigma) = 1e6: multiplying by the inverse factor must keep the
+        # squared Mahalanobis terms of a triangular solve
         rng = np.random.default_rng(16)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         cov = (q * np.logspace(0.0, -6.0, 5)) @ q.T
@@ -573,7 +573,8 @@ class TestMixtureLogPdf:
         assert np.linalg.cond(cov) == pytest.approx(1e6, rel=1e-6)
         comp = GaussianComponent(rng.standard_normal(5), chol)
         pts = comp.mean + rng.standard_normal((50, 5))
-        _, whitened = gaussian_log_pdfs(comp.mean[None], comp._chol_inv[None], pts)
+        _, whitened = gaussian_log_pdfs(comp.mean[None], _inverse_lower(comp.chol_cov)[None],
+                                        pts)
         ref = solve_triangular(chol, (pts - comp.mean).T, lower=True)
         np.testing.assert_allclose(np.sum(whitened[0] ** 2, axis=0),
                                    np.sum(ref ** 2, axis=0), rtol=1e-12)

@@ -386,6 +386,17 @@ class TestPushforward:
         assert summary.high_rejection_warning
         assert summary.n_rejections > 0
 
+    def test_rejection_rate_counts_every_draw(self):
+        # half the mass on c1 <= 0: three rounds of 100 draws reject 140, a
+        # rate of 0.47, though 140 / (140 + 100) would read 0.58
+        comp = GaussianComponent(np.array([0.0, 0.5]), 0.1 * np.eye(2))
+        posterior = MixtureModel((comp,), np.ones(1))
+        summary = pushforward(posterior, (1.0, 1.0, 1.0, 1.0),
+                              np.array([0.0, 1.0, 0.0, 0.0]),
+                              np.linspace(0.5, 5.0, 5), 100, seed=272)
+        assert summary.n_rejections == 140
+        assert not summary.high_rejection_warning
+
     def test_invalid_inputs_rejected(self):
         comp = GaussianComponent(np.array([0.3, 0.2]), 0.02 * np.eye(2))
         posterior = MixtureModel((comp,), np.ones(1))

@@ -11,10 +11,13 @@ from postmix.density import (
     GaussianComponent,
     MixtureModel,
     UnnormalizedTarget,
+    _inverse_lower,
     eval_gradient,
     eval_hessian,
     eval_log_density,
+    eval_log_density_batch,
     gaussian_log_pdfs,
+    gradient_rows,
 )
 from postmix.exceptions import (
     DerivativeError,
@@ -39,9 +42,9 @@ from postmix.gola import (
     _clamp,
     _component_from_hessian,
     _is_indefinite,
+    _row_dots,
     _valley_between,
     dedup_modes,
-    local_minimize,
     multistart_minimize,
     run_gola,
     run_lockstep,
@@ -85,9 +88,63 @@ def _gaussian_mixture_target(means, covs, weights):
 
 
 def _descend(target, start, cfg):
-    """One search driven alone: a batch of one through ``run_lockstep``."""
-    (result,) = run_lockstep(target, [local_minimize(target, np.array(start), cfg)])
+    """One start run alone: a batch of one through ``run_lockstep``."""
+    (result,) = run_lockstep(target, np.array([start], dtype=float), cfg)
     return result
+
+
+def _drive(target, searches):
+    """Drive searches written as generators, in the rounds of
+    :func:`run_lockstep`: a search yields ``("log_phi", z)`` or
+    ``("gradient", z)``, is sent the value and returns its result. Each
+    round answers every log-density request with one batched call, then the
+    gradient requests that leaves with one more, rows in search order; a
+    search whose gradient stencil met ``-inf`` is dropped."""
+    results = [None] * len(searches)
+    waiting = {i: next(search) for i, search in enumerate(searches)}
+    while waiting:
+        for kind in ("log_phi", "gradient"):
+            rows = [i for i, (asked, _) in waiting.items() if asked == kind]
+            if not rows:
+                continue
+            points = np.array([waiting[i][1] for i in rows])
+            if kind == "log_phi":
+                replies, failed = eval_log_density_batch(target, points).tolist(), {}
+            else:
+                replies, failed = gradient_rows(target, points)
+            for row, i in enumerate(rows):
+                if row in failed:
+                    del waiting[i]
+                    continue
+                try:
+                    waiting[i] = searches[i].send(replies[row])
+                except StopIteration as done:
+                    results[i] = done.value
+                    del waiting[i]
+    return results
+
+
+def _logged(target, log):
+    """``target`` with every callable field appending ``(field, bytes of its
+    argument)`` to ``log`` before it answers."""
+    def forward(name, fn):
+        def call(x):
+            log.append((name, np.asarray(x).tobytes()))
+            return fn(x)
+        return call
+
+    return dataclasses.replace(target, **{
+        f.name: forward(f.name, getattr(target, f.name))
+        for f in dataclasses.fields(target) if callable(getattr(target, f.name))})
+
+
+def _same_result(a, b):
+    """Bitwise the same search result, the start index aside."""
+    if a is None or b is None:
+        return a is b
+    return (a.location.tobytes() == b.location.tobytes()
+            and (a.objective, a.gradient_norm, a.converged)
+            == (b.objective, b.gradient_norm, b.converged))
 
 
 class TestLocalMinimize:
@@ -110,19 +167,20 @@ class TestLocalMinimize:
         assert result.gradient_norm == 0.0
         assert result.objective == 0.0
 
-    def test_rejected_start(self):
-        target = UnnormalizedTarget(
+    def test_rejected_start(self, call_counter):
+        # a start of zero density gives None after its one log-density
+        # request, and its row asks for nothing more
+        counter = call_counter()
+        target = counter.wrap(UnnormalizedTarget(
             dim=1,
             log_phi=lambda z: -np.inf if abs(z[0]) > 0.5 else 0.0,
             search_box=_box(1),
-        )
-        search = local_minimize(target, np.array([2.0]), GolaConfig())
-        asked, z = next(search)
-        assert asked == "log_phi"
-        with pytest.raises(StopIteration) as stop:
-            search.send(eval_log_density(target, z))
-        assert stop.value.value is None
+        ))
         assert _descend(target, [2.0], GolaConfig()) is None
+        assert counter.calls == {"log_phi": 1}
+        results = run_lockstep(target, np.array([[2.0], [0.25], [-3.0]]), GolaConfig())
+        assert results[0] is None and results[2] is None
+        assert results[1].converged and results[1].start_index == 1
 
     def test_start_at_the_rounding_floor_stops_after_the_flat_steps(self):
         # f = 1e12 + 1e-6 z: each step lowers f by far less than half an ulp,
@@ -145,6 +203,33 @@ class TestLocalMinimize:
         assert result.objective == 1e12
         # the start's gradient, then one per accepted step
         assert len(gradient_calls) == 1 + _MAX_FLAT_STEPS
+
+    def test_a_search_stops_at_the_iteration_cap(self):
+        # Rosenbrock's valley: from (-1.2, 1) the descent converges, from
+        # (1.5, -1.5) it is still short of gradient_tol after the cap; both
+        # in one batch ask what their reference searches ask, bit for bit
+        def log_phi(z):
+            return -(100.0 * (z[1] - z[0] ** 2) ** 2 + (1.0 - z[0]) ** 2)
+
+        def gradient(z):
+            return np.array([400.0 * z[0] * (z[1] - z[0] ** 2) + 2.0 * (1.0 - z[0]),
+                             -200.0 * (z[1] - z[0] ** 2)])
+
+        target = UnnormalizedTarget(dim=2, log_phi=log_phi, search_box=_box(2, -2.0, 2.0),
+                                    gradient=gradient)
+        cfg = GolaConfig(gradient_tol=1e-10)
+        starts = np.array([[-1.2, 1.0], [1.5, -1.5]])
+        log, reference_log = [], []
+        got = run_lockstep(_logged(target, log), starts, cfg)
+        reference = _logged(target, reference_log)
+        want = _drive(reference, [_reference_local_minimize(reference, s, cfg, i)
+                                  for i, s in enumerate(starts)])
+        assert log == reference_log
+        assert all(_same_result(a, b) for a, b in zip(got, want))
+        assert got[0].converged and not got[1].converged
+        alone = []
+        _descend(_logged(target, alone), starts[1], cfg)
+        assert sum(field == "gradient" for field, _ in alone) == 1 + _MAX_LOCAL_ITERS
 
     def test_methods_reach_a_minimum_from_far_start(self):
         # large early steps may hop basins; the descent must still land on
@@ -177,19 +262,29 @@ class TestLockstep:
         together = call_counter()
         minima = multistart_minimize(together.wrap(target), cfg)
 
+        # each start alone, through the engine and as its reference search
         alone_counter = call_counter()
         alone_target = alone_counter.wrap(target)
-        alone = [run_lockstep(alone_target, [local_minimize(alone_target, s, cfg, i)])[0]
-                 for i, s in enumerate(_sobol_starts(target, 24))]
-        alone = sorted((m for m in alone if m.converged),
-                       key=lambda m: (m.objective, tuple(m.location)))
+        alone, requests = [], []
+        for i, start in enumerate(_sobol_starts(target, 24)):
+            log = []
+            (reference,) = _drive(_logged(target, log),
+                                  [_reference_local_minimize(target, start, cfg, i)])
+            result = _descend(alone_target, start, cfg)
+            assert _same_result(result, reference)
+            alone.append((i, result))
+            requests += log
+        alone = sorted(((i, m) for i, m in alone if m.converged),
+                       key=lambda im: (im[1].objective, tuple(im[1].location)))
         assert len(minima) == len(alone) > 0
-        for got, want in zip(minima, alone):
-            assert got.start_index == want.start_index
-            np.testing.assert_array_equal(got.location, want.location)
-            assert got.objective == want.objective
-            assert got.gradient_norm == want.gradient_norm
+        for got, (i, want) in zip(minima, alone):
+            assert got.start_index == i
+            assert _same_result(got, want)
         assert together.points == alone_counter.points
+        # together, the rows ask for the same points, interleaved
+        together_log = []
+        multistart_minimize(_logged(target, together_log), cfg)
+        assert sorted(together_log) == sorted(requests)
 
     def test_mixture_target_is_only_asked_for_batches(self, call_counter):
         counter = call_counter()
@@ -204,7 +299,7 @@ class TestLockstep:
         # and the gradient requests that leaves in one more, so there are as
         # many rounds as the longest search makes log-density requests; the
         # batch fields evaluate row by row, so a lone search takes the same
-        # path as its lockstep row
+        # path as its lockstep row and ends bitwise as that row
         plain = _bimodal_target()
         target = dataclasses.replace(
             plain,
@@ -214,11 +309,12 @@ class TestLockstep:
         together = call_counter()
         multistart_minimize(together.wrap(target), cfg)
 
+        starts = _sobol_starts(target, 24)
+        rows = run_lockstep(target, starts, cfg)
         alone = []
-        for i, start in enumerate(_sobol_starts(target, 24)):
+        for start, row in zip(starts, rows):
             counter = call_counter()
-            alone_target = counter.wrap(target)
-            run_lockstep(alone_target, [local_minimize(alone_target, start, cfg, i)])
+            assert _same_result(_descend(counter.wrap(target), start, cfg), row)
             alone.append(counter)
         longest = max(c.calls["log_phi_batch"] for c in alone)
         assert together.calls["log_phi_batch"] == longest
@@ -237,12 +333,42 @@ class TestLockstep:
         )
         cfg = GolaConfig(gradient_tol=1e-6)
         starts = np.array([[-1.0, 1.0], [4.0 - 1e-9, 0.0], [2.0, -2.0]])
-        results = run_lockstep(
-            target, [local_minimize(target, s, cfg, i) for i, s in enumerate(starts)])
+        results = run_lockstep(target, starts, cfg)
         assert results[1] is None
         for i in (0, 2):
             assert results[i].converged and results[i].start_index == i
             assert np.linalg.norm(results[i].location) <= 1e-5
+
+    def test_stencil_failing_mid_search_drops_only_its_row(self):
+        # the middle start descends toward a mode at (5, 0), past the edge
+        # of the support at z[0] = 4; its accepted steps close in on the
+        # edge until a stencil steps onto -inf, many rounds in. The row
+        # leaves without a result, and asks for nothing after that round
+        def log_phi(z):
+            if z[0] >= 4.0:
+                return -math.inf
+            return float(np.logaddexp(-0.5 * (z @ z), -0.5 * ((z[0] - 5.0) ** 2 + z[1] ** 2)))
+
+        target = UnnormalizedTarget(dim=2, log_phi=log_phi, search_box=_box(2))
+        cfg = GolaConfig(gradient_tol=1e-6)
+        starts = np.array([[-1.0, 1.0], [3.0, 0.5], [0.5, -0.5]])
+        with_it = run_lockstep(target, starts, cfg)
+        without = run_lockstep(target, starts[[0, 2]], cfg)
+        assert with_it[1] is None
+        for got, want in zip(with_it[::2], without):
+            assert got.converged and _same_result(got, want)
+        # alone, it asks for the points its reference search asks for, and
+        # its last request is the failing stencil of the accepted trial
+        # before it, well past the first round
+        log, reference_log = [], []
+        assert _descend(_logged(target, log), starts[1], cfg) is None
+        assert _drive(_logged(target, reference_log),
+                      [_reference_local_minimize(target, starts[1], cfg)]) == [None]
+        assert log == reference_log
+        asked = [np.frombuffer(point) for _, point in log]
+        assert len(asked) > 50
+        np.testing.assert_allclose(np.mean(asked[-4:], axis=0), asked[-5], rtol=1e-12)
+        assert asked[-5][0] < 4.0 <= max(z[0] for z in asked[-4:])
 
     @pytest.mark.parametrize("gradient", ["analytic", "finite differences"])
     def test_zero_density_start_drops_only_its_row(self, gradient):
@@ -257,18 +383,13 @@ class TestLockstep:
         cfg = GolaConfig(gradient_tol=1e-6)
         starts = np.insert(_sobol_starts(target, 6), 3, [4.7, 0.0], axis=0)
 
-        def lockstep(rows):
-            return run_lockstep(target, [local_minimize(target, starts[i], cfg, i)
-                                         for i in rows])
-
-        with_it, without = lockstep(range(7)), lockstep([0, 1, 2, 4, 5, 6])
+        with_it = run_lockstep(target, starts, cfg)
+        without = run_lockstep(target, np.delete(starts, 3, axis=0), cfg)
         assert with_it[3] is None
         assert sum(m.converged for m in without) == 6
-        for got, want in zip(with_it[:3] + with_it[4:], without):
-            assert got.location.tobytes() == want.location.tobytes()
-            assert ((got.objective, got.gradient_norm, got.converged, got.start_index)
-                    == (want.objective, want.gradient_norm, want.converged,
-                        want.start_index))
+        for i, (got, want) in enumerate(zip(with_it[:3] + with_it[4:], without)):
+            assert _same_result(got, want)
+            assert (got.start_index, want.start_index) == (i + (i >= 3), i)
 
     def test_nan_in_a_failed_stencil_raises_with_point(self):
         # the second start's stencil meets -inf at its first coordinate and
@@ -282,8 +403,7 @@ class TestLockstep:
         target = UnnormalizedTarget(dim=2, log_phi=log_phi, search_box=_box(2))
         starts = np.array([[-1.0, 1.0], [4.0 - 1e-9, 4.0 - 1e-9]])
         with pytest.raises(NonFiniteDensityError) as exc:
-            run_lockstep(target, [local_minimize(target, s, GolaConfig(), i)
-                                  for i, s in enumerate(starts)])
+            run_lockstep(target, starts, GolaConfig())
         assert exc.value.point[0] < 4.0 <= exc.value.point[1]
 
     def test_finite_difference_stencils_are_one_call_per_round(self, call_counter):
@@ -306,10 +426,9 @@ class TestLockstep:
             target, gradient_batch=lambda pts: np.array([eval_gradient(plain, p)
                                                          for p in pts]))
         longest = 0
-        for i, start in enumerate(_sobol_starts(target, 24)):
+        for start in _sobol_starts(target, 24):
             counter = call_counter()
-            alone = counter.wrap(lone_target)
-            run_lockstep(alone, [local_minimize(alone, start, cfg, i)])
+            _descend(counter.wrap(lone_target), start, cfg)
             longest = max(longest, counter.calls["log_phi_batch"])
         assert together.calls["log_phi_batch"] <= 2 * longest
 
@@ -894,8 +1013,10 @@ class TestRunGola:
 
 
 def _reference_local_minimize(target, start, cfg, start_index=0):
-    """:func:`local_minimize` in its reference form: the objective's
-    gradient is the reply negated, and every 1-D product is ``@``."""
+    """One start's descent in its reference form, the specification of a
+    row of :func:`run_lockstep`: a generator for :func:`_drive`, in which
+    the objective's gradient is the reply negated and every 1-D product is
+    ``@``."""
     lo, hi = target.search_box[:, 0], target.search_box[:, 1]
 
     def projected_gradient_norm(z, grad):
@@ -946,18 +1067,6 @@ def _reference_local_minimize(target, start, cfg, start_index=0):
     return LocalMinimum(z, f, pg_norm, pg_norm <= cfg.gradient_tol, start_index)
 
 
-def _recorded(search, requests):
-    """Forward a search's requests and replies, appending each request's
-    kind and point bytes to ``requests``."""
-    request = next(search)
-    while True:
-        requests.append((request[0], request[1].tobytes()))
-        try:
-            request = search.send((yield request))
-        except StopIteration as done:
-            return done.value
-
-
 @st.composite
 def _search_cases(draw):
     """A Gaussian mixture in d = 1..6 with K = 1..3, its means partly outside
@@ -987,22 +1096,41 @@ def _search_cases(draw):
 class TestLocalSearchReference:
     @given(_search_cases())
     def test_bitwise_equal_to_the_reference_form(self, case):
+        # the engine asks the target for the same points in the same calls
+        # as the reference searches driven in lockstep, so every row makes
+        # its reference search's requests, and ends bitwise as it does
         target, starts, cfg = case
-        runs = []
-        for search in (local_minimize, _reference_local_minimize):
-            requests = [[] for _ in starts]
-            results = run_lockstep(target, [
-                _recorded(search(target, s, cfg, i), requests[i])
-                for i, s in enumerate(starts)])
-            runs.append((results, requests))
-        (got, got_requests), (want, want_requests) = runs
+        got_requests, want_requests = [], []
+        got = run_lockstep(_logged(target, got_requests), starts, cfg)
+        reference = _logged(target, want_requests)
+        want = _drive(reference, [_reference_local_minimize(reference, s, cfg, i)
+                                  for i, s in enumerate(starts)])
         assert got_requests == want_requests
-        for a, b in zip(got, want):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.location.tobytes() == b.location.tobytes()
-                assert (a.objective, a.gradient_norm, a.converged, a.start_index) == \
-                    (b.objective, b.gradient_norm, b.converged, b.start_index)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert _same_result(a, b)
+            assert a is None or a.start_index == b.start_index == i
+
+
+@st.composite
+def _row_dot_cases(draw):
+    """Two (S, d) arrays with d = 1..20 and S in {1, 2, 3, 64, 384}, each
+    row scaled by a power of ten from 1e-8 to 1e8."""
+    d = draw(st.integers(1, 20))
+    n = draw(st.sampled_from([1, 2, 3, 64, 384]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.integers(-8, 9, size=(2, n, 1))
+    return scales * rng.standard_normal((2, n, d))
+
+
+class TestRowDots:
+    @given(_row_dot_cases())
+    def test_each_row_is_bitwise_the_1d_dot(self, case):
+        # the engine's claim that a row descends bitwise as a lone start
+        # rests on this; a numpy or BLAS change that breaks it fails here
+        a, b = case
+        got = _row_dots(a, b)
+        want = np.array([a[i].dot(b[i]) for i in range(len(a))])
+        assert got.tobytes() == want.tobytes()
 
 
 def _reference_dedup(candidates, target):
@@ -1014,7 +1142,7 @@ def _reference_dedup(candidates, target):
         if accepted:
             _, whitened = gaussian_log_pdfs(
                 np.array([c.mean for c in accepted]),
-                np.array([c._chol_inv for c in accepted]),
+                np.array([_inverse_lower(c.chol_cov) for c in accepted]),
                 cand.location[np.newaxis])
             dist2 = (whitened * whitened).sum(axis=1)[:, 0]
             nearest = int(np.argmin(dist2))
