@@ -61,6 +61,13 @@ class UnnormalizedTarget:
     gradient_batch : callable, optional
         Vectorized gradient mapping an (n, dim) array to an (n, dim) array;
         multistart uses it when present.
+    log_phi_and_gradient_batch : callable, optional
+        Maps an (n, dim) array to an (n, 1 + dim) array from one evaluation:
+        column 0 is ``log_phi`` and the others are its gradient. When
+        present, multistart asks for it once per round instead of
+        ``log_phi_batch`` and a gradient field. ``dataclasses.replace(target,
+        gradient=None, gradient_batch=None)`` leaves it in place, so clear it
+        too to make multistart take another gradient path.
     """
 
     dim: int
@@ -70,6 +77,7 @@ class UnnormalizedTarget:
     hessian: Optional[Callable[[NDArray], NDArray]] = None
     log_phi_batch: Optional[Callable[[NDArray], NDArray]] = None
     gradient_batch: Optional[Callable[[NDArray], NDArray]] = None
+    log_phi_and_gradient_batch: Optional[Callable[[NDArray], NDArray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -83,7 +91,8 @@ class UnnormalizedTarget:
             raise ValueError("search_box bounds must be finite (no NaN or infinity)")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("search_box requires lower < upper in every coordinate")
-        for name in ("log_phi", "gradient", "hessian", "log_phi_batch", "gradient_batch"):
+        for name in ("log_phi", "gradient", "hessian", "log_phi_batch", "gradient_batch",
+                     "log_phi_and_gradient_batch"):
             fn = getattr(self, name)
             if not callable(fn) and (fn is not None or name == "log_phi"):
                 raise ValueError(f"{name} must be callable, got {fn!r}")
@@ -95,14 +104,29 @@ def _reply(field: str, out, points: NDArray, shape: tuple) -> NDArray[np.float64
     an (n, dim) batch along its first axis) as a float array of ``shape``,
     else ``ValueError``. A log-density (``log_phi*``) of NaN or ``+inf`` raises
     ``NonFiniteDensityError``, a derivative with a NaN or infinite entry
-    ``DerivativeError``, each at the first offending row; ``-inf`` is a value."""
+    ``DerivativeError``, each at the first offending row; ``-inf`` is a value.
+
+    ``log_phi_and_gradient_batch`` replies with both: its column 0 is a
+    log-density, and its other columns are a derivative, checked only on the
+    rows whose log-density is finite (a ``-inf`` row is rejected anyway).
+    """
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         raise ValueError(f"{field} replied with shape {out.shape}, expected {shape}")
-    density = field.startswith("log_phi")
+    if field != "log_phi_and_gradient_batch":
+        _check_finite(field, out, points, density=field.startswith("log_phi"))
+    elif not np.isfinite(out).all():
+        _check_finite(field, out[:, 0], points, density=True)
+        finite = out[:, 0] > -np.inf
+        _check_finite(field + " gradient", out[finite, 1:], points[finite], density=False)
+    return out
+
+
+def _check_finite(field: str, out: NDArray, points: NDArray, density: bool) -> None:
+    """:func:`_reply`'s finiteness rule for a log-density or a derivative."""
     ok = out < np.inf if density else np.isfinite(out)
     if ok.all():
-        return out
+        return
     rows = np.atleast_2d(points)
     bad = rows[np.argmin(ok.reshape(len(rows), -1).all(axis=1))]
     if density:
@@ -126,6 +150,19 @@ def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArr
     if target.log_phi_batch is not None:
         return _reply("log_phi_batch", target.log_phi_batch(points), points, points.shape[:1])
     return _reply("log_phi", [target.log_phi(p) for p in points], points, points.shape[:1])
+
+
+def eval_log_density_and_gradient(target: UnnormalizedTarget, points: NDArray,
+                                  ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``log_phi`` (n,) and its gradient (n, dim) at an (n, dim) array of
+    points, from one ``log_phi_and_gradient_batch`` call; a gradient row is
+    meaningful only where its log-density is finite."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != target.dim:
+        raise ValueError(f"expected an (n, {target.dim}) array, got {points.shape}")
+    out = _reply("log_phi_and_gradient_batch", target.log_phi_and_gradient_batch(points),
+                 points, (len(points), 1 + target.dim))
+    return out[:, 0], out[:, 1:]
 
 
 def eval_gradient(target: UnnormalizedTarget, z: NDArray) -> NDArray[np.float64]:
@@ -287,10 +324,10 @@ def log_sum_exp(stacked: NDArray):
     ``exp(s - max) / sum(exp(s - max))``, shape (n, K).
 
     A row of ``-inf`` sums to zero: its log-sum-exp is ``-inf`` and its
-    responsibilities are zeros, without a warning.
+    responsibilities are zeros, without a warning, also beside a row of NaN.
     """
     peak = stacked.max(axis=1, keepdims=True)
-    if peak.min(initial=np.inf) == -np.inf:  # -inf - -inf would be NaN
+    if (peak == -np.inf).any():  # -inf - -inf would be NaN
         summed = peak[:, 0] != -np.inf
         out, resp = np.full(len(stacked), -np.inf), np.zeros_like(stacked)
         out[summed], resp[summed] = log_sum_exp(stacked[summed])
@@ -309,7 +346,9 @@ def _rows(kernel: Callable[[NDArray], NDArray], points: NDArray, dim: int,
           width: int) -> NDArray | float:
     """What a block ``kernel`` gives at one point (dim,) or a batch (n, dim):
     a log-density kernel's (m,) reply becomes a float or (n,), a gradient
-    kernel's (m, dim) reply (dim,) or (n, dim).
+    kernel's (m, dim) reply (dim,) or (n, dim), and a kernel of both, whose
+    (m, 1 + dim) reply holds the log-density in column 0, (1 + dim,) or
+    (n, 1 + dim).
 
     The kernel runs on :func:`_block_rows` rows at a time; rows do not
     interact, so the blocks only bound the size of the temporaries. A block
@@ -319,7 +358,8 @@ def _rows(kernel: Callable[[NDArray], NDArray], points: NDArray, dim: int,
 
     A point with a NaN or infinite coordinate has no density: every entry
     of its reply is NaN. A finite point whose squares overflow lies where
-    the density is zero, and its log-density is ``-inf``, without a warning.
+    the density is zero, and its log-density is ``-inf``, without a warning;
+    this rule touches the log-density only, never a gradient entry.
     """
     pts, single = _as_points(points, dim)
     rows = _block_rows(width)
@@ -328,8 +368,9 @@ def _rows(kernel: Callable[[NDArray], NDArray], points: NDArray, dim: int,
         out = (np.concatenate([kernel(block) for block in np.split(pts, cuts)]) if cuts
                else kernel(pts))
     if not np.isfinite(out).all():
-        if out.ndim == 1:
-            out[np.isnan(out)] = -np.inf
+        if out.ndim == 1 or out.shape[1] > dim:
+            log_p = out if out.ndim == 1 else out[:, 0]  # a view: written through
+            log_p[np.isnan(log_p)] = -np.inf
         out[~np.isfinite(pts).all(axis=1)] = np.nan
     if single:
         return float(out[0]) if out.ndim == 1 else out[0]
@@ -468,12 +509,25 @@ class MixtureModel:
         the density underflows the nearest component's (:func:`_nearest`)."""
         return _rows(self._gradient_block, points, self.dim, self._means.size)
 
+    def log_pdf_and_gradient(self, points: NDArray) -> NDArray[np.float64]:
+        """:meth:`log_pdf` and :meth:`gradient` from one pass of the mixture
+        kernel, bitwise theirs: (1 + d,) at one point, (n, 1 + d) at a
+        batch, the log-density in column 0."""
+        return _rows(self._log_pdf_and_gradient_block, points, self.dim, self._means.size)
+
+    def _log_pdf_and_gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
+        log_p, grads = self._value_and_gradient(pts)
+        return np.concatenate((log_p[:, np.newaxis], grads), axis=1)
+
     def _gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
+        return self._value_and_gradient(pts)[1]
+
+    def _value_and_gradient(self, pts: NDArray):
         log_q, resp, whitened, scores = mixture_terms(self._means, self._chol_invs,
                                                       self._log_weights, pts)
         resp = _nearest(log_q, resp, whitened.transpose(2, 0, 1))
         # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
-        return (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
+        return log_q, (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
 
     def hessian(self, point: NDArray) -> NDArray[np.float64]:
         """Analytic Hessian of the log-density at one point (d,). A batch
@@ -514,6 +568,7 @@ class MixtureModel:
             hessian=self.hessian,
             log_phi_batch=self.log_pdf,
             gradient_batch=self.gradient,
+            log_phi_and_gradient_batch=self.log_pdf_and_gradient,
         )
 
 
@@ -701,9 +756,23 @@ class SinhArcsinhMixture:
         """
         return _rows(self._gradient_block, points, self.dim, self.loc.size)
 
+    def log_pdf_and_gradient(self, points: NDArray) -> NDArray[np.float64]:
+        """:meth:`log_pdf` and :meth:`gradient` from one pass of
+        :meth:`_component_terms`, bitwise theirs: (1 + d,) at one point,
+        (n, 1 + d) at a batch, the log-density in column 0."""
+        return _rows(self._log_pdf_and_gradient_block, points, self.dim, self.loc.size)
+
+    def _log_pdf_and_gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
+        log_p, grads = self._value_and_gradient(pts)
+        return np.concatenate((log_p[:, np.newaxis], grads), axis=1)
+
     def _gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
+        return self._value_and_gradient(pts)[1]
+
+    def _value_and_gradient(self, pts: NDArray):
         comp, x, z = self._component_terms(pts)
-        resp = _nearest(*log_sum_exp(comp), z)
+        log_p, resp = log_sum_exp(comp)
+        resp = _nearest(log_p, resp, z)
         r = np.hypot(1.0, x)
         dlogp = z / r
         dlogp *= z
@@ -714,7 +783,7 @@ class SinhArcsinhMixture:
         dlogp += x
         dlogp *= -self._inv_scale
         dlogp[resp == 0.0] = 0.0  # not 0 * inf
-        return np.einsum("nk,nkd->nd", resp, dlogp)
+        return log_p, np.einsum("nk,nkd->nd", resp, dlogp)
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
         """``n`` exact draws: ancestral component choice, then the
@@ -751,6 +820,7 @@ class SinhArcsinhMixture:
             gradient=self.gradient,
             log_phi_batch=self.log_pdf,
             gradient_batch=self.gradient,
+            log_phi_and_gradient_batch=self.log_pdf_and_gradient,
         )
 
 

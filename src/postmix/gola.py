@@ -23,6 +23,7 @@ from .density import (
     UnnormalizedTarget,
     _inverse_lower,
     eval_hessian,
+    eval_log_density_and_gradient,
     eval_log_density_batch,
     gaussian_log_pdfs,
     gradient_rows,
@@ -179,15 +180,20 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
 
     Each start is a row of one state: iterate, objective, gradient,
     Barzilai-Borwein step, flat-step count, iteration count, trial step
-    size, backtrack count and trial point. A round asks for ``log phi`` at
-    every row's trial point in one batched call, then for the gradient at
-    each accepted trial with one :func:`gradient_rows` call, which drops a
-    row whose stencil met ``-inf``. A row leaves the state when its search
-    ends. Rows stay in start order, so a rerun is bitwise the same, and
-    where the target evaluates each row on its own, a row gets the values
-    its start would get alone. ``NonFiniteDensityError`` aborts the whole
-    run, and so does the ``DerivativeError`` of an analytic gradient that
-    is not finite.
+    size, backtrack count and trial point. A round makes one target call
+    when the target has ``log_phi_and_gradient_batch``: ``log phi`` and its
+    gradient at every row's trial point, of which an accepted trial keeps
+    the gradient. Otherwise it asks for ``log phi`` at every trial in one
+    batched call, then for the gradient at each accepted trial with one
+    :func:`gradient_rows` call, which drops a row whose stencil met
+    ``-inf``. The first round asks the same at the starts, and keeps the
+    gradient of each start of positive density. A row leaves the state
+    when its search ends. Rows stay in start order, so a rerun is bitwise
+    the same, and where the target evaluates each row on its own, a row
+    gets the values its start would get alone. ``NonFiniteDensityError``
+    aborts the whole run, and so does the ``DerivativeError`` of an
+    analytic gradient that is not finite (a fused reply's at any trial of
+    positive density).
 
     Iterates stay clamped to the search box and the objective never
     increases across accepted steps. Steps go along the gradient ``g`` of
@@ -202,28 +208,47 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     tol = cfg.gradient_tol
     z = np.array([local_minimize(target, start) for start in starts])
     results: list[Optional[LocalMinimum]] = [None] * len(z)
+    fused = target.log_phi_and_gradient_batch is not None
 
-    def gradients(points, fallback):
-        """Gradients at ``points``, and a mask of the rows whose stencil
-        failed (None if none did); such a row gets its ``fallback`` row, so
-        that it computes harmlessly until it leaves the state."""
-        grads, failed = gradient_rows(target, points)
+    def objective(points):
+        """``-log phi`` at ``points``, and the gradient rows of the same
+        call on a target with the fused field (else None)."""
+        if fused:
+            log_phi, grads = eval_log_density_and_gradient(target, points)
+            return -log_phi, grads
+        return -eval_log_density_batch(target, points), None
+
+    def gradients(points, replied, keep, fallback):
+        """The gradient at each row of ``points`` where ``keep`` holds, else
+        that row of ``fallback``, and a mask of the rows whose stencil
+        failed (None if none did); such a row keeps its ``fallback`` row,
+        so that it computes harmlessly until it leaves the state. The rows
+        come from the fused reply ``replied``, or from one
+        :func:`gradient_rows` call at the kept rows."""
+        if replied is not None:
+            return np.where(keep[:, np.newaxis], replied, fallback), None
+        grads = fallback.copy()
+        rows = keep.nonzero()[0]
+        if not rows.size:
+            return grads, None
+        grads[rows], failed = gradient_rows(target, points[rows])
         if not failed:
             return grads, None
-        rows = list(failed)
+        bad = rows[list(failed)]
+        grads[bad] = fallback[bad]
         lost = np.zeros(len(points), dtype=bool)
-        lost[rows] = True
-        grads[rows] = fallback[rows]
+        lost[bad] = True
         return grads, lost
 
-    # The first round: log phi at every start, then the gradient at each
+    # The first round: log phi at every start, and the gradient at each
     # start of positive density.
-    f = -eval_log_density_batch(target, z)
+    f, replied = objective(z)
     index = np.flatnonzero(np.isfinite(f))
     if not index.size:
         return results
     z, f = z[index], f[index]
-    g, lost = gradients(z, np.zeros_like(z))
+    replied = None if replied is None else replied[index]
+    g, lost = gradients(z, replied, np.ones(len(index), dtype=bool), np.zeros_like(z))
     n = len(index)
     step, alpha = np.ones(n), np.ones(n)
     flat, iters, backtracks = (np.zeros(n, dtype=int) for _ in range(3))
@@ -271,21 +296,11 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
             if not n:
                 return results
 
-        # The round: log phi at every trial, then the gradient at each
+        # The round: log phi at every trial, and the gradient at each
         # accepted one. phi = 0 gives f_new = +inf, which fails the test.
-        f_new = -eval_log_density_batch(target, trial)
+        f_new, replied = objective(trial)
         ok = f_new <= f - _ARMIJO_C1 * decrease
-        accepted = ok.nonzero()[0]
-        lost = None
-        if accepted.size == n:
-            g_new, lost = gradients(trial, g)
-        else:
-            g_new = g.copy()
-            if accepted.size:
-                g_new[accepted], lost_rows = gradients(trial[accepted], g[accepted])
-                if lost_rows is not None:
-                    lost = np.zeros(n, dtype=bool)
-                    lost[accepted] = lost_rows
+        g_new, lost = gradients(trial, replied, ok, g)
         # Barzilai-Borwein trial step for the next iteration.
         sy = _row_dots(dz, g_new - g)
         curved = sy > 1e-16
@@ -323,8 +338,17 @@ def multistart_minimize(target: UnnormalizedTarget,
             f"no converged minima from {n_starts} starts; "
             "widen the search box or add starts (gola.n_starts)"
         )
-    converged.sort(key=lambda m: (m.objective, tuple(m.location)))
-    return converged
+    return _sort_minima(converged)
+
+
+def _sort_minima(minima: list[LocalMinimum]) -> list[LocalMinimum]:
+    """``minima`` sorted by objective, ties broken lexicographically by
+    location, as a sort by ``(objective, tuple(location))`` would: one stable
+    ``np.lexsort``, whose last key sorts first and which takes ``-0.0`` and
+    ``0.0`` as equal."""
+    locations = np.array([m.location for m in minima])
+    keys = np.vstack([locations.T[::-1], [m.objective for m in minima]])
+    return [minima[i] for i in np.lexsort(keys)]
 
 
 def _component_from_hessian(mode: NDArray, hess: NDArray) -> GaussianComponent:

@@ -22,6 +22,7 @@ from postmix.density import (
     eval_gradient,
     eval_hessian,
     eval_log_density,
+    eval_log_density_and_gradient,
     eval_log_density_batch,
     gaussian_log_pdfs,
     gradient_rows,
@@ -451,6 +452,52 @@ class TestTargetReplies:
             else:
                 gradient_rows(target, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("reply", [lambda pts: -pts, lambda pts: -np.ones(3 * len(pts))],
+                             ids=["no value column", "flat"])
+    def test_fused_reply_of_the_wrong_shape_names_the_field(self, reply):
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z),
+                                log_phi_and_gradient_batch=reply)
+        with pytest.raises(ValueError, match=r"log_phi_and_gradient_batch replied with "
+                                             r"shape .*expected \(3, 3\)"):
+            eval_log_density_and_gradient(target, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fused_nan_or_plus_inf_log_density_raises_with_its_point(self, bad):
+        # the second row's log-density is bad; its gradient columns are fine
+        def reply(points):
+            out = np.column_stack([-0.5 * (points * points).sum(axis=1), -points])
+            out[1, 0] = bad
+            return out
+
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z),
+                                log_phi_and_gradient_batch=reply)
+        points = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+        with pytest.raises(NonFiniteDensityError) as exc:
+            eval_log_density_and_gradient(target, points)
+        np.testing.assert_array_equal(exc.value.point, points[1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fused_non_finite_gradient_raises_at_a_row_of_positive_density(self, bad):
+        # the gradient columns follow the derivative rule, not the density
+        # rule: -inf and +inf in them are errors too. Row 0 is at zero
+        # density, where the gradient is not used, so its NaN passes; row 2
+        # has a bad gradient entry and a finite log-density
+        def reply(points):
+            out = np.column_stack([-0.5 * (points * points).sum(axis=1), -points])
+            out[0] = [-math.inf, math.nan, math.nan]
+            out[(points == [2.0, -1.0]).all(axis=1), 2] = bad
+            return out
+
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z),
+                                log_phi_and_gradient_batch=reply)
+        points = np.array([[9.0, 9.0], [1.0, 0.0], [2.0, -1.0], [0.5, 0.5]])
+        with pytest.raises(DerivativeError, match="log_phi_and_gradient_batch") as exc:
+            eval_log_density_and_gradient(target, points)
+        np.testing.assert_array_equal(exc.value.point, points[2])
+        values, grads = eval_log_density_and_gradient(target, points[:2])
+        assert values[0] == -math.inf and np.isnan(grads[0]).all()
+        np.testing.assert_array_equal(grads[1], [-1.0, 0.0])
+
 
 class TestMixtureLogPdf:
     def test_single_component_exact(self):
@@ -521,6 +568,17 @@ class TestMixtureLogPdf:
         total, resp = log_sum_exp(stacked)
         np.testing.assert_array_equal(total, [-math.inf, 0.0, 1.0])
         np.testing.assert_array_equal(resp, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def test_row_of_minus_inf_beside_a_nan_row_sums_to_zero(self):
+        # a NaN row (a point with a NaN coordinate) made every -inf row NaN,
+        # and with it the far-point gradients of its whole batch
+        total, resp = log_sum_exp(np.array([[-math.inf, -math.inf], [math.nan, 0.0]]))
+        assert total[0] == -math.inf and np.isnan(total[1])
+        np.testing.assert_array_equal(resp[0], [0.0, 0.0])
+        mix = MixtureModel((GaussianComponent(np.zeros(2), np.eye(2)),
+                            GaussianComponent(np.ones(2), np.eye(2))), np.array([0.5, 0.5]))
+        grads = mix.gradient(np.array([[1e200, 0.0], [math.nan, 0.0], [0.5, 0.5]]))
+        np.testing.assert_array_equal(grads[0], [-1e200, 0.0])
 
     def test_zero_weight_component_dropped(self):
         comps = (
@@ -623,6 +681,54 @@ def _lower_factors(draw):
     chols = np.tril(spread * rng.standard_normal((k, d, d)), -1)
     chols[:, np.arange(d), np.arange(d)] = np.exp(rng.uniform(-1.0, 1.0, (k, d)))
     return chols
+
+
+@st.composite
+def _fused_cases(draw):
+    """A Gaussian or sinh-arcsinh mixture in d = 1..6 with K = 1..3, and a
+    batch for its fused reply: one row, a few, or more than one row block
+    of :func:`_rows`. Some rows lie 1e200 out, where the log-density is
+    ``-inf`` and the gradient the nearest component's, and some have a NaN
+    coordinate."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mix = random_sinh_arcsinh_mixture(d, k, seed=int(rng.integers(2**32)))
+        width = mix.loc.size
+    else:
+        comps = []
+        for _ in range(k):
+            chol = np.tril(0.5 * rng.standard_normal((d, d)), -1)
+            chol[np.diag_indices(d)] = np.exp(rng.uniform(-1.0, 1.0, d))
+            comps.append(GaussianComponent(3.0 * rng.standard_normal(d), chol))
+        weights = rng.uniform(0.1, 1.0, k)
+        mix = MixtureModel(tuple(comps), weights / weights.sum())
+        width = mix._means.size
+    n = draw(st.sampled_from([1, 7, _block_rows(width) + 5]))
+    points = 4.0 * rng.standard_normal((n, d))
+    far = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+    points[far] *= 1e200
+    nan_rows = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    points[nan_rows, rng.integers(d)] = math.nan
+    return mix, points, far & ~nan_rows
+
+
+class TestFusedReply:
+    @given(_fused_cases())
+    def test_equals_log_pdf_and_gradient_bitwise(self, case):
+        mix, points, far = case
+        fused = mix.log_pdf_and_gradient(points)
+        assert fused.shape == (len(points), 1 + mix.dim)
+        assert fused[:, 0].tobytes() == mix.log_pdf(points).tobytes()
+        assert fused[:, 1:].tobytes() == mix.gradient(points).tobytes()
+        assert np.all(fused[far, 0] == -math.inf)
+        assert np.all(np.isfinite(fused[far, 1:]))
+        # one point answers as a batch of one does
+        alone = mix.log_pdf_and_gradient(points[0])
+        assert alone.tobytes() == np.append(mix.log_pdf(points[0]),
+                                            mix.gradient(points[0])).tobytes()
+        assert mix.as_target().log_phi_and_gradient_batch == mix.log_pdf_and_gradient
 
 
 class TestInverseLower:
@@ -862,7 +968,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [("log_phi", None),
                                              ("gradient", np.zeros(2)),
-                                             ("log_phi_batch", "x")])
+                                             ("log_phi_batch", "x"),
+                                             ("log_phi_and_gradient_batch", 1.0)])
     def test_target_fields_must_be_callable(self, field, value):
         # a fit used to die later, on "'NoneType' object is not callable"
         fields = {"log_phi": lambda z: 0.0, field: value}

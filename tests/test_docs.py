@@ -2,6 +2,7 @@
 exports stay in step with the code: a key the code no longer accepts, a
 retired name or a quick start that no longer runs fails here."""
 
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -14,7 +15,7 @@ import numpy as np
 import postmix
 from postmix import cli
 from postmix.cli import parse_config
-from postmix.density import mixture_from_dict
+from postmix.density import UnnormalizedTarget, mixture_from_dict
 from postmix.exemplar import default_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,3 +121,15 @@ def test_docstring_references_resolve():
                 missing.append(f"{path.name}: {name}")
     assert targets > 0
     assert missing == []
+
+
+def test_reply_contract_lists_every_callable_field():
+    # a callable field added to the target without a row in README's reply
+    # contract fails here, and so does a row for a field that is gone
+    text = (ROOT / "README.md").read_text()
+    table = text.split("Every reply is checked on its way in", 1)[1].split("\n\n")[1]
+    documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    fields = [f.name for f in dataclasses.fields(UnnormalizedTarget)
+              if "Callable" in str(f.type)]
+    assert len(fields) == 6
+    assert sorted(documented) == sorted(fields)

@@ -15,6 +15,7 @@ from postmix.density import (
     eval_gradient,
     eval_hessian,
     eval_log_density,
+    eval_log_density_and_gradient,
     eval_log_density_batch,
     gaussian_log_pdfs,
     gradient_rows,
@@ -43,6 +44,7 @@ from postmix.gola import (
     _component_from_hessian,
     _is_indefinite,
     _row_dots,
+    _sort_minima,
     _valley_between,
     dedup_modes,
     multistart_minimize,
@@ -99,17 +101,29 @@ def _drive(target, searches):
     ``("gradient", z)``, is sent the value and returns its result. Each
     round answers every log-density request with one batched call, then the
     gradient requests that leaves with one more, rows in search order; a
-    search whose gradient stencil met ``-inf`` is dropped."""
+    search whose gradient stencil met ``-inf`` is dropped. On a target with
+    ``log_phi_and_gradient_batch``, the round's one call is to that field,
+    and a gradient request, always at the point of its search's log-density
+    request of the round, takes its row of that reply."""
     results = [None] * len(searches)
     waiting = {i: next(search) for i, search in enumerate(searches)}
+    fused = target.log_phi_and_gradient_batch is not None
     while waiting:
+        replied = {}  # search -> (point, gradient) of this round's fused call
         for kind in ("log_phi", "gradient"):
             rows = [i for i, (asked, _) in waiting.items() if asked == kind]
             if not rows:
                 continue
             points = np.array([waiting[i][1] for i in rows])
-            if kind == "log_phi":
+            if kind == "log_phi" and fused:
+                values, grads = eval_log_density_and_gradient(target, points)
+                replies, failed = values.tolist(), {}
+                replied = {i: (p.tobytes(), g) for i, p, g in zip(rows, points, grads)}
+            elif kind == "log_phi":
                 replies, failed = eval_log_density_batch(target, points).tolist(), {}
+            elif fused:
+                assert all(replied[i][0] == p.tobytes() for i, p in zip(rows, points))
+                replies, failed = [replied[i][1] for i in rows], {}
             else:
                 replies, failed = gradient_rows(target, points)
             for row, i in enumerate(rows):
@@ -257,7 +271,8 @@ class TestLockstep:
         # per-point fields only: the batched evaluators call them row by row,
         # so lockstep and lone searches see the same values bit for bit
         target = dataclasses.replace(_bimodal_target(), hessian=None,
-                                     log_phi_batch=None, gradient_batch=None)
+                                     log_phi_batch=None, gradient_batch=None,
+                                     log_phi_and_gradient_batch=None)
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
         together = call_counter()
         minima = multistart_minimize(together.wrap(target), cfg)
@@ -287,40 +302,75 @@ class TestLockstep:
         assert sorted(together_log) == sorted(requests)
 
     def test_mixture_target_is_only_asked_for_batches(self, call_counter):
-        counter = call_counter()
+        # a built-in mixture answers log phi and its gradient in one fused
+        # batch; without that field, in a log_phi_batch and a gradient_batch
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
+        counter, two_calls = call_counter(), call_counter()
         minima = multistart_minimize(counter.wrap(_bimodal_target()), cfg)
         assert len(minima) > 0
-        assert set(counter.calls) == {"log_phi_batch", "gradient_batch"}
-        assert counter.calls["gradient_batch"] <= counter.calls["log_phi_batch"]
+        assert set(counter.calls) == {"log_phi_and_gradient_batch"}
+        multistart_minimize(two_calls.wrap(dataclasses.replace(
+            _bimodal_target(), log_phi_and_gradient_batch=None)), cfg)
+        assert set(two_calls.calls) == {"log_phi_batch", "gradient_batch"}
+        assert two_calls.calls["gradient_batch"] <= two_calls.calls["log_phi_batch"]
+
+    def test_fused_reply_gives_the_two_call_results(self, call_counter):
+        # the fused reply's log phi and gradient rows are bitwise those of
+        # log_phi_batch and gradient_batch, so every search ends bitwise as
+        # in the two-call protocol, with one target call per round (the
+        # two-call protocol's log_phi_batch calls) and no gradient_batch call
+        fused_target = _bimodal_target()
+        two_call_target = dataclasses.replace(fused_target, log_phi_and_gradient_batch=None)
+        cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
+        starts = _sobol_starts(fused_target, 24)
+        fused, two_calls = call_counter(), call_counter()
+        got = run_lockstep(fused.wrap(fused_target), starts, cfg)
+        want = run_lockstep(two_calls.wrap(two_call_target), starts, cfg)
+        assert sum(m is not None and m.converged for m in got) > 0
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert _same_result(a, b)
+            assert a is None or a.start_index == b.start_index == i
+        assert set(fused.calls) == {"log_phi_and_gradient_batch"}
+        assert fused.calls["log_phi_and_gradient_batch"] == two_calls.calls["log_phi_batch"]
+        assert fused.points["log_phi_and_gradient_batch"] == two_calls.points["log_phi_batch"]
 
     def test_one_round_per_log_density_request(self, call_counter):
-        # every round answers all searches' log-density requests in one call
-        # and the gradient requests that leaves in one more, so there are as
-        # many rounds as the longest search makes log-density requests; the
-        # batch fields evaluate row by row, so a lone search takes the same
-        # path as its lockstep row and ends bitwise as that row
+        # every round answers all searches' log-density requests in one call:
+        # a fused one that also brings the gradients, or one log_phi_batch
+        # call and the gradient requests that leaves in one gradient_batch
+        # call more. So there are as many rounds as the longest search makes
+        # log-density requests; the batch fields evaluate row by row, so a
+        # lone search takes the same path as its lockstep row and ends
+        # bitwise as that row
         plain = _bimodal_target()
-        target = dataclasses.replace(
+        two_call_target = dataclasses.replace(
             plain,
             log_phi_batch=lambda pts: np.array([plain.log_phi(p) for p in pts]),
-            gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]))
+            gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]),
+            log_phi_and_gradient_batch=None)
+        fused_target = dataclasses.replace(
+            two_call_target,
+            log_phi_and_gradient_batch=lambda pts: np.array(
+                [np.append(plain.log_phi(p), plain.gradient(p)) for p in pts]))
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
-        together = call_counter()
-        multistart_minimize(together.wrap(target), cfg)
+        for target, fields in ((two_call_target, ("log_phi_batch", "gradient_batch")),
+                               (fused_target, ("log_phi_and_gradient_batch",))):
+            together = call_counter()
+            multistart_minimize(together.wrap(target), cfg)
+            assert set(together.calls) == set(fields)
 
-        starts = _sobol_starts(target, 24)
-        rows = run_lockstep(target, starts, cfg)
-        alone = []
-        for start, row in zip(starts, rows):
-            counter = call_counter()
-            assert _same_result(_descend(counter.wrap(target), start, cfg), row)
-            alone.append(counter)
-        longest = max(c.calls["log_phi_batch"] for c in alone)
-        assert together.calls["log_phi_batch"] == longest
-        assert together.calls["gradient_batch"] <= longest
-        for field in ("log_phi_batch", "gradient_batch"):
-            assert together.points[field] == sum(c.points[field] for c in alone)
+            starts = _sobol_starts(target, 24)
+            rows = run_lockstep(target, starts, cfg)
+            alone = []
+            for start, row in zip(starts, rows):
+                counter = call_counter()
+                assert _same_result(_descend(counter.wrap(target), start, cfg), row)
+                alone.append(counter)
+            longest = max(c.calls[fields[0]] for c in alone)
+            assert together.calls[fields[0]] == longest
+            assert together.calls["gradient_batch"] <= longest
+            for field in fields:
+                assert together.points[field] == sum(c.points[field] for c in alone)
 
     def test_failed_stencil_drops_only_its_row(self):
         # finite-difference gradients: the middle start sits just inside the
@@ -379,7 +429,8 @@ class TestLockstep:
         target = dataclasses.replace(
             plain, log_phi=lambda z: -math.inf if z[0] > 4.5 else plain.log_phi(z),
             gradient=plain.gradient if gradient == "analytic" else None,
-            hessian=None, log_phi_batch=None, gradient_batch=None)
+            hessian=None, log_phi_batch=None, gradient_batch=None,
+            log_phi_and_gradient_batch=None)
         cfg = GolaConfig(gradient_tol=1e-6)
         starts = np.insert(_sobol_starts(target, 6), 3, [4.7, 0.0], axis=0)
 
@@ -411,7 +462,7 @@ class TestLockstep:
         # in one call and all rows' gradient stencils in one more; the batch
         # field evaluates row by row, so every path sees the same values
         plain = dataclasses.replace(_bimodal_target(), gradient=None, hessian=None,
-                                    gradient_batch=None)
+                                    gradient_batch=None, log_phi_and_gradient_batch=None)
         target = dataclasses.replace(
             plain, log_phi_batch=lambda pts: np.array([plain.log_phi(p) for p in pts]))
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-6)
@@ -443,7 +494,8 @@ class TestLockstep:
         # a scalar gradient and no gradient_batch: the search asks the
         # analytic gradient and no stencil, so it makes the same requests as
         # with a gradient_batch built from that gradient's rows
-        plain = dataclasses.replace(_bimodal_target(), gradient_batch=None)
+        plain = dataclasses.replace(_bimodal_target(), gradient_batch=None,
+                                    log_phi_and_gradient_batch=None)
         twin = dataclasses.replace(
             plain, gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]))
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
@@ -598,8 +650,11 @@ class TestLaplace:
             cov = m @ m.T + 0.5 * np.eye(d)
             mean = rng.standard_normal(d)
             _, target = _gaussian_mixture_target([mean], [cov], [1.0])
-            finite_difference = dataclasses.replace(target, gradient=None, hessian=None)
-            # analytic Hessians, then the finite-difference stencil
+            finite_difference = dataclasses.replace(
+                target, gradient=None, hessian=None,
+                log_phi_and_gradient_batch=None)
+            # analytic Hessians, then the finite-difference stencil of the
+            # analytic gradient_batch
             for fit_target, tol in ((target, 1e-6), (finite_difference, 1e-4)):
                 comp = _laplace_at_mode(fit_target, mean)
                 err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
@@ -622,7 +677,9 @@ class TestLaplaceProperties:
     def test_exact_at_the_mean_of_a_gaussian(self, gaussian):
         mean, cov = gaussian
         _, target = _gaussian_mixture_target([mean], [cov], [1.0])
-        finite_difference = dataclasses.replace(target, gradient=None, hessian=None)
+        finite_difference = dataclasses.replace(
+            target, gradient=None, hessian=None,
+            log_phi_and_gradient_batch=None)
         for fit_target, rtol in ((target, 1e-10), (finite_difference, 1e-6)):
             comp = _laplace_at_mode(fit_target, mean)
             np.testing.assert_array_equal(comp.mean, mean)
@@ -1070,8 +1127,9 @@ def _reference_local_minimize(target, start, cfg, start_index=0):
 @st.composite
 def _search_cases(draw):
     """A Gaussian mixture in d = 1..6 with K = 1..3, its means partly outside
-    the box [-3, 3]^d, with analytic or finite-difference gradients; starts
-    inside the box, some with coordinates on its faces or beyond them."""
+    the box [-3, 3]^d, with its gradients from the fused reply, from
+    ``gradient_batch`` or from finite differences; starts inside the box,
+    some with coordinates on its faces or beyond them."""
     d = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1083,7 +1141,10 @@ def _search_cases(draw):
     raw = rng.uniform(0.5, 1.5, k)
     _, target = _gaussian_mixture_target(means, covs, raw / raw.sum())
     target = dataclasses.replace(target, search_box=_box(d, -3.0, 3.0))
-    if draw(st.booleans()):
+    source = draw(st.sampled_from(["fused", "gradient_batch", "finite differences"]))
+    if source != "fused":
+        target = dataclasses.replace(target, log_phi_and_gradient_batch=None)
+    if source == "finite differences":
         target = dataclasses.replace(target, gradient=None, gradient_batch=None,
                                      hessian=None)
     starts = rng.uniform(-3.0, 3.0, size=(6, d))
@@ -1109,6 +1170,33 @@ class TestLocalSearchReference:
         for i, (a, b) in enumerate(zip(got, want)):
             assert _same_result(a, b)
             assert a is None or a.start_index == b.start_index == i
+
+
+@st.composite
+def _minima_lists(draw):
+    """1..40 minima in d = 1..4 whose objectives and coordinates are drawn
+    from five values, signed zeros among them, so that ties run several
+    keys deep, or from a normal distribution."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+        objectives, locations = rng.choice(values, n), rng.choice(values, (n, d))
+    else:
+        objectives, locations = rng.standard_normal(n), rng.standard_normal((n, d))
+    return [LocalMinimum(z, float(f), 0.0, True, i)
+            for i, (z, f) in enumerate(zip(locations, objectives))]
+
+
+class TestSortMinima:
+    @given(_minima_lists())
+    def test_equals_the_sort_by_objective_then_location(self, minima):
+        # one stable lexsort stands for Python's stable sort on
+        # (objective, tuple(location)), in which -0.0 equals 0.0
+        want = sorted(minima, key=lambda m: (m.objective, tuple(m.location)))
+        assert ([m.start_index for m in _sort_minima(minima)]
+                == [m.start_index for m in want])
 
 
 @st.composite
