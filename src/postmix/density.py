@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import DerivativeError, NonFiniteDensityError
+from .exceptions import DerivativeError, NonFiniteDensityError, check_integer
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -42,7 +42,7 @@ class UnnormalizedTarget:
     Parameters
     ----------
     dim : int
-        Dimension of the parameter space.
+        Dimension of the parameter space, at least 1.
     log_phi : callable
         Maps a length-``dim`` vector to the unnormalized log-density.
         May return ``-inf`` as an out-of-support sentinel so optimizers
@@ -56,18 +56,17 @@ class UnnormalizedTarget:
         Analytic Hessian (dim, dim) of ``log_phi``; finite differences otherwise.
     log_phi_batch : callable, optional
         Vectorized evaluation mapping an (n, dim) array to an (n,) array;
-        used by multistart, samplers, grid scans and the finite-difference
-        derivatives, when present.
-    gradient_batch : callable, optional
-        Vectorized gradient mapping an (n, dim) array to an (n, dim) array;
-        multistart uses it when present.
+        used, when present, by multistart, samplers, grid scans and the
+        batched finite-difference stencils of :func:`gradient_rows` (the
+        single-point stencil of :func:`eval_gradient` calls ``log_phi``).
     log_phi_and_gradient_batch : callable, optional
-        Maps an (n, dim) array to an (n, 1 + dim) array from one evaluation:
-        column 0 is ``log_phi`` and the others are its gradient. When
-        present, multistart asks for it once per round instead of
-        ``log_phi_batch`` and a gradient field. ``dataclasses.replace(target,
-        gradient=None, gradient_batch=None)`` leaves it in place, so clear it
-        too to make multistart take another gradient path.
+        The one batch derivative field: maps an (n, dim) array to an
+        (n, 1 + dim) array from one evaluation, column 0 ``log_phi`` and the
+        others its gradient. When present, multistart asks for it once per
+        round instead of ``log_phi_batch`` and a gradient, and
+        :func:`gradient_rows` takes its gradient columns.
+        ``dataclasses.replace(target, gradient=None)`` leaves it in place, so
+        clear it too to make either take another gradient path.
     """
 
     dim: int
@@ -76,12 +75,10 @@ class UnnormalizedTarget:
     gradient: Optional[Callable[[NDArray], NDArray]] = None
     hessian: Optional[Callable[[NDArray], NDArray]] = None
     log_phi_batch: Optional[Callable[[NDArray], NDArray]] = None
-    gradient_batch: Optional[Callable[[NDArray], NDArray]] = None
     log_phi_and_gradient_batch: Optional[Callable[[NDArray], NDArray]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        check_integer("dim", self.dim, 1)
         box = np.asarray(self.search_box, dtype=float)
         if box.shape != (self.dim, 2):
             raise ValueError(
@@ -91,7 +88,7 @@ class UnnormalizedTarget:
             raise ValueError("search_box bounds must be finite (no NaN or infinity)")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("search_box requires lower < upper in every coordinate")
-        for name in ("log_phi", "gradient", "hessian", "log_phi_batch", "gradient_batch",
+        for name in ("log_phi", "gradient", "hessian", "log_phi_batch",
                      "log_phi_and_gradient_batch"):
             fn = getattr(self, name)
             if not callable(fn) and (fn is not None or name == "log_phi"):
@@ -227,18 +224,19 @@ def gradient_rows(target: UnnormalizedTarget, points: NDArray,
     from each row whose finite-difference stencil met ``-inf`` to its first
     such point (that row's gradient is meaningless).
 
-    ``gradient_batch`` answers in one call when the target has one, else
+    A target with ``log_phi_and_gradient_batch`` answers with the gradient
+    columns of one :func:`eval_log_density_and_gradient` call, else with
     the analytic ``gradient`` row by row. A target with neither gets
     central differences from the stencils of all rows in one batched
     evaluation, each row bitwise what :func:`eval_gradient` returns for it.
     NaN or ``+inf`` anywhere in the stencil raises ``NonFiniteDensityError``,
     whatever else the row met. An analytic reply goes through :func:`_reply`:
     one with a NaN or infinite entry raises ``DerivativeError`` carrying the
-    first such row's point.
+    first such row's point, except a fused reply's row whose log-density is
+    ``-inf``, which comes back as replied.
     """
-    if target.gradient_batch is not None:
-        return _reply("gradient_batch", target.gradient_batch(points), points,
-                      points.shape), {}
+    if target.log_phi_and_gradient_batch is not None:
+        return eval_log_density_and_gradient(target, points)[1], {}
     if target.gradient is not None:
         return _reply("gradient", [target.gradient(p) for p in points], points,
                       points.shape), {}
@@ -345,10 +343,9 @@ def _block_rows(width: int) -> int:
 def _rows(kernel: Callable[[NDArray], NDArray], points: NDArray, dim: int,
           width: int) -> NDArray | float:
     """What a block ``kernel`` gives at one point (dim,) or a batch (n, dim):
-    a log-density kernel's (m,) reply becomes a float or (n,), a gradient
-    kernel's (m, dim) reply (dim,) or (n, dim), and a kernel of both, whose
-    (m, 1 + dim) reply holds the log-density in column 0, (1 + dim,) or
-    (n, 1 + dim).
+    a log-density kernel's (m,) reply becomes a float or (n,), and a fused
+    kernel's (m, 1 + dim) reply, the log-density in column 0 and its
+    gradient in the others, (1 + dim,) or (n, 1 + dim).
 
     The kernel runs on :func:`_block_rows` rows at a time; rows do not
     interact, so the blocks only bound the size of the temporaries. A block
@@ -368,9 +365,8 @@ def _rows(kernel: Callable[[NDArray], NDArray], points: NDArray, dim: int,
         out = (np.concatenate([kernel(block) for block in np.split(pts, cuts)]) if cuts
                else kernel(pts))
     if not np.isfinite(out).all():
-        if out.ndim == 1 or out.shape[1] > dim:
-            log_p = out if out.ndim == 1 else out[:, 0]  # a view: written through
-            log_p[np.isnan(log_p)] = -np.inf
+        log_p = out if out.ndim == 1 else out[:, 0]  # a view: written through
+        log_p[np.isnan(log_p)] = -np.inf
         out[~np.isfinite(pts).all(axis=1)] = np.nan
     if single:
         return float(out[0]) if out.ndim == 1 else out[0]
@@ -505,29 +501,24 @@ class MixtureModel:
 
     def gradient(self, points: NDArray) -> NDArray[np.float64]:
         """Analytic gradient of the log-density at one point (d,) or a batch
-        (n, d), by :func:`_rows`: the responsibility-weighted scores, where
-        the density underflows the nearest component's (:func:`_nearest`)."""
-        return _rows(self._gradient_block, points, self.dim, self._means.size)
+        (n, d): the gradient columns of :meth:`log_pdf_and_gradient`."""
+        return self.log_pdf_and_gradient(points)[..., 1:]
 
     def log_pdf_and_gradient(self, points: NDArray) -> NDArray[np.float64]:
-        """:meth:`log_pdf` and :meth:`gradient` from one pass of the mixture
-        kernel, bitwise theirs: (1 + d,) at one point, (n, 1 + d) at a
-        batch, the log-density in column 0."""
+        """:meth:`log_pdf` and its gradient from one pass of the mixture
+        kernel, by :func:`_rows`: (1 + d,) at one point, (n, 1 + d) at a
+        batch, the log-density in column 0, bitwise :meth:`log_pdf`'s. The
+        gradient is the responsibility-weighted scores, where the density
+        underflows the nearest component's (:func:`_nearest`)."""
         return _rows(self._log_pdf_and_gradient_block, points, self.dim, self._means.size)
 
     def _log_pdf_and_gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
-        log_p, grads = self._value_and_gradient(pts)
-        return np.concatenate((log_p[:, np.newaxis], grads), axis=1)
-
-    def _gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
-        return self._value_and_gradient(pts)[1]
-
-    def _value_and_gradient(self, pts: NDArray):
         log_q, resp, whitened, scores = mixture_terms(self._means, self._chol_invs,
                                                       self._log_weights, pts)
         resp = _nearest(log_q, resp, whitened.transpose(2, 0, 1))
         # one (d, K) @ (K,) product per point, the same BLAS call for n = 1
-        return log_q, (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
+        grads = (scores.transpose(0, 2, 1) @ resp[:, :, np.newaxis])[:, :, 0]
+        return np.concatenate((log_q[:, np.newaxis], grads), axis=1)
 
     def hessian(self, point: NDArray) -> NDArray[np.float64]:
         """Analytic Hessian of the log-density at one point (d,). A batch
@@ -567,7 +558,6 @@ class MixtureModel:
             gradient=self.gradient,
             hessian=self.hessian,
             log_phi_batch=self.log_pdf,
-            gradient_batch=self.gradient,
             log_phi_and_gradient_batch=self.log_pdf_and_gradient,
         )
 
@@ -747,29 +737,24 @@ class SinhArcsinhMixture:
         return log_sum_exp(self._component_terms(pts)[0])[0]
 
     def gradient(self, points: NDArray) -> NDArray[np.float64]:
-        """Gradient of the log-density at one point (d,) or a batch (n, d), by
-        :func:`_rows`. Per coordinate, ``tanh(u) - z cosh(u) = -z^2 tanh(u)``,
-        so the derivative is ``-(z (z / r) tanh(u) / tail + (x / r) / r) /
-        scale`` with ``r = hypot(1, x)``: no square is formed. A component of
-        zero responsibility contributes 0, and where all underflow the one of
-        smallest ``z`` takes all the weight (:func:`_nearest`).
-        """
-        return _rows(self._gradient_block, points, self.dim, self.loc.size)
+        """Gradient of the log-density at one point (d,) or a batch (n, d):
+        the gradient columns of :meth:`log_pdf_and_gradient`."""
+        return self.log_pdf_and_gradient(points)[..., 1:]
 
     def log_pdf_and_gradient(self, points: NDArray) -> NDArray[np.float64]:
-        """:meth:`log_pdf` and :meth:`gradient` from one pass of
-        :meth:`_component_terms`, bitwise theirs: (1 + d,) at one point,
-        (n, 1 + d) at a batch, the log-density in column 0."""
+        """:meth:`log_pdf` and its gradient from one pass of
+        :meth:`_component_terms`, by :func:`_rows`: (1 + d,) at one point,
+        (n, 1 + d) at a batch, the log-density in column 0, bitwise
+        :meth:`log_pdf`'s. Per coordinate, ``tanh(u) - z cosh(u) =
+        -z^2 tanh(u)``, so the derivative is ``-(z (z / r) tanh(u) / tail +
+        (x / r) / r) / scale`` with ``r = hypot(1, x)``: no square is formed.
+        A component of zero responsibility contributes 0, and where all
+        underflow the one of smallest ``z`` takes all the weight
+        (:func:`_nearest`).
+        """
         return _rows(self._log_pdf_and_gradient_block, points, self.dim, self.loc.size)
 
     def _log_pdf_and_gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
-        log_p, grads = self._value_and_gradient(pts)
-        return np.concatenate((log_p[:, np.newaxis], grads), axis=1)
-
-    def _gradient_block(self, pts: NDArray) -> NDArray[np.float64]:
-        return self._value_and_gradient(pts)[1]
-
-    def _value_and_gradient(self, pts: NDArray):
         comp, x, z = self._component_terms(pts)
         log_p, resp = log_sum_exp(comp)
         resp = _nearest(log_p, resp, z)
@@ -783,7 +768,8 @@ class SinhArcsinhMixture:
         dlogp += x
         dlogp *= -self._inv_scale
         dlogp[resp == 0.0] = 0.0  # not 0 * inf
-        return log_p, np.einsum("nk,nkd->nd", resp, dlogp)
+        grads = np.einsum("nk,nkd->nd", resp, dlogp)
+        return np.concatenate((log_p[:, np.newaxis], grads), axis=1)
 
     def sample(self, n: int, seed: int) -> NDArray[np.float64]:
         """``n`` exact draws: ancestral component choice, then the
@@ -819,7 +805,6 @@ class SinhArcsinhMixture:
             search_box=self.default_search_box(),
             gradient=self.gradient,
             log_phi_batch=self.log_pdf,
-            gradient_batch=self.gradient,
             log_phi_and_gradient_batch=self.log_pdf_and_gradient,
         )
 

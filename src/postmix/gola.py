@@ -185,8 +185,9 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     gradient at every row's trial point, of which an accepted trial keeps
     the gradient. Otherwise it asks for ``log phi`` at every trial in one
     batched call, then for the gradient at each accepted trial with one
-    :func:`gradient_rows` call, which drops a row whose stencil met
-    ``-inf``. The first round asks the same at the starts, and keeps the
+    :func:`gradient_rows` call: the analytic ``gradient`` row by row, or
+    central differences from one batched stencil, which drops a row whose
+    stencil met ``-inf``. The first round asks the same at the starts, and keeps the
     gradient of each start of positive density. A row leaves the state
     when its search ends. Rows stay in start order, so a rerun is bitwise
     the same, and where the target evaluates each row on its own, a row

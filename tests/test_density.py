@@ -49,6 +49,12 @@ def _simple_target(dim, log_phi, box=None, **kwargs):
     return UnnormalizedTarget(dim=dim, log_phi=log_phi, search_box=box, **kwargs)
 
 
+def _half_square_fused(gradient):
+    """A ``log_phi_and_gradient_batch`` of log phi = -|z|^2 / 2 whose gradient
+    columns are ``gradient`` at the batch."""
+    return lambda pts: np.column_stack([-0.5 * (pts * pts).sum(axis=1), gradient(pts)])
+
+
 class TestEvalLogDensity:
     def test_standard_gaussian_at_origin(self):
         for d in (1, 2, 5):
@@ -208,17 +214,17 @@ class TestEvalGradientBatch:
         assert np.array_equal(grads, np.array([eval_gradient(target, z) for z in pts]))
         assert gradient_rows(target, np.empty((0, 3)))[0].shape == (0, 3)
 
-    def test_uses_the_batch_callable_once(self):
+    def test_uses_the_fused_callable_once(self):
         mix = random_sinh_arcsinh_mixture(2, 2, seed=1)
         rows = []
 
-        def gradient_batch(points):
+        def log_phi_and_gradient_batch(points):
             rows.append(len(points))
-            return mix.gradient(points)
+            return mix.log_pdf_and_gradient(points)
 
         target = _simple_target(2, mix.as_target().log_phi,
                                 gradient=lambda z: pytest.fail("scalar call"),
-                                gradient_batch=gradient_batch)
+                                log_phi_and_gradient_batch=log_phi_and_gradient_batch)
         pts = mix.sample(9, seed=3)
         grads, failed = gradient_rows(target, pts)
         assert np.array_equal(grads, mix.gradient(pts)) and failed == {}
@@ -263,16 +269,18 @@ class TestEvalGradientBatch:
         assert exc.value.point[0] <= 1.0 < exc.value.point[1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["gradient", "gradient_batch"])
+    @pytest.mark.parametrize("field", ["gradient", "log_phi_and_gradient_batch"])
     def test_non_finite_analytic_gradient_raises_with_its_row(self, field, bad):
         # the analytic gradient is the fault, not the log-density: the error
         # names the row it was evaluated at, not a point a step made from it
         def gradient(z):
             return np.where(z[..., :1] > 2.0, bad, -z)
 
+        if field != "gradient":
+            gradient = _half_square_fused(gradient)
         target = _simple_target(2, lambda z: -0.5 * float(z @ z), **{field: gradient})
         rows = np.array([[0.0, 1.0], [3.0, -1.0], [4.0, 0.5]])
-        with pytest.raises(DerivativeError, match="analytic gradient") as exc:
+        with pytest.raises(DerivativeError, match="analytic .*gradient") as exc:
             gradient_rows(target, rows)
         np.testing.assert_array_equal(exc.value.point, rows[1])
 
@@ -392,18 +400,47 @@ class TestEvalHessian:
             err = np.linalg.norm(eval_hessian(target, z) - ref) / np.linalg.norm(ref)
             assert err <= 1e-9
 
-    @pytest.mark.parametrize("field", ["gradient", "gradient_batch"])
+    @pytest.mark.parametrize("field", ["gradient", "log_phi_and_gradient_batch",
+                                       "log_phi_and_gradient_batch at -inf"])
     def test_non_finite_analytic_gradient_names_its_stencil_row(self, field):
+        # rows past z[0] = 0.5 reply a NaN gradient. A fused reply's check
+        # raises at a row of finite log-density; at a -inf row, which that
+        # check leaves as replied, the Hessian's own check does
         def gradient(z):
             return np.where(z[..., :1] > 0.5, math.nan, -z)
 
-        target = _simple_target(2, lambda z: -0.5 * float(z @ z), **{field: gradient})
+        def fused(pts):
+            out = _half_square_fused(gradient)(pts)
+            if field.endswith("-inf"):
+                out[pts[:, 0] > 0.5, 0] = -math.inf
+            return out
+
+        derivative = ({"gradient": gradient} if field == "gradient"
+                      else {"log_phi_and_gradient_batch": fused})
+        target = _simple_target(2, lambda z: -0.5 * float(z @ z), **derivative)
         z = np.array([0.5, 0.5])
-        with pytest.raises(DerivativeError) as err:
+        check = "Hessian stencil" if field.endswith("-inf") else "analytic"
+        with pytest.raises(DerivativeError, match=check) as err:
             eval_hessian(target, z)
         # the row z + h e_0, the only one past z[0] = 0.5
         offsets = err.value.point - z
         assert offsets[0] > 0.0 and offsets[1] == 0.0
+
+    def test_fused_field_alone_is_one_call_at_the_stencil_rows(self, call_counter):
+        # no analytic Hessian and no other derivative field: the gradients
+        # at the 2d rows of z's stencil are the gradient columns of one fused
+        # call, bitwise those the built-in target (which also has a scalar
+        # gradient) differences
+        mix = random_sinh_arcsinh_mixture(3, 2, seed=7)
+        counter = call_counter()
+        target = counter.wrap(_simple_target(
+            3, mix.log_pdf, log_phi_batch=mix.log_pdf,
+            log_phi_and_gradient_batch=mix.log_pdf_and_gradient))
+        z = mix.sample(1, seed=8)[0]
+        hess = eval_hessian(target, z)
+        assert counter.calls == {"log_phi_and_gradient_batch": 1}
+        assert counter.points == {"log_phi_and_gradient_batch": 6}
+        assert hess.tobytes() == eval_hessian(mix.as_target(), z).tobytes()
 
 
 class TestTargetReplies:
@@ -440,10 +477,10 @@ class TestTargetReplies:
             eval_log_density(target, np.zeros(2))
 
     @pytest.mark.parametrize("field,reply", [
-        ("gradient_batch", lambda pts: -pts[:, :1]),
+        ("log_phi_and_gradient_batch", lambda pts: -pts),
         ("gradient", lambda z: -np.append(z, 0.0)),
         ("hessian", lambda z: -np.eye(3)),
-    ], ids=["gradient_batch", "gradient", "hessian"])
+    ], ids=["log_phi_and_gradient_batch", "gradient", "hessian"])
     def test_derivative_of_the_wrong_shape_names_the_field(self, field, reply):
         target = _simple_target(2, lambda z: -0.5 * float(z @ z), **{field: reply})
         with pytest.raises(ValueError, match=rf"{field} replied with shape"):
@@ -824,7 +861,7 @@ class TestMixtureKernelProperties:
             _, resp, _, scores = _terms(mixture, z[np.newaxis])
             assert np.array_equal(grad, scores[0].T @ resp[0])
         target = mixture.as_target()
-        assert target.gradient_batch is not None
+        assert target.log_phi_and_gradient_batch is not None
         grads, failed = gradient_rows(target, points)
         np.testing.assert_array_equal(grads, mixture.gradient(points))
         assert failed == {}
@@ -966,6 +1003,14 @@ class TestValidation:
             err = np.linalg.norm(refactored - chol, "fro")
             assert err <= 1e-12 * np.linalg.norm(chol, "fro")
 
+    @pytest.mark.parametrize("dim", [2.0, True, 0])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        # a float dim used to pass, and a fit then died in the Sobol table;
+        # True failed on the search box's shape instead
+        with pytest.raises(ValueError, match=r"^dim must be (an integer|at least 1)"):
+            UnnormalizedTarget(dim=dim, log_phi=lambda z: 0.0,
+                               search_box=np.tile([0.0, 1.0], (2, 1)))
+
     @pytest.mark.parametrize("field,value", [("log_phi", None),
                                              ("gradient", np.zeros(2)),
                                              ("log_phi_batch", "x"),
@@ -1062,7 +1107,7 @@ class TestSinhArcsinh:
         batch = mix.gradient(points)
         assert batch.shape == points.shape
         assert np.array_equal(batch, np.array([mix.gradient(z) for z in points]))
-        assert mix.as_target().gradient_batch == mix.gradient
+        assert np.array_equal(gradient_rows(mix.as_target(), points)[0], batch)
 
     def test_gaussian_case_matches_mixture_model(self):
         # skew 0, tail 1 reduces to a location-scale Gaussian mixture
@@ -1217,10 +1262,11 @@ class TestSinhArcsinh:
 
 
 # n = block - 1, block, block + 1 and 2 block + 3, in blocks of one row count,
-# for the log-density (whose ids predate the gradient's) and the gradient
+# for the log-density (whose ids predate the gradient's) and the fused reply,
+# the one kernel of the gradient
 _BLOCK_SPLITS = [(1, -1), (1, 0), (1, 1), (2, 3)]
 _BLOCK_CASES = ([pytest.param(b, e, "log_pdf", id=f"{b}-{e}") for b, e in _BLOCK_SPLITS]
-                + [pytest.param(b, e, "gradient", id=f"{b}-{e}-gradient")
+                + [pytest.param(b, e, "log_pdf_and_gradient", id=f"{b}-{e}-gradient")
                    for b, e in _BLOCK_SPLITS])
 
 

@@ -266,13 +266,23 @@ def _bimodal_target():
     return target
 
 
+def _fused(values, gradients):
+    """A ``log_phi_and_gradient_batch`` from a batched log-density and a
+    batched gradient."""
+    return lambda pts: np.column_stack([values(pts), gradients(pts)])
+
+
+def _row_by_row(fn):
+    """A batch callable that calls the per-point ``fn`` row by row."""
+    return lambda pts: np.array([fn(p) for p in pts])
+
+
 class TestLockstep:
     def test_each_row_is_its_start_driven_alone(self, call_counter):
         # per-point fields only: the batched evaluators call them row by row,
         # so lockstep and lone searches see the same values bit for bit
         target = dataclasses.replace(_bimodal_target(), hessian=None,
-                                     log_phi_batch=None, gradient_batch=None,
-                                     log_phi_and_gradient_batch=None)
+                                     log_phi_batch=None, log_phi_and_gradient_batch=None)
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
         together = call_counter()
         minima = multistart_minimize(together.wrap(target), cfg)
@@ -303,7 +313,8 @@ class TestLockstep:
 
     def test_mixture_target_is_only_asked_for_batches(self, call_counter):
         # a built-in mixture answers log phi and its gradient in one fused
-        # batch; without that field, in a log_phi_batch and a gradient_batch
+        # batch; without that field, in a log_phi_batch and its scalar
+        # gradient at each accepted trial, never more rows than were tried
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
         counter, two_calls = call_counter(), call_counter()
         minima = multistart_minimize(counter.wrap(_bimodal_target()), cfg)
@@ -311,16 +322,27 @@ class TestLockstep:
         assert set(counter.calls) == {"log_phi_and_gradient_batch"}
         multistart_minimize(two_calls.wrap(dataclasses.replace(
             _bimodal_target(), log_phi_and_gradient_batch=None)), cfg)
-        assert set(two_calls.calls) == {"log_phi_batch", "gradient_batch"}
-        assert two_calls.calls["gradient_batch"] <= two_calls.calls["log_phi_batch"]
+        assert set(two_calls.calls) == {"log_phi_batch", "gradient"}
+        assert two_calls.points["gradient"] <= two_calls.points["log_phi_batch"]
 
     def test_fused_reply_gives_the_two_call_results(self, call_counter):
-        # the fused reply's log phi and gradient rows are bitwise those of
-        # log_phi_batch and gradient_batch, so every search ends bitwise as
-        # in the two-call protocol, with one target call per round (the
-        # two-call protocol's log_phi_batch calls) and no gradient_batch call
+        # a two-call target given the fused reply's columns: log_phi_batch
+        # is column 0 of a fused call, and the scalar gradient at an
+        # accepted trial is that trial's row of the same call (the kernel
+        # on a lone row would round apart from it). Every search ends
+        # bitwise as with the fused field, which makes one target call per
+        # round (the two-call protocol's log_phi_batch calls) and no other
         fused_target = _bimodal_target()
-        two_call_target = dataclasses.replace(fused_target, log_phi_and_gradient_batch=None)
+        gradients = {}
+
+        def log_phi_batch(points):
+            out = fused_target.log_phi_and_gradient_batch(points)
+            gradients.update((p.tobytes(), g) for p, g in zip(points, out[:, 1:]))
+            return out[:, 0]
+
+        two_call_target = dataclasses.replace(
+            fused_target, log_phi_batch=log_phi_batch,
+            gradient=lambda z: gradients[z.tobytes()], log_phi_and_gradient_batch=None)
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
         starts = _sobol_starts(fused_target, 24)
         fused, two_calls = call_counter(), call_counter()
@@ -337,23 +359,19 @@ class TestLockstep:
     def test_one_round_per_log_density_request(self, call_counter):
         # every round answers all searches' log-density requests in one call:
         # a fused one that also brings the gradients, or one log_phi_batch
-        # call and the gradient requests that leaves in one gradient_batch
-        # call more. So there are as many rounds as the longest search makes
-        # log-density requests; the batch fields evaluate row by row, so a
-        # lone search takes the same path as its lockstep row and ends
-        # bitwise as that row
+        # call and the scalar gradient at each accepted trial. So there are
+        # as many rounds as the longest search makes log-density requests;
+        # the batch fields evaluate row by row, so a lone search takes the
+        # same path as its lockstep row and ends bitwise as that row
         plain = _bimodal_target()
         two_call_target = dataclasses.replace(
-            plain,
-            log_phi_batch=lambda pts: np.array([plain.log_phi(p) for p in pts]),
-            gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]),
+            plain, log_phi_batch=_row_by_row(plain.log_phi),
             log_phi_and_gradient_batch=None)
         fused_target = dataclasses.replace(
-            two_call_target,
-            log_phi_and_gradient_batch=lambda pts: np.array(
-                [np.append(plain.log_phi(p), plain.gradient(p)) for p in pts]))
+            two_call_target, log_phi_and_gradient_batch=_fused(
+                _row_by_row(plain.log_phi), _row_by_row(plain.gradient)))
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
-        for target, fields in ((two_call_target, ("log_phi_batch", "gradient_batch")),
+        for target, fields in ((two_call_target, ("log_phi_batch", "gradient")),
                                (fused_target, ("log_phi_and_gradient_batch",))):
             together = call_counter()
             multistart_minimize(together.wrap(target), cfg)
@@ -368,7 +386,6 @@ class TestLockstep:
                 alone.append(counter)
             longest = max(c.calls[fields[0]] for c in alone)
             assert together.calls[fields[0]] == longest
-            assert together.calls["gradient_batch"] <= longest
             for field in fields:
                 assert together.points[field] == sum(c.points[field] for c in alone)
 
@@ -429,8 +446,7 @@ class TestLockstep:
         target = dataclasses.replace(
             plain, log_phi=lambda z: -math.inf if z[0] > 4.5 else plain.log_phi(z),
             gradient=plain.gradient if gradient == "analytic" else None,
-            hessian=None, log_phi_batch=None, gradient_batch=None,
-            log_phi_and_gradient_batch=None)
+            hessian=None, log_phi_batch=None, log_phi_and_gradient_batch=None)
         cfg = GolaConfig(gradient_tol=1e-6)
         starts = np.insert(_sobol_starts(target, 6), 3, [4.7, 0.0], axis=0)
 
@@ -462,9 +478,8 @@ class TestLockstep:
         # in one call and all rows' gradient stencils in one more; the batch
         # field evaluates row by row, so every path sees the same values
         plain = dataclasses.replace(_bimodal_target(), gradient=None, hessian=None,
-                                    gradient_batch=None, log_phi_and_gradient_batch=None)
-        target = dataclasses.replace(
-            plain, log_phi_batch=lambda pts: np.array([plain.log_phi(p) for p in pts]))
+                                    log_phi_and_gradient_batch=None)
+        target = dataclasses.replace(plain, log_phi_batch=_row_by_row(plain.log_phi))
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-6)
         together = call_counter()
         minima = multistart_minimize(together.wrap(target), cfg)
@@ -472,10 +487,9 @@ class TestLockstep:
         assert set(together.calls) == {"log_phi_batch"}
 
         # a lone search's log-density requests: its gradients come through a
-        # gradient_batch field, the per-row eval_gradient (bitwise the stencil)
+        # scalar gradient field, eval_gradient (bitwise the stencil)
         lone_target = dataclasses.replace(
-            target, gradient_batch=lambda pts: np.array([eval_gradient(plain, p)
-                                                         for p in pts]))
+            target, gradient=lambda z: eval_gradient(plain, z))
         longest = 0
         for start in _sobol_starts(target, 24):
             counter = call_counter()
@@ -491,20 +505,21 @@ class TestLockstep:
                 == [m.location.tobytes() for m in per_point_minima])
 
     def test_analytic_gradient_without_a_batch_is_kept(self, call_counter):
-        # a scalar gradient and no gradient_batch: the search asks the
-        # analytic gradient and no stencil, so it makes the same requests as
-        # with a gradient_batch built from that gradient's rows
-        plain = dataclasses.replace(_bimodal_target(), gradient_batch=None,
-                                    log_phi_and_gradient_batch=None)
-        twin = dataclasses.replace(
-            plain, gradient_batch=lambda pts: np.array([plain.gradient(p) for p in pts]))
+        # a scalar gradient and no fused field: the search asks the analytic
+        # gradient and no stencil, so log_phi_batch gets the rows that a
+        # fused twin of the same values gets, and the searches end bitwise
+        # as the twin's
+        plain = dataclasses.replace(_bimodal_target(), log_phi_and_gradient_batch=None)
+        twin = dataclasses.replace(plain, log_phi_and_gradient_batch=_fused(
+            plain.log_phi_batch, _row_by_row(plain.gradient)))
         cfg = GolaConfig(n_starts=24, gradient_tol=1e-9)
         counter, twin_counter = call_counter(), call_counter()
         minima = multistart_minimize(counter.wrap(plain), cfg)
         twin_minima = multistart_minimize(twin_counter.wrap(twin), cfg)
         assert set(counter.calls) == {"log_phi_batch", "gradient"}
-        assert counter.calls["gradient"] == twin_counter.points["gradient_batch"] > 0
-        assert counter.points["log_phi_batch"] == twin_counter.points["log_phi_batch"]
+        assert set(twin_counter.calls) == {"log_phi_and_gradient_batch"}
+        assert 0 < counter.calls["gradient"] < counter.points["log_phi_batch"]
+        assert counter.points["log_phi_batch"] == twin_counter.points["log_phi_and_gradient_batch"]
         assert ([m.location.tobytes() for m in minima]
                 == [m.location.tobytes() for m in twin_minima])
 
@@ -592,7 +607,7 @@ class TestMultistart:
             multistart_minimize(target, GolaConfig(n_starts=4))
         assert exc.value.point[0] > 5.0
 
-    @pytest.mark.parametrize("field", ["gradient", "gradient_batch"])
+    @pytest.mark.parametrize("field", ["gradient", "log_phi_and_gradient_batch"])
     def test_non_finite_analytic_gradient_raises_at_an_iterate(self, field):
         # a Gaussian whose analytic gradient is NaN past z[0] = 2: the error
         # blames the gradient at a point the search reached, not the
@@ -600,6 +615,8 @@ class TestMultistart:
         def gradient(z):
             return np.where(z[..., :1] > 2.0, math.nan, -z)
 
+        if field != "gradient":
+            gradient = _fused(lambda pts: -0.5 * (pts * pts).sum(axis=1), gradient)
         target = UnnormalizedTarget(
             dim=2, log_phi=lambda z: -0.5 * float(z @ z), search_box=_box(2),
             **{field: gradient})
@@ -650,12 +667,10 @@ class TestLaplace:
             cov = m @ m.T + 0.5 * np.eye(d)
             mean = rng.standard_normal(d)
             _, target = _gaussian_mixture_target([mean], [cov], [1.0])
-            finite_difference = dataclasses.replace(
-                target, gradient=None, hessian=None,
-                log_phi_and_gradient_batch=None)
-            # analytic Hessians, then the finite-difference stencil of the
-            # analytic gradient_batch
-            for fit_target, tol in ((target, 1e-6), (finite_difference, 1e-4)):
+            gradient_differences = dataclasses.replace(target, gradient=None, hessian=None)
+            # analytic Hessians, then central differences of the gradient
+            # columns of the fused reply
+            for fit_target, tol in ((target, 1e-6), (gradient_differences, 1e-4)):
                 comp = _laplace_at_mode(fit_target, mean)
                 err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
                 assert err <= tol
@@ -677,10 +692,10 @@ class TestLaplaceProperties:
     def test_exact_at_the_mean_of_a_gaussian(self, gaussian):
         mean, cov = gaussian
         _, target = _gaussian_mixture_target([mean], [cov], [1.0])
-        finite_difference = dataclasses.replace(
-            target, gradient=None, hessian=None,
-            log_phi_and_gradient_batch=None)
-        for fit_target, rtol in ((target, 1e-10), (finite_difference, 1e-6)):
+        # analytic Hessians, then central differences of the gradient
+        # columns of the fused reply
+        gradient_differences = dataclasses.replace(target, gradient=None, hessian=None)
+        for fit_target, rtol in ((target, 1e-10), (gradient_differences, 1e-6)):
             comp = _laplace_at_mode(fit_target, mean)
             np.testing.assert_array_equal(comp.mean, mean)
             err = np.linalg.norm(comp.cov - cov, "fro") / np.linalg.norm(cov, "fro")
@@ -963,8 +978,9 @@ class TestRunGola:
     @pytest.mark.parametrize("field,reply", [
         ("log_phi_batch", lambda pts: -0.5 * (pts * pts).sum(axis=1, keepdims=True)),
         ("log_phi_batch", lambda pts: np.zeros(1)),
-        ("gradient_batch", lambda pts: -pts[:, :1]),
-    ], ids=["log_phi_batch_column", "log_phi_batch_one", "gradient_batch_column"])
+        ("log_phi_and_gradient_batch", lambda pts: -pts),
+    ], ids=["log_phi_batch_column", "log_phi_batch_one",
+            "log_phi_and_gradient_batch_no_value_column"])
     def test_batched_reply_of_the_wrong_shape_names_the_field(self, field, reply):
         # these used to die inside the search on a list, an index or a dot product
         target = dataclasses.replace(_quadratic_target(), **{field: reply})
@@ -1127,8 +1143,8 @@ def _reference_local_minimize(target, start, cfg, start_index=0):
 @st.composite
 def _search_cases(draw):
     """A Gaussian mixture in d = 1..6 with K = 1..3, its means partly outside
-    the box [-3, 3]^d, with its gradients from the fused reply, from
-    ``gradient_batch`` or from finite differences; starts inside the box,
+    the box [-3, 3]^d, with its gradients from the fused reply, from the
+    scalar ``gradient`` or from finite differences; starts inside the box,
     some with coordinates on its faces or beyond them."""
     d = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
@@ -1141,12 +1157,11 @@ def _search_cases(draw):
     raw = rng.uniform(0.5, 1.5, k)
     _, target = _gaussian_mixture_target(means, covs, raw / raw.sum())
     target = dataclasses.replace(target, search_box=_box(d, -3.0, 3.0))
-    source = draw(st.sampled_from(["fused", "gradient_batch", "finite differences"]))
+    source = draw(st.sampled_from(["fused", "gradient", "finite differences"]))
     if source != "fused":
         target = dataclasses.replace(target, log_phi_and_gradient_batch=None)
     if source == "finite differences":
-        target = dataclasses.replace(target, gradient=None, gradient_batch=None,
-                                     hessian=None)
+        target = dataclasses.replace(target, gradient=None, hessian=None)
     starts = rng.uniform(-3.0, 3.0, size=(6, d))
     faces = rng.random((6, d)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
     starts[faces] = rng.choice([-3.0, 3.0, -4.0, 4.0], size=int(faces.sum()))

@@ -342,8 +342,7 @@ class TestReparamGradient:
         mix = random_sinh_arcsinh_mixture(3, 2, seed=8)
         target = mix.as_target()
         if finite_differences:
-            target = replace(target, gradient=None, gradient_batch=None,
-                             log_phi_and_gradient_batch=None)
+            target = replace(target, gradient=None, log_phi_and_gradient_batch=None)
         q = _gaussian_mixture([mix.sample(1, 0)[0]],
                               [np.array([[0.8, 0.2, 0.0], [0.2, 0.6, 0.1],
                                          [0.0, 0.1, 0.5]])], [1.0])
