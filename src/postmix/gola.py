@@ -43,9 +43,12 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 _MAX_LOCAL_ITERS = 500
-# A search ends, not converged, after this many accepted steps in a row
-# that leave the objective bitwise equal: once the Armijo decrease is below
-# half an ulp of f, the line search accepts any step that rounds to f.
+# A search ends, not converged, after this many trials in a row at the
+# rounding floor that do not lower the objective. A trial is at the floor
+# when its Armijo decrease is below half an ulp of f, so the test reads
+# f_new <= f: it accepts a step that rounds to f and rejects one that rounds
+# an ulp above, and neither moves the search. A step that lowers f resets
+# the count; a rejected trial off the floor leaves it alone.
 _MAX_FLAT_STEPS = 11
 # A candidate is a duplicate when its chi-square survival under an
 # accepted component is at least this, and no valley separates the two.
@@ -82,7 +85,14 @@ class GolaConfig:
 
 @dataclass(frozen=True)
 class LocalMinimum:
-    """One converged (or abandoned) local search."""
+    """One converged (or abandoned) local search.
+
+    ``converged`` holds when the projected gradient norm is at most
+    ``gradient_tol``. An abandoned search ended at the iteration cap, when
+    its line search stalled, or after ``_MAX_FLAT_STEPS`` trials in a row at
+    the rounding floor, accepted or rejected, that left the objective where
+    it was.
+    """
 
     location: NDArray[np.float64]
     objective: float
@@ -196,6 +206,15 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     analytic gradient that is not finite (a fused reply's at any trial of
     positive density).
 
+    A row ends converged at the top of an iteration whose projected
+    gradient norm is at most ``gradient_tol``. It ends not converged at the
+    iteration cap, after ``_MAX_BACKTRACKS`` rejected trials in a row, or,
+    at any round, after ``_MAX_FLAT_STEPS`` trials in a row at the rounding
+    floor that do not lower the objective: trials whose Armijo bound
+    ``f - c1 * decrease`` rounds to ``f``, whether the step is accepted
+    with ``f_new == f`` or rejected. A step that lowers ``f`` resets that
+    count, and a rejected trial off the floor leaves it alone.
+
     Iterates stay clamped to the search box and the objective never
     increases across accepted steps. Steps go along the gradient ``g`` of
     ``log phi``, kept as replied, never negated: IEEE rounding is
@@ -255,13 +274,15 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     flat, iters, backtracks = (np.zeros(n, dtype=int) for _ in range(3))
     top = np.ones(n, dtype=bool)  # rows at the top of an iteration
     while True:
-        # A row at the top of an iteration stops when converged, flat or out
-        # of iterations, and otherwise tries alpha = step; a rejected row
-        # tries half its last alpha, and stops after _MAX_BACKTRACKS trials.
+        # A row at the top of an iteration stops when converged or out of
+        # iterations, and otherwise tries alpha = step; a rejected row tries
+        # half its last alpha, and stops after _MAX_BACKTRACKS trials. Any
+        # row stops after _MAX_FLAT_STEPS trials in a row at the rounding
+        # floor that left f where it was, accepted or rejected.
         r = z - _clamp(z + g, lo, hi)
         pg = np.sqrt(_row_dots(r, r))
-        done = (top & ((pg <= tol) | (flat == _MAX_FLAT_STEPS) | (iters == _MAX_LOCAL_ITERS))
-                | (backtracks == _MAX_BACKTRACKS))
+        done = (top & ((pg <= tol) | (iters == _MAX_LOCAL_ITERS))
+                | (flat >= _MAX_FLAT_STEPS) | (backtracks == _MAX_BACKTRACKS))
         if lost is not None:  # rows whose gradient stencil failed leave too
             done |= lost
         trial = _clamp(z + alpha[:, np.newaxis] * g, lo, hi)
@@ -300,7 +321,9 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
         # The round: log phi at every trial, and the gradient at each
         # accepted one. phi = 0 gives f_new = +inf, which fails the test.
         f_new, replied = objective(trial)
-        ok = f_new <= f - _ARMIJO_C1 * decrease
+        armijo = f - _ARMIJO_C1 * decrease
+        ok = f_new <= armijo
+        floor = armijo == f  # a trial at the rounding floor
         g_new, lost = gradients(trial, replied, ok, g)
         # Barzilai-Borwein trial step for the next iteration.
         sy = _row_dots(dz, g_new - g)
@@ -308,7 +331,7 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
         bb = np.minimum(1.0, 2.0 * alpha)
         np.divide(_row_dots(dz, dz), sy, out=bb, where=curved)
         step = np.where(ok, _clamp(bb, 1e-12, 1e6), step)
-        flat = np.where(ok, np.where(f_new == f, flat + 1, 0), flat)
+        flat = np.where(ok, np.where(f_new == f, flat + 1, 0), np.where(floor, flat + 1, flat))
         iters = iters + ok
         z = np.where(ok[:, np.newaxis], trial, z)
         f = np.where(ok, f_new, f)

@@ -89,6 +89,13 @@ def _gaussian_mixture_target(means, covs, weights):
     return mix, mix.as_target()
 
 
+def _rounding_floor(start):
+    """A 1-D ``log_phi`` that gives f = -log phi = 1e12 at ``start`` and an
+    ulp above it anywhere else."""
+    above = math.nextafter(1e12, math.inf)
+    return lambda z: -1e12 if z[0] == start else -above
+
+
 def _descend(target, start, cfg):
     """One start run alone: a batch of one through ``run_lockstep``."""
     (result,) = run_lockstep(target, np.array([start], dtype=float), cfg)
@@ -198,8 +205,9 @@ class TestLocalMinimize:
 
     def test_start_at_the_rounding_floor_stops_after_the_flat_steps(self):
         # f = 1e12 + 1e-6 z: each step lowers f by far less than half an ulp,
-        # so the Armijo test accepts steps that leave f bitwise equal while
-        # the gradient stays 100 times gradient_tol
+        # so every trial is at the rounding floor, and the Armijo test
+        # accepts it with f bitwise equal while the gradient stays 100 times
+        # gradient_tol; _MAX_FLAT_STEPS such steps in a row end the search
         gradient_calls = []
 
         def gradient(z):
@@ -217,6 +225,26 @@ class TestLocalMinimize:
         assert result.objective == 1e12
         # the start's gradient, then one per accepted step
         assert len(gradient_calls) == 1 + _MAX_FLAT_STEPS
+
+    @pytest.mark.parametrize("slope, off_floor", [(1e-6, 0), (1.0, 1)])
+    def test_rejected_trials_at_the_rounding_floor_stop_the_search(
+            self, call_counter, slope, off_floor):
+        # f is 1e12 at the start and an ulp above it anywhere else. With a
+        # slope of 1e-6, every trial's Armijo decrease is far below half an
+        # ulp of f (6.1e-5), so the test reads f_new <= f and rejects each
+        # trial at the rounding floor. With a slope of 1, the first trial,
+        # at alpha = 1, asks for a decrease of 1e-4: it is rejected off the
+        # floor and leaves the flat count alone; from alpha = 1/2 on, every
+        # trial is at the floor. Either search ends, not converged, after
+        # _MAX_FLAT_STEPS rejected trials at the floor
+        counter = call_counter()
+        target = counter.wrap(UnnormalizedTarget(
+            dim=1, log_phi=_rounding_floor(0.0), search_box=_box(1),
+            gradient=lambda z: np.array([-slope])))
+        result = _descend(target, [0.0], GolaConfig())
+        assert not result.converged
+        assert (result.location[0], result.objective) == (0.0, 1e12)
+        assert counter.calls == {"log_phi": 1 + off_floor + _MAX_FLAT_STEPS, "gradient": 1}
 
     def test_a_search_stops_at_the_iteration_cap(self):
         # Rosenbrock's valley: from (-1.2, 1) the descent converges, from
@@ -310,6 +338,33 @@ class TestLockstep:
         together_log = []
         multistart_minimize(_logged(target, together_log), cfg)
         assert sorted(together_log) == sorted(requests)
+
+    def test_a_row_at_the_rounding_floor_does_not_set_the_rounds(self, call_counter):
+        # -log phi = z^4 left of z = 5, where the descent from -1.5 takes
+        # more than 1 + _MAX_FLAT_STEPS rounds to converge; right of it, a
+        # start at 8 whose trials are all rejected at the rounding floor.
+        # That row leaves after 1 + _MAX_FLAT_STEPS rounds, so the batch
+        # takes as many rounds as the converging row alone
+        floor = _rounding_floor(8.0)
+
+        def log_phi(z):
+            return -float(z[0]) ** 4 if z[0] < 5.0 else floor(z)
+
+        target = UnnormalizedTarget(
+            dim=1, log_phi=log_phi, search_box=_box(1, -10.0, 10.0),
+            gradient=lambda z: np.array([-4.0 * z[0] ** 3 if z[0] < 5.0 else -1e-6]),
+            log_phi_batch=_row_by_row(log_phi))
+
+        def rounds(starts):
+            counter = call_counter()
+            results = run_lockstep(counter.wrap(target), np.array(starts), GolaConfig())
+            return counter.calls["log_phi_batch"], results
+
+        together, (converging, stuck) = rounds([[-1.5], [8.0]])
+        assert converging.converged
+        assert not stuck.converged and stuck.location[0] == 8.0
+        alone, floor_alone = rounds([[-1.5]])[0], rounds([[8.0]])[0]
+        assert floor_alone == 1 + _MAX_FLAT_STEPS < alone == together
 
     def test_mixture_target_is_only_asked_for_batches(self, call_counter):
         # a built-in mixture answers log phi and its gradient in one fused
@@ -1120,9 +1175,14 @@ def _reference_local_minimize(target, start, cfg, start_index=0):
                 alpha *= _BACKTRACK
                 continue
             f_new = -(yield "log_phi", z_new)
-            if math.isfinite(f_new) and f_new <= f - _ARMIJO_C1 * decrease:
+            armijo = f - _ARMIJO_C1 * decrease
+            if math.isfinite(f_new) and f_new <= armijo:
                 accepted = True
                 break
+            if armijo == f:  # rejected at the rounding floor: a flat step
+                flat += 1
+                if flat == _MAX_FLAT_STEPS:
+                    return LocalMinimum(z, f, pg_norm, False, start_index)
             alpha *= _BACKTRACK
         if not accepted:
             return LocalMinimum(z, f, pg_norm, False, start_index)
