@@ -199,10 +199,11 @@ def _gradient_stencil(points: NDArray) -> tuple[NDArray, NDArray]:
     """
     n, d = points.shape
     steps = _GRAD_STEP * np.maximum(1.0, np.abs(points))
-    stencil = np.repeat(points, 2 * d, axis=0).reshape(n, d, 2, d)
-    axis = np.arange(d)
-    stencil[:, axis, 0, axis] += steps
-    stencil[:, axis, 1, axis] -= steps
+    stencil = np.repeat(points, 2 * d, axis=0)
+    # in a row of 2d points, coordinate i moves at i(2d+1) (+h) and d + i(2d+1) (-h)
+    flat = stencil.reshape(n, 2 * d * d)
+    flat[:, 0::2 * d + 1] = points + steps
+    flat[:, d::2 * d + 1] = points - steps
     return stencil.reshape(n, 2 * d, d), steps
 
 
@@ -210,7 +211,9 @@ def _central_differences(stencil: NDArray, values: NDArray, steps: NDArray,
                          ) -> tuple[NDArray[np.float64], dict[int, NDArray]]:
     """Gradients from the (n, 2 dim) values at :func:`_gradient_stencil`'s
     points, and ``{row: first -inf point}`` for each row that met one."""
-    minus_inf = np.isneginf(values)
+    minus_inf = values == -np.inf
+    if not minus_inf.any():
+        return (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps), {}
     failed = {int(row): stencil[row, np.argmax(minus_inf[row])].copy()
               for row in np.flatnonzero(minus_inf.any(axis=1))}
     with np.errstate(invalid="ignore"):  # -inf - -inf in a failed row

@@ -43,11 +43,19 @@ def _expm_batch(a: NDArray) -> NDArray[np.float64]:
     matrix is squared only as often as its own scaling needs, so a row equals
     a stack of one bitwise. A zero matrix gives the identity exactly; a
     matrix with a non-finite entry gives NaN.
+
+    A pass that only some rows need runs only when a row needs it: a stack
+    with no non-finite entry skips the zeroing of non-finite rows and their
+    NaN fill, one with no zero matrix skips the identity fix-up, and one
+    whose rows share one scaling power squares with plain ``r @ r`` instead
+    of the masked ``where``. The values are bitwise the masked path's.
     """
     a = np.asarray(a, dtype=float)
     x = a if a.ndim == 3 else a[np.newaxis]
-    finite = np.all(np.isfinite(x), axis=(1, 2))
-    x = np.where(finite[:, None, None], x, 0.0)
+    finite = np.isfinite(x).all(axis=(1, 2))
+    all_finite = finite.all()
+    if not all_finite:
+        x = np.where(finite[:, None, None], x, 0.0)
     norm = np.abs(x).sum(axis=1).max(axis=1)
     s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
     x = np.ldexp(x, -s[:, None, None])
@@ -60,10 +68,17 @@ def _expm_batch(a: NDArray) -> NDArray[np.float64]:
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max(initial=0))):
-        r = np.where((s > k)[:, None, None], r @ r, r)
-    r[norm == 0.0] = eye  # the solve's reciprocal pivot would give 1 - 2**-53
-    r[~finite] = np.nan
+    squarings = int(s.max(initial=0))
+    if s.min(initial=squarings) == squarings:
+        for _ in range(squarings):
+            r = r @ r
+    else:
+        for k in range(squarings):
+            r = np.where((s > k)[:, None, None], r @ r, r)
+    if not norm.all():
+        r[norm == 0.0] = eye  # the solve's reciprocal pivot would give 1 - 2**-53
+    if not all_finite:
+        r[~finite] = np.nan
     return r if a.ndim == 3 else r[0]
 
 
@@ -96,17 +111,27 @@ def _constants(frame: ShearFrame) -> tuple:
     return (frame.m1, frame.m2, frame.k1, frame.k2)
 
 
-def _state_matrices(c_pairs: NDArray, constants: tuple) -> NDArray[np.float64]:
-    """Stack of state matrices [[0, I], [-M^-1 K, -M^-1 C]], one per (c1, c2) pair."""
+def _frame_template(constants: tuple) -> tuple[NDArray[np.float64], float, float]:
+    """The state matrix of the undamped frame, and the inverse masses that
+    scale the damping entries :func:`_state_matrices` writes into its copies."""
     m1, m2, k1, k2 = constants
-    c1, c2 = c_pairs[:, 0], c_pairs[:, 1]
     inv_m1, inv_m2 = 1.0 / m1, 1.0 / m2
-    a = np.zeros((c_pairs.shape[0], 4, 4))
-    a[:, 0, 2] = a[:, 1, 3] = 1.0
-    a[:, 2, 0] = -inv_m1 * (k1 + k2)
-    a[:, 2, 1] = inv_m1 * k2
-    a[:, 3, 0] = inv_m2 * k2
-    a[:, 3, 1] = -inv_m2 * k2
+    a = np.zeros((4, 4))
+    a[0, 2] = a[1, 3] = 1.0
+    a[2, 0] = -inv_m1 * (k1 + k2)
+    a[2, 1] = inv_m1 * k2
+    a[3, 0] = inv_m2 * k2
+    a[3, 1] = -inv_m2 * k2
+    return a, inv_m1, inv_m2
+
+
+def _state_matrices(c_pairs: NDArray, template: tuple) -> NDArray[np.float64]:
+    """Stack of state matrices [[0, I], [-M^-1 K, -M^-1 C]], one per (c1, c2)
+    pair: copies of :func:`_frame_template`'s matrix with the four damping
+    entries written in."""
+    a0, inv_m1, inv_m2 = template
+    c1, c2 = c_pairs[:, 0], c_pairs[:, 1]
+    a = np.repeat(a0[np.newaxis], c_pairs.shape[0], axis=0)
     a[:, 2, 2] = -inv_m1 * (c1 + c2)
     a[:, 2, 3] = inv_m1 * c2
     a[:, 3, 2] = inv_m2 * c2
@@ -120,7 +145,8 @@ def assemble_state_matrix(frame: ShearFrame) -> NDArray[np.float64]:
     The state vector is (x1, x2, v1, v2): floor displacements from
     equilibrium followed by their velocities.
     """
-    return _state_matrices(np.array([[frame.c1, frame.c2]]), _constants(frame))[0]
+    return _state_matrices(np.array([[frame.c1, frame.c2]]),
+                           _frame_template(_constants(frame)))[0]
 
 
 def _is_uniform_grid(times: NDArray) -> bool:
@@ -146,36 +172,37 @@ def _checked_inputs(u0: NDArray, times: NDArray) -> tuple[NDArray, NDArray]:
     return u0, times
 
 
-def _simulate_batch(c_pairs: NDArray, constants: tuple, u0: NDArray,
+def _simulate_batch(c_pairs: NDArray, template: tuple, u0: NDArray,
                     times: NDArray, uniform: bool) -> NDArray[np.float64]:
     """States u(t_i) = exp(A t_i) u0 of one frame per (c1, c2) pair.
 
-    Returns shape (n_pairs, n_times, 4). On a uniform grid starting at its
-    own spacing (``uniform``, decided once by the caller) each frame's
-    one-step propagator is exponentiated once and applied repeatedly;
-    otherwise every (frame, time) gets its own exponential. Every row is
-    computed independently of the others, so a row equals a stack of one.
+    ``template`` is the frames' :func:`_frame_template`. Returns shape
+    (n_pairs, n_times, 4). On a uniform grid starting at its own spacing
+    (``uniform``, decided once by the caller) each frame's one-step
+    propagator is exponentiated once and applied repeatedly, and the states
+    are joined once at the end; otherwise every (frame, time) gets its own
+    exponential. Every row is computed independently of the others, so a
+    row equals a stack of one.
     """
-    a = _state_matrices(c_pairs, constants)
-    n, n_times = a.shape[0], times.shape[0]
+    a = _state_matrices(c_pairs, template)
     if uniform:
         step = _expm_batch(a * (times[1] - times[0]))
-        out = np.empty((n, n_times, 4))
-        u = u0[:, np.newaxis]
-        for i in range(n_times):
+        u, states = u0[:, np.newaxis], []
+        for _ in range(times.shape[0]):
             u = step @ u
-            out[:, i] = u[:, :, 0]
-        return out
+            states.append(u)
+        return np.concatenate(states, axis=2).transpose(0, 2, 1)
     scaled = a[:, np.newaxis] * times[:, np.newaxis, np.newaxis]
     propagators = _expm_batch(scaled.reshape(-1, 4, 4))
-    return (propagators @ u0).reshape(n, n_times, 4)
+    return (propagators @ u0).reshape(a.shape[0], times.shape[0], 4)
 
 
 def simulate(frame: ShearFrame, u0: NDArray, times: NDArray) -> NDArray[np.float64]:
     """States u(t_i) = exp(A t_i) u0 at the requested times, shape (n_times, 4)."""
     u0, times = _checked_inputs(u0, times)
-    return _simulate_batch(np.array([[frame.c1, frame.c2]]), _constants(frame),
-                           u0, times, _is_uniform_grid(times))[0]
+    return _simulate_batch(np.array([[frame.c1, frame.c2]]),
+                           _frame_template(_constants(frame)), u0, times,
+                           _is_uniform_grid(times))[0]
 
 
 @dataclass(frozen=True)
@@ -243,21 +270,34 @@ def damping_log_likelihood(obs: ObservationSet, constants: tuple,
     coordinate NaN, which the evaluators reject naming the point. The
     gradient is left to finite differences because every evaluation
     integrates the system.
+
+    A batch whose points are all in the support skips the out-of-support
+    mask, the ``-inf``/NaN fill and the scatter of the in-support values;
+    its values are bitwise those of the masked path. The frame's undamped
+    state matrix is built once here, and each call copies it per point.
     """
     u0, times = _checked_inputs(obs.initial_state, obs.times)
     values = obs.values
     inv_two_var = 1.0 / (2.0 * obs.noise_sigma**2)
     uniform = _is_uniform_grid(times)
+    template = _frame_template(constants)
+
+    def in_support(pts: NDArray) -> NDArray[np.float64]:
+        x1 = _simulate_batch(pts, template, u0, times, uniform)[:, :, 0]
+        residuals = values - x1
+        return -inv_two_var * np.sum(residuals * residuals, axis=1)
 
     def log_phi(points: NDArray) -> NDArray | float:  # one point or a batch
         pts, single = _as_points(points, 2)
-        out = np.full(pts.shape[0], -np.inf)
-        out[np.isnan(pts).any(axis=1)] = np.nan
-        ok = np.all(pts > 0.0, axis=1)
-        if np.any(ok):
-            x1 = _simulate_batch(pts[ok], constants, u0, times, uniform)[:, :, 0]
-            residuals = values - x1
-            out[ok] = -inv_two_var * np.sum(residuals * residuals, axis=1)
+        positive = pts > 0.0
+        if positive.all():
+            out = in_support(pts)
+        else:
+            ok = positive.all(axis=1)
+            out = np.full(pts.shape[0], -np.inf)
+            out[np.isnan(pts).any(axis=1)] = np.nan
+            if np.any(ok):
+                out[ok] = in_support(pts[ok])
         return float(out[0]) if single else out
 
     return UnnormalizedTarget(dim=2, log_phi=log_phi,
@@ -310,7 +350,8 @@ def pushforward(posterior: MixtureModel, constants: tuple, u0: NDArray,
     if samples.shape[0] < n_samples:
         raise ValueError("posterior mass on positive damping is too small to sample")
 
-    states = _simulate_batch(samples, constants, u0, times, _is_uniform_grid(times))
+    states = _simulate_batch(samples, _frame_template(constants), u0, times,
+                             _is_uniform_grid(times))
     floors = states[:, :, :2].transpose(0, 2, 1)  # (n_samples, 2, n_times)
     mean = floors.mean(axis=0)
     lo95 = np.percentile(floors, 2.5, axis=0)

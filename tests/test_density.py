@@ -12,11 +12,14 @@ from scipy.stats import multivariate_normal, skew
 
 from postmix import vi
 from postmix.density import (
+    _GRAD_STEP,
     GaussianComponent,
     MixtureModel,
     SinhArcsinhMixture,
     UnnormalizedTarget,
     _block_rows,
+    _central_differences,
+    _gradient_stencil,
     _inverse_lower,
     draw_mixture,
     eval_gradient,
@@ -200,6 +203,38 @@ def _stencil_points(draw):
     rows = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
                          min_size=n, max_size=n))
     return np.array(rows, dtype=float).reshape(n, d)
+
+
+def _indexed_stencil(points):
+    """:func:`_gradient_stencil` as first written, with advanced-index adds."""
+    n, d = points.shape
+    steps = _GRAD_STEP * np.maximum(1.0, np.abs(points))
+    stencil = np.repeat(points, 2 * d, axis=0).reshape(n, d, 2, d)
+    axis = np.arange(d)
+    stencil[:, axis, 0, axis] += steps
+    stencil[:, axis, 1, axis] -= steps
+    return stencil.reshape(n, 2 * d, d), steps
+
+
+class TestStencilHelpers:
+    @given(_stencil_points())
+    def test_stencil_equals_the_indexed_construction(self, rows):
+        stencil, steps = _gradient_stencil(rows)
+        want, want_steps = _indexed_stencil(rows)
+        assert stencil.shape == want.shape == (len(rows), 2 * rows.shape[1], rows.shape[1])
+        assert stencil.tobytes() == want.tobytes()
+        assert steps.tobytes() == want_steps.tobytes()
+
+    @given(_stencil_points())
+    def test_central_differences_without_minus_inf(self, rows):
+        stencil, steps = _gradient_stencil(rows)
+        values = (-0.5 * (stencil * stencil).sum(axis=2)
+                  + np.copysign(0.25, stencil).sum(axis=2))
+        grads, failed = _central_differences(stencil, values, steps)
+        assert failed == {}
+        with np.errstate(invalid="ignore"):
+            want = (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
+        assert grads.shape == rows.shape and grads.tobytes() == want.tobytes()
 
 
 class TestEvalGradientBatch:

@@ -14,10 +14,15 @@ from postmix.density import (GaussianComponent, MixtureModel, eval_log_density,
                              eval_log_density_batch)
 from postmix.exceptions import NonFiniteDensityError
 from postmix.exemplar import (
+    _PADE13,
+    _THETA13,
     ObservationSet,
     ShearFrame,
+    _expm_batch,
+    _frame_template,
     _is_uniform_grid,
     _simulate_batch,
+    _state_matrices,
     assemble_state_matrix,
     damping_log_likelihood,
     default_scenario,
@@ -189,8 +194,9 @@ class TestSimulate:
         # on the same grid the repeated one-step propagator and one
         # exponential per time agree at every time
         pairs = np.array([[0.15, 0.25], [0.01, 0.9], [0.6, 0.05]])
-        stepped = _simulate_batch(pairs, (1.0, 1.0, 1.0, 1.0), u0, uniform, True)
-        direct = _simulate_batch(pairs, (1.0, 1.0, 1.0, 1.0), u0, uniform, False)
+        template = _frame_template((1.0, 1.0, 1.0, 1.0))
+        stepped = _simulate_batch(pairs, template, u0, uniform, True)
+        direct = _simulate_batch(pairs, template, u0, uniform, False)
         np.testing.assert_allclose(stepped, direct, atol=1e-12)
 
 
@@ -344,10 +350,126 @@ class TestBatchedSimulatorProperties:
            constants=st.tuples(*[st.floats(0.5, 3.0)] * 4))
     def test_rows_equal_simulate(self, times, pairs, constants):
         u0 = np.array([0.3, 1.0, -0.2, 0.1])
-        rows = _simulate_batch(np.array(pairs), constants, u0, times,
+        rows = _simulate_batch(np.array(pairs), _frame_template(constants), u0, times,
                                _is_uniform_grid(times))
         for (c1, c2), row in zip(pairs, rows):
             np.testing.assert_array_equal(row, simulate(ShearFrame(*constants, c1, c2), u0, times))
+
+
+# The frame simulator as first written, with every pass run on every row:
+# the fast paths of the package's copy must match it bit for bit.
+
+def _masked_expm(a):
+    x = np.asarray(a, dtype=float)
+    finite = np.all(np.isfinite(x), axis=(1, 2))
+    x = np.where(finite[:, None, None], x, 0.0)
+    norm = np.abs(x).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    x = np.ldexp(x, -s[:, None, None])
+    b, eye = _PADE13, np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        r = np.where((s > k)[:, None, None], r @ r, r)
+    r[norm == 0.0] = eye
+    r[~finite] = np.nan
+    return r
+
+
+def _scattered_state_matrices(c_pairs, constants):
+    m1, m2, k1, k2 = constants
+    c1, c2 = c_pairs[:, 0], c_pairs[:, 1]
+    inv_m1, inv_m2 = 1.0 / m1, 1.0 / m2
+    a = np.zeros((c_pairs.shape[0], 4, 4))
+    a[:, 0, 2] = a[:, 1, 3] = 1.0
+    a[:, 2, 0] = -inv_m1 * (k1 + k2)
+    a[:, 2, 1] = inv_m1 * k2
+    a[:, 3, 0] = inv_m2 * k2
+    a[:, 3, 1] = -inv_m2 * k2
+    a[:, 2, 2] = -inv_m1 * (c1 + c2)
+    a[:, 2, 3] = inv_m1 * c2
+    a[:, 3, 2] = inv_m2 * c2
+    a[:, 3, 3] = -inv_m2 * c2
+    return a
+
+
+def _scattered_simulate(c_pairs, constants, u0, times, uniform):
+    a = _scattered_state_matrices(c_pairs, constants)
+    n, n_times = a.shape[0], times.shape[0]
+    if uniform:
+        step = _masked_expm(a * (times[1] - times[0]))
+        out = np.empty((n, n_times, 4))
+        u = u0[:, np.newaxis]
+        for i in range(n_times):
+            u = step @ u
+            out[:, i] = u[:, :, 0]
+        return out
+    scaled = a[:, np.newaxis] * times[:, np.newaxis, np.newaxis]
+    propagators = _masked_expm(scaled.reshape(-1, 4, 4))
+    return (propagators @ u0).reshape(n, n_times, 4)
+
+
+def _masked_log_phi(obs, constants):
+    times, values, u0 = obs.times, obs.values, obs.initial_state
+    inv_two_var = 1.0 / (2.0 * obs.noise_sigma**2)
+    uniform = _is_uniform_grid(times)
+
+    def log_phi(pts):
+        out = np.full(pts.shape[0], -np.inf)
+        out[np.isnan(pts).any(axis=1)] = np.nan
+        ok = np.all(pts > 0.0, axis=1)
+        if np.any(ok):
+            x1 = _scattered_simulate(pts[ok], constants, u0, times, uniform)[:, :, 0]
+            residuals = values - x1
+            out[ok] = -inv_two_var * np.sum(residuals * residuals, axis=1)
+        return out
+
+    return log_phi
+
+
+# in support, or nonpositive, NaN or infinite (+inf is in support, and its
+# exponential is the NaN of a non-finite row)
+_any_damping = st.one_of(st.floats(0.01, 1.5),
+                         st.sampled_from([0.0, -0.0, -0.3, math.nan, math.inf, -math.inf]))
+
+
+class TestFastPathsAreBitwise:
+    @settings(max_examples=80)
+    @given(times=_observation_grids(),
+           points=st.lists(st.tuples(_any_damping, _any_damping), min_size=1, max_size=8),
+           constants=st.tuples(*[st.floats(0.5, 3.0)] * 4))
+    def test_likelihood_and_simulator_equal_the_masked_path(self, times, points,
+                                                            constants):
+        obs = ObservationSet(times, np.cos(times), 0.05, np.array([0.3, 1.0, -0.2, 0.1]))
+        target = damping_log_likelihood(obs, constants, default_scenario().search_box)
+        pts = np.array(points)
+        want = _masked_log_phi(obs, constants)(pts)
+        assert target.log_phi_batch(pts).tobytes() == want.tobytes()
+        for p, value in zip(pts, want):
+            assert np.float64(target.log_phi(p)).tobytes() == value.tobytes()
+        inside = pts[np.all(pts > 0.0, axis=1)]
+        template = _frame_template(constants)
+        assert (_state_matrices(inside, template).tobytes()
+                == _scattered_state_matrices(inside, constants).tobytes())
+        for uniform in {False, _is_uniform_grid(times)}:
+            got = _simulate_batch(inside, template, obs.initial_state, times, uniform)
+            ref = _scattered_simulate(inside, constants, obs.initial_state, times, uniform)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=40)
+    @given(pairs=st.lists(st.tuples(_any_damping, _any_damping), min_size=1, max_size=8),
+           dt=st.floats(0.1, 40.0))
+    def test_expm_equals_the_masked_path(self, pairs, dt):
+        pts = np.array(pairs)
+        exponents = _scattered_state_matrices(pts[np.all(pts > 0.0, axis=1)],
+                                              default_scenario().constants()) * dt
+        assert _expm_batch(exponents).tobytes() == _masked_expm(exponents).tobytes()
 
 
 class TestPushforward:

@@ -15,6 +15,7 @@ from postmix.exceptions import SingularMatrixError
 from postmix.exemplar import (
     ShearFrame,
     _expm_batch,
+    _frame_template,
     _state_matrices,
     default_scenario,
     simulate,
@@ -89,6 +90,30 @@ def _random_stack(seed, m, n, log_scale):
     return scales * rng.standard_normal((m, n, n))
 
 
+@st.composite
+def _mixed_stacks(draw):
+    """(m, n, n) stacks whose rows share one 1-norm, and so one scaling
+    power, or have their own, with zero matrices and rows that hold a NaN
+    or an infinite entry."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = rng.standard_normal((m, n, n))
+    unit /= np.abs(unit).sum(axis=1).max(axis=1)[:, None, None]
+    shared = draw(st.floats(0.0, 300.0))
+    kinds = draw(st.lists(st.sampled_from(["shared", "own", "zero", "non-finite"]),
+                          min_size=m, max_size=m))
+    stack = unit * shared
+    for i, kind in enumerate(kinds):
+        if kind == "own":
+            stack[i] = unit[i] * draw(st.floats(0.0, 300.0))
+        elif kind == "zero":
+            stack[i] = 0.0
+        elif kind == "non-finite":
+            stack[i, rng.integers(n), rng.integers(n)] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+    return stack
+
+
 class TestMatrixExponential:
     # mathkit has no exponential; these pin the one the frame simulator uses
     def test_zero_matrix(self):
@@ -117,7 +142,7 @@ class TestMatrixExponential:
         def states(n):
             c1, c2 = np.meshgrid(np.linspace(lo1, hi1, n), np.linspace(lo2, hi2, n))
             return _state_matrices(np.column_stack([c1.ravel(), c2.ravel()]),
-                                   scenario.constants())
+                                   _frame_template(scenario.constants()))
 
         dt = scenario.horizon / scenario.n_obs
         times = np.linspace(0.0, scenario.horizon, 61)[1:]
@@ -135,6 +160,21 @@ class TestMatrixExponential:
         out = _expm_batch(stack)
         for i in range(m):
             np.testing.assert_array_equal(out[i], _expm_batch(stack[i:i + 1])[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_mixed_stacks())
+    def test_row_equals_a_stack_of_one_on_mixed_stacks(self, stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = _expm_batch(stack)
+            rows = [_expm_batch(stack[i:i + 1])[0] for i in range(len(stack))]
+            singles = [_expm_batch(row) for row in stack]
+        for i, matrix in enumerate(stack):
+            assert out[i].tobytes() == rows[i].tobytes() == singles[i].tobytes()
+            if not np.all(np.isfinite(matrix)):
+                assert np.all(np.isnan(out[i]))
+            elif not matrix.any():
+                assert out[i].tobytes() == np.eye(len(matrix)).tobytes()
 
     def test_nonfinite_row_is_nan_and_leaves_the_others(self):
         stack = _random_stack(1, 4, 4, 1.0)
