@@ -150,10 +150,13 @@ def eval_log_density_batch(target: UnnormalizedTarget, points: NDArray) -> NDArr
 
 
 def eval_log_density_and_gradient(target: UnnormalizedTarget, points: NDArray,
-                                  ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+                                  ) -> tuple[NDArray[np.float64], Optional[NDArray[np.float64]]]:
     """``log_phi`` (n,) and its gradient (n, dim) at an (n, dim) array of
     points, from one ``log_phi_and_gradient_batch`` call; a gradient row is
-    meaningful only where its log-density is finite."""
+    meaningful only where its log-density is finite. A target without that
+    field answers with :func:`eval_log_density_batch` and None."""
+    if target.log_phi_and_gradient_batch is None:
+        return eval_log_density_batch(target, points), None
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != target.dim:
         raise ValueError(f"expected an (n, {target.dim}) array, got {points.shape}")
@@ -531,8 +534,10 @@ class MixtureModel:
         if point.shape != (self.dim,):
             raise ValueError(f"hessian takes one point of dimension {self.dim}, "
                              f"got shape {point.shape}")
-        _, resp, _, grads = mixture_terms(self._means, self._chol_invs,
-                                          self._log_weights, point[np.newaxis])
+        # a component whose squares overflow is far: its responsibility is 0
+        with np.errstate(over="ignore"):
+            _, resp, _, grads = mixture_terms(self._means, self._chol_invs,
+                                              self._log_weights, point[np.newaxis])
         resp, grads = resp[0], grads[0]
         precisions = self._chol_invs.transpose(0, 2, 1) @ self._chol_invs
         mean_grad = grads.T @ resp

@@ -88,8 +88,9 @@ class LocalMinimum:
     """One converged (or abandoned) local search.
 
     ``converged`` holds when the projected gradient norm is at most
-    ``gradient_tol``. An abandoned search ended at the iteration cap, when
-    its line search stalled, or after ``_MAX_FLAT_STEPS`` trials in a row at
+    ``gradient_tol``. An abandoned search ended at the iteration cap, after
+    ``_MAX_BACKTRACKS`` rejected trials in a row, at a trial step with no
+    first-order decrease, or after ``_MAX_FLAT_STEPS`` trials in a row at
     the rounding floor, accepted or rejected, that left the objective where
     it was.
     """
@@ -188,32 +189,36 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     :class:`LocalMinimum`, or None where the start has zero density or a
     derivative stencil failed.
 
-    Each start is a row of one state: iterate, objective, gradient,
-    Barzilai-Borwein step, flat-step count, iteration count, trial step
-    size, backtrack count and trial point. A round makes one target call
-    when the target has ``log_phi_and_gradient_batch``: ``log phi`` and its
-    gradient at every row's trial point, of which an accepted trial keeps
-    the gradient. Otherwise it asks for ``log phi`` at every trial in one
-    batched call, then for the gradient at each accepted trial with one
-    :func:`gradient_rows` call: the analytic ``gradient`` row by row, or
-    central differences from one batched stencil, which drops a row whose
-    stencil met ``-inf``. The first round asks the same at the starts, and keeps the
-    gradient of each start of positive density. A row leaves the state
-    when its search ends. Rows stay in start order, so a rerun is bitwise
-    the same, and where the target evaluates each row on its own, a row
-    gets the values its start would get alone. ``NonFiniteDensityError``
-    aborts the whole run, and so does the ``DerivativeError`` of an
-    analytic gradient that is not finite (a fused reply's at any trial of
-    positive density).
+    Each start is a row of one state: iterate, objective, gradient, trial
+    step size alpha, and flat-step, iteration and backtrack counts. A round
+    asks for ``log phi`` at every row's trial ``clamp(z + alpha g)`` in one
+    :func:`eval_log_density_and_gradient` call. A target with
+    ``log_phi_and_gradient_batch`` replies with the gradient too; else one
+    :func:`gradient_rows` call gives it at the accepted trials: the
+    analytic ``gradient`` row by row, or central differences from one
+    batched stencil, which drops a row whose stencil met ``-inf``. The
+    first round asks the same at the starts, and keeps the gradient of each
+    start of positive density. An accepted trial sets the row's next alpha
+    to the Barzilai-Borwein step, clamped to [1e-12, 1e6]; a rejected one
+    halves it. A row leaves the state when its search ends. Rows stay in
+    start order, so a rerun is bitwise the same, and where the target
+    evaluates each row on its own, a row gets the values its start would
+    get alone. ``NonFiniteDensityError`` aborts the whole run, and so does
+    the ``DerivativeError`` of an analytic gradient that is not finite (a
+    fused reply's at any trial of positive density).
 
-    A row ends converged at the top of an iteration whose projected
-    gradient norm is at most ``gradient_tol``. It ends not converged at the
-    iteration cap, after ``_MAX_BACKTRACKS`` rejected trials in a row, or,
-    at any round, after ``_MAX_FLAT_STEPS`` trials in a row at the rounding
-    floor that do not lower the objective: trials whose Armijo bound
-    ``f - c1 * decrease`` rounds to ``f``, whether the step is accepted
-    with ``f_new == f`` or rejected. A step that lowers ``f`` resets that
-    count, and a rejected trial off the floor leaves it alone.
+    A row ends converged at its start or an accepted trial where its
+    projected gradient norm is at most ``gradient_tol``. It ends not
+    converged at the iteration cap, after ``_MAX_BACKTRACKS`` rejected
+    trials in a row, or at any round on a trial with no first-order
+    decrease: ``g . dz`` rounds to 0, and no smaller alpha does better,
+    since each coordinate of a box-projected step moves toward ``z`` with
+    the sign of ``g`` as alpha shrinks (Calamai and More, Math. Prog. 39,
+    1987). It also ends after ``_MAX_FLAT_STEPS`` trials in a row at the
+    rounding floor that do not lower the objective: trials whose Armijo
+    bound ``f - c1 * decrease`` rounds to ``f``, whether the step is
+    accepted with ``f_new == f`` or rejected. A step that lowers ``f``
+    resets that count, and a rejected trial off the floor leaves it alone.
 
     Iterates stay clamped to the search box and the objective never
     increases across accepted steps. Steps go along the gradient ``g`` of
@@ -228,15 +233,6 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     tol = cfg.gradient_tol
     z = np.array([local_minimize(target, start) for start in starts])
     results: list[Optional[LocalMinimum]] = [None] * len(z)
-    fused = target.log_phi_and_gradient_batch is not None
-
-    def objective(points):
-        """``-log phi`` at ``points``, and the gradient rows of the same
-        call on a target with the fused field (else None)."""
-        if fused:
-            log_phi, grads = eval_log_density_and_gradient(target, points)
-            return -log_phi, grads
-        return -eval_log_density_batch(target, points), None
 
     def gradients(points, replied, keep, fallback):
         """The gradient at each row of ``points`` where ``keep`` holds, else
@@ -262,48 +258,30 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
 
     # The first round: log phi at every start, and the gradient at each
     # start of positive density.
-    f, replied = objective(z)
-    index = np.flatnonzero(np.isfinite(f))
+    log_phi, replied = eval_log_density_and_gradient(target, z)
+    index = np.flatnonzero(np.isfinite(log_phi))
     if not index.size:
         return results
-    z, f = z[index], f[index]
+    z, f = z[index], -log_phi[index]
     replied = None if replied is None else replied[index]
     g, lost = gradients(z, replied, np.ones(len(index), dtype=bool), np.zeros_like(z))
-    n = len(index)
-    step, alpha = np.ones(n), np.ones(n)
-    flat, iters, backtracks = (np.zeros(n, dtype=int) for _ in range(3))
-    top = np.ones(n, dtype=bool)  # rows at the top of an iteration
+    alpha = np.ones(len(index))
+    flat, iters, backtracks = (np.zeros(len(index), dtype=int) for _ in range(3))
     while True:
-        # A row at the top of an iteration stops when converged or out of
-        # iterations, and otherwise tries alpha = step; a rejected row tries
-        # half its last alpha, and stops after _MAX_BACKTRACKS trials. Any
-        # row stops after _MAX_FLAT_STEPS trials in a row at the rounding
-        # floor that left f where it was, accepted or rejected.
+        # A row at its start or an accepted trial (no backtracks) stops when
+        # converged or out of iterations. Any row stops after
+        # _MAX_BACKTRACKS rejected trials or _MAX_FLAT_STEPS flat ones in a
+        # row, or when its trial has no first-order decrease.
         r = z - _clamp(z + g, lo, hi)
         pg = np.sqrt(_row_dots(r, r))
-        done = (top & ((pg <= tol) | (iters == _MAX_LOCAL_ITERS))
-                | (flat >= _MAX_FLAT_STEPS) | (backtracks == _MAX_BACKTRACKS))
-        if lost is not None:  # rows whose gradient stencil failed leave too
-            done |= lost
         trial = _clamp(z + alpha[:, np.newaxis] * g, lo, hi)
         dz = z - trial
         decrease = -_row_dots(g, dz)
-        # A trial that does not decrease the objective to first order
-        # halves alpha without asking the target.
-        uphill = (decrease <= 0.0).nonzero()[0]
-        if uphill.size:
-            uphill = uphill[~done[uphill]]
-        while uphill.size:
-            alpha[uphill] *= _BACKTRACK
-            backtracks[uphill] += 1
-            stalled = backtracks[uphill] == _MAX_BACKTRACKS
-            done[uphill[stalled]] = True
-            uphill = uphill[~stalled]
-            zu, gu = z[uphill], g[uphill]
-            trial[uphill] = _clamp(zu + alpha[uphill, np.newaxis] * gu, lo, hi)
-            dz[uphill] = zu - trial[uphill]
-            decrease[uphill] = -_row_dots(gu, dz[uphill])
-            uphill = uphill[decrease[uphill] <= 0.0]
+        done = ((backtracks == 0) & ((pg <= tol) | (iters == _MAX_LOCAL_ITERS))
+                | (flat >= _MAX_FLAT_STEPS) | (backtracks == _MAX_BACKTRACKS)
+                | (decrease <= 0.0))
+        if lost is not None:  # rows whose gradient stencil failed leave too
+            done |= lost
         if done.any():
             for i in done.nonzero()[0].tolist():
                 if lost is None or not lost[i]:
@@ -311,34 +289,32 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
                     results[index[i]] = LocalMinimum(z[i].copy(), float(f[i]), norm,
                                                      norm <= tol, int(index[i]))
             go = ~done
-            index, z, f, g, step, alpha, flat, iters, backtracks, trial, dz, decrease = (
-                a[go] for a in (index, z, f, g, step, alpha, flat, iters, backtracks,
+            index, z, f, g, alpha, flat, iters, backtracks, trial, dz, decrease = (
+                a[go] for a in (index, z, f, g, alpha, flat, iters, backtracks,
                                 trial, dz, decrease))
-            n = len(index)
-            if not n:
+            if not len(index):
                 return results
 
         # The round: log phi at every trial, and the gradient at each
         # accepted one. phi = 0 gives f_new = +inf, which fails the test.
-        f_new, replied = objective(trial)
+        log_phi, replied = eval_log_density_and_gradient(target, trial)
+        f_new = -log_phi
         armijo = f - _ARMIJO_C1 * decrease
         ok = f_new <= armijo
         floor = armijo == f  # a trial at the rounding floor
         g_new, lost = gradients(trial, replied, ok, g)
-        # Barzilai-Borwein trial step for the next iteration.
+        # An accepted row's next trial takes the Barzilai-Borwein step.
         sy = _row_dots(dz, g_new - g)
         curved = sy > 1e-16
         bb = np.minimum(1.0, 2.0 * alpha)
         np.divide(_row_dots(dz, dz), sy, out=bb, where=curved)
-        step = np.where(ok, _clamp(bb, 1e-12, 1e6), step)
         flat = np.where(ok, np.where(f_new == f, flat + 1, 0), np.where(floor, flat + 1, flat))
         iters = iters + ok
         z = np.where(ok[:, np.newaxis], trial, z)
         f = np.where(ok, f_new, f)
         g = g_new
-        alpha = np.where(ok, step, alpha * _BACKTRACK)
+        alpha = np.where(ok, _clamp(bb, 1e-12, 1e6), alpha * _BACKTRACK)
         backtracks = np.where(ok, 0, backtracks + 1)
-        top = ok
 
 
 def multistart_minimize(target: UnnormalizedTarget,
@@ -456,10 +432,11 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
             decisions.append(DedupDecision(idx, survival, False, "saddle"))
             continue
         comp = _component_from_hessian(cand.location, hess)
-        _, whitened = gaussian_log_pdfs(comp.mean[np.newaxis],
-                                        _inverse_lower(comp.chol_cov)[np.newaxis],
-                                        locations[idx + 1:])
-        dist2 = (whitened[0] * whitened[0]).sum(axis=0)
+        with np.errstate(over="ignore"):  # an overflowed distance is far
+            _, whitened = gaussian_log_pdfs(comp.mean[np.newaxis],
+                                            _inverse_lower(comp.chol_cov)[np.newaxis],
+                                            locations[idx + 1:])
+            dist2 = (whitened[0] * whitened[0]).sum(axis=0)
         closer = dist2 < best[idx + 1:]
         best[idx + 1:][closer] = dist2[closer]
         nearest[idx + 1:][closer] = len(accepted)

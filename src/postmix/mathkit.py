@@ -140,7 +140,7 @@ def chi_square_survival(x: float, dof: int) -> float:
     Parameters
     ----------
     x : float
-        Nonnegative test statistic.
+        Nonnegative test statistic; ``inf`` gives 0.
     dof : int
         Degrees of freedom, a positive integer.
 
@@ -150,8 +150,10 @@ def chi_square_survival(x: float, dof: int) -> float:
     """
     if dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    if x < 0:
+    if not x >= 0:  # NaN fails this too
         raise ValueError(f"x must be nonnegative, got {x}")
+    if x == math.inf:  # the sums below would meet 0 * inf
+        return 0.0
     half = 0.5 * x
     if dof % 2 == 0:
         head = 0.0

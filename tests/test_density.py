@@ -802,6 +802,18 @@ class TestFusedReply:
                                             mix.gradient(points[0])).tobytes()
         assert mix.as_target().log_phi_and_gradient_batch == mix.log_pdf_and_gradient
 
+    def test_a_target_without_the_field_gets_the_batch_and_none(self):
+        # the batched log-density, checked as eval_log_density_batch checks
+        # it, and no gradient rows
+        mix = MixtureModel((GaussianComponent(np.zeros(2), np.eye(2)),), np.ones(1))
+        target = dataclasses.replace(mix.as_target(), log_phi_and_gradient_batch=None)
+        points = np.array([[0.0, 1.0], [2.0, -1.0], [1e200, 0.0]])
+        values, grads = eval_log_density_and_gradient(target, points)
+        assert grads is None
+        assert values.tobytes() == eval_log_density_batch(target, points).tobytes()
+        with pytest.raises(ValueError, match=r"expected an \(n, 2\) array"):
+            eval_log_density_and_gradient(target, np.zeros(2))
+
 
 class TestInverseLower:
     @given(_lower_factors())

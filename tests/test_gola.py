@@ -820,6 +820,18 @@ class TestDedup:
         # survival of D^2 = 100 with 2 dof is exp(-50)
         assert log[1].survival == pytest.approx(math.exp(-50.0), rel=1e-9)
 
+    def test_an_overflowed_distance_is_far(self):
+        # sigma = 1e-150 in d = 3, modes 1e5 apart: the squared whitened
+        # distance overflows to inf, whose survival is 0, so the second mode
+        # is new without a valley test, and no overflow warning is raised
+        # (the suite turns warnings into errors)
+        means = [np.zeros(3), np.array([1e5, 0.0, 0.0])]
+        _, target = _gaussian_mixture_target(means, [1e-300 * np.eye(3)] * 2, [0.5, 0.5])
+        cands = self._minima(means, [-eval_log_density(target, m) for m in means])
+        comps, log = dedup_modes(cands, target)
+        assert len(comps) == 2
+        assert [(d.survival, d.accepted, d.note) for d in log] == [(0.0, True, "")] * 2
+
     def test_single_candidate_accepted(self):
         _, target = _gaussian_mixture_target([[1.0, 1.0]], [np.eye(2)], [1.0])
         comps, log = dedup_modes(self._minima([[1.0, 1.0]], [0.0]), target)
@@ -1205,7 +1217,9 @@ def _search_cases(draw):
     """A Gaussian mixture in d = 1..6 with K = 1..3, its means partly outside
     the box [-3, 3]^d, with its gradients from the fused reply, from the
     scalar ``gradient`` or from finite differences; starts inside the box,
-    some with coordinates on its faces or beyond them."""
+    some with coordinates on its faces or beyond them. A ``gradient_tol``
+    of 1e-300 is never met, so searches run on until a trial has no
+    first-order decrease, or to another stop."""
     d = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1225,7 +1239,7 @@ def _search_cases(draw):
     starts = rng.uniform(-3.0, 3.0, size=(6, d))
     faces = rng.random((6, d)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
     starts[faces] = rng.choice([-3.0, 3.0, -4.0, 4.0], size=int(faces.sum()))
-    tol = draw(st.sampled_from([1e-8, 1e-5]))
+    tol = draw(st.sampled_from([1e-8, 1e-5, 1e-300]))
     return target, starts, GolaConfig(gradient_tol=tol)
 
 
@@ -1294,6 +1308,63 @@ class TestRowDots:
         got = _row_dots(a, b)
         want = np.array([a[i].dot(b[i]) for i in range(len(a))])
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _projected_arcs(draw):
+    """Rows of a box trial ``clamp(z + alpha g)``: a box in d = 1..6, rows z
+    inside it with some coordinates on its faces, finite g whose entries
+    include signed zeros, subnormals and values near the largest double,
+    and alpha from 1e-12 * 2**-60 to 1e6."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-6, 1e6), min_size=d, max_size=d)))
+    hi = lo + width
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d)))
+    z = _clamp(lo + share.reshape(n, d) * width, lo, hi)
+    face = draw(st.lists(st.sampled_from([None, "lo", "hi"]), min_size=n * d,
+                         max_size=n * d))
+    face = np.array(face).reshape(n, d)
+    z = np.where(face == "lo", lo, np.where(face == "hi", hi, z))
+    g = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=n * d, max_size=n * d))
+    alpha = draw(st.lists(st.floats(1e-12 * 2.0 ** -60, 1e6), min_size=n, max_size=n))
+    return lo, hi, z, np.array(g).reshape(n, d), np.array(alpha)
+
+
+class TestFirstOrderDecrease:
+    @staticmethod
+    def _decrease(lo, hi, z, g, alpha):
+        """The engine's first-order decrease of each row's trial; a step
+        or a product past the largest double overflows to inf, whose sign
+        is still the step's."""
+        with np.errstate(over="ignore"):
+            return -_row_dots(g, z - _clamp(z + alpha[:, np.newaxis] * g, lo, hi))
+
+    @given(_projected_arcs())
+    def test_never_negative_and_zero_at_every_smaller_alpha(self, case):
+        # every coordinate of clamp(z + alpha g) - z has the sign of g or is
+        # 0, and shrinks toward 0 as alpha halves, so every term of g . dz
+        # is <= 0 and a sum that rounds to 0 stays 0: a row whose trial has
+        # no first-order decrease would halve alpha to _MAX_BACKTRACKS in
+        # vain, and run_lockstep retires it at once
+        lo, hi, z, g, alpha = case
+        decrease = self._decrease(lo, hi, z, g, alpha)
+        assert (decrease >= 0.0).all()
+        zero = decrease == 0.0
+        for _ in range(_MAX_BACKTRACKS):
+            alpha = alpha * _BACKTRACK
+            assert (self._decrease(lo, hi, z, g, alpha)[zero] == 0.0).all()
+
+    def test_zero_at_a_face_and_below_an_ulp(self):
+        # a row on the face the gradient points out of, and a row whose
+        # step rounds away against z: both have no first-order decrease
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        z = np.array([[1.0, 0.5], [0.5, 0.5]])
+        g = np.array([[3.0, -0.0], [1e-300, -1e-300]])
+        decrease = self._decrease(lo, hi, z, g, np.ones(2))
+        assert decrease.tolist() == [0.0, 0.0]
 
 
 def _reference_dedup(candidates, target):

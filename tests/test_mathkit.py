@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -294,9 +295,31 @@ class TestChiSquareSurvival:
             se = math.sqrt(p * (1.0 - p) / draws.size)
             assert abs(freq - p) <= 4.0 * se
 
+    def test_hand_values(self):
+        # dof 4: e^{-x/2} (1 + x/2); dof 3: erfc(sqrt(x/2)) + sqrt(2x/pi) e^{-x/2}
+        assert chi_square_survival(2.0, 4) == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert chi_square_survival(2.0, 3) == pytest.approx(
+            math.erfc(1.0) + 2.0 / math.sqrt(math.pi) / math.e, rel=1e-15)
+        assert chi_square_survival(2.0, 1) == pytest.approx(math.erfc(1.0), rel=1e-15)
+
+    def test_far_tail_matches_scipy(self):
+        # relative agreement while e^{-x/2} is a normal double (x <= 1400),
+        # and 0 where both underflow
+        for dof in (1, 2, 3, 4, 9, 10, 30, 49):
+            for x in (300.0, 500.0, 1000.0, 1400.0, 1e4, 1e300, sys.float_info.max):
+                want = float(scipy.stats.chi2.sf(x, dof))
+                assert chi_square_survival(x, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_zero_at_infinity(self):
+        # the closed-form sums would meet 0 * inf, a NaN that min(1, .) read as 1
+        for dof in range(1, 41):
+            assert chi_square_survival(math.inf, dof) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             chi_square_survival(-1.0, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            chi_square_survival(math.nan, 3)
         with pytest.raises(ValueError):
             chi_square_survival(1.0, 0)
 
