@@ -586,19 +586,36 @@ def mixture_terms(means: NDArray, chol_invs: NDArray, log_weights: NDArray,
 def draw_mixture(weights: NDArray, means: NDArray, chols: NDArray, n: int,
                  seed: int) -> NDArray[np.float64]:
     """Ancestral sampling from K weights, (K, d) means and (K, d, d) lower
-    Cholesky factors, taken as they are: the caller owns their validity."""
+    Cholesky factors, taken as they are: the caller owns their validity.
+
+    The draws are grouped by component once: the standard normals are
+    gathered so that each component's rows form one contiguous block, each
+    block is transformed in place, and one gather through the inverse
+    permutation puts every draw back in its row. A block holds exactly the
+    rows that a boolean mask ``eps[ks == i]`` would, in the same order and
+    the same C-contiguous layout, so each component's matrix product gets
+    the same operands as a per-component masked pass (a lone draw keeps
+    its matrix-vector path) and every draw is bitwise the same.
+    """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     k, d = means.shape
     rng = np.random.default_rng(seed)
     ks = rng.choice(k, size=n, p=weights)
     eps = rng.standard_normal((n, d))
-    out = np.empty((n, d))
-    for i in range(k):
-        mask = ks == i
-        if np.any(mask):
-            out[mask] = means[i] + eps[mask] @ chols[i].T
-    return out
+    groups = [np.flatnonzero(ks == i) for i in range(k)]
+    order = np.concatenate(groups)
+    grouped = np.take(eps, order, axis=0)
+    stop = 0
+    for i, rows in enumerate(groups):
+        start, stop = stop, stop + rows.size
+        if rows.size:
+            block = grouped[start:stop]
+            np.add(means[i], block @ chols[i].T, out=block)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
+    # valid indices: "clip" writes straight into eps, where "raise" buffers
+    return np.take(grouped, inverse, axis=0, out=eps, mode="clip")
 
 
 def mixture_to_dict(m: MixtureModel) -> dict:
@@ -787,11 +804,11 @@ class SinhArcsinhMixture:
         rng = np.random.default_rng(seed)
         ks = rng.choice(self.n_components, size=n, p=self.weights)
         out = np.arcsinh(rng.standard_normal((n, self.dim)))
-        out += self.skew[ks]
-        out *= self.tail[ks]
+        out += np.take(self.skew, ks, axis=0)
+        out *= np.take(self.tail, ks, axis=0)
         np.sinh(out, out=out)
-        out *= self.scale[ks]
-        out += self.loc[ks]
+        out *= np.take(self.scale, ks, axis=0)
+        out += np.take(self.loc, ks, axis=0)
         return out
 
     def default_search_box(self) -> NDArray[np.float64]:

@@ -12,6 +12,7 @@ pushed forward to displacement trajectories.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,17 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
            16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+
+
+@functools.cache
+def _pade_identity_terms(n: int) -> tuple[NDArray[np.float64], ...]:
+    """The (n, n) identity and its Padé-13 multiples ``b_1 I`` and ``b_0 I``,
+    built once per size and shared, so they are read-only."""
+    eye = np.eye(n)
+    terms = (eye, _PADE13[1] * eye, _PADE13[0] * eye)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 def _expm_batch(a: NDArray) -> NDArray[np.float64]:
@@ -59,14 +71,15 @@ def _expm_batch(a: NDArray) -> NDArray[np.float64]:
     norm = np.abs(x).sum(axis=1).max(axis=1)
     s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
     x = np.ldexp(x, -s[:, None, None])
-    b, eye = _PADE13, np.eye(x.shape[-1])
+    b = _PADE13
+    eye, b1_eye, b0_eye = _pade_identity_terms(x.shape[-1])
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
     u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b1_eye)
     v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b0_eye)
     r = np.linalg.solve(v - u, v + u)
     squarings = int(s.max(initial=0))
     if s.min(initial=squarings) == squarings:

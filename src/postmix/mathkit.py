@@ -10,6 +10,7 @@ inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,17 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 SOBOL_MAX_DIM = 64
 _SOBOL_BITS = 32
+
+# Past this x/2, e^{-x/2} is subnormal and then 0, so the chi-square
+# survival's closed form would first lose digits and then return 0.
+_CHI2_SCALE_SWITCH = -math.log(np.finfo(float).tiny)
+# A value below e^-746 < 2**-1076 rounds to 0.
+_CHI2_ZERO_EXPONENT = 746.0
+_CHI2_RESCALE_BITS = 512
+_CHI2_RESCALE = 2.0**_CHI2_RESCALE_BITS
+# fdlibm's split of log 2: the high part has 32 significant bits.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LN2 = _LN2_HI + _LN2_LO
 
 
 def cholesky_spd(a: NDArray) -> tuple[NDArray[np.float64], float]:
@@ -76,8 +88,11 @@ def cholesky_spd(a: NDArray) -> tuple[NDArray[np.float64], float]:
     )
 
 
+@functools.cache
 def _sobol_direction_table(dim: int) -> NDArray[np.uint64]:
-    """Direction integers ``V[j, k]``, k = 1.._SOBOL_BITS, for dims 1..dim."""
+    """Direction integers ``V[j, k]``, k = 1.._SOBOL_BITS, for dims 1..dim.
+
+    Built once per dimension and shared, so the table is read-only."""
     v = np.zeros((dim, _SOBOL_BITS + 1), dtype=np.uint64)
     for k in range(1, _SOBOL_BITS + 1):
         v[0, k] = 1 << (_SOBOL_BITS - k)
@@ -93,6 +108,7 @@ def _sobol_direction_table(dim: int) -> NDArray[np.uint64]:
             m.append(new)
         for k in range(1, _SOBOL_BITS + 1):
             v[j, k] = m[k - 1] << (_SOBOL_BITS - k)
+    v.flags.writeable = False
     return v
 
 
@@ -135,7 +151,9 @@ def chi_square_survival(x: float, dof: int) -> float:
     e^{-x/2} sum_{k < dof/2} (x/2)^k / k!; for odd dof,
     erfc(sqrt(x/2)) + e^{-x/2} sum_{k=1}^{(dof-1)/2} (x/2)^{k-1/2} / Gamma(k+1/2).
     The factor e^{-x/2} rides in the first term, so a far tail underflows
-    to 0 instead of overflowing the sum.
+    to 0 instead of overflowing the sum. Past x/2 = -log(tiny), where
+    e^{-x/2} is no longer a normal double, the same sums run on a scaled
+    copy of it (:func:`_chi_square_sums`).
 
     Parameters
     ----------
@@ -155,21 +173,55 @@ def chi_square_survival(x: float, dof: int) -> float:
     if x == math.inf:  # the sums below would meet 0 * inf
         return 0.0
     half = 0.5 * x
-    if dof % 2 == 0:
-        head = 0.0
-        term = total = math.exp(-half)
-        for k in range(1, dof // 2):
-            term *= half / k
-            total += term
+    return _chi_square_sums(half, dof, half > _CHI2_SCALE_SWITCH)
+
+
+def _chi_square_sums(half: float, dof: int, scaled: bool) -> float:
+    """The closed form of :func:`chi_square_survival` at x = 2 half.
+
+    Unscaled, the sums start from ``exp(-half)``. Scaled, they start from
+    e^{-half} 2**n, n = round(half / log 2), reduced exactly for half below
+    1.4e6 (the product of n and fdlibm's high part of log 2 is exact), and
+    carry the power of two apart: a term past 2**512 moves 2**512 into it.
+    Rounding is the same at every scale, so the two agree to the ulps
+    their starts differ by. The scaled odd head erfc(sqrt(half)) takes its
+    asymptotic form e^{-half} / sqrt(pi half) (1 - 1/(2 half) + 3/(2 half)^2
+    - ...), summed to its eighth term, for the ninth is below 2e-19 at
+    half > 708. A tail whose Chernoff bound e^{a - half} (half / a)^a,
+    a = dof/2, underflows is 0.
+    """
+    shift = 0  # the sums are in units of 2**shift
+    if not scaled:
+        start = math.exp(-half)
     else:
-        root = math.sqrt(half)
-        head = math.erfc(root)
-        term = 2.0 * root / math.sqrt(math.pi) * math.exp(-half)  # k = 1
-        total = 0.0
-        for k in range(1, dof // 2 + 1):
-            total += term
-            term *= half / (k + 0.5)
-    return min(1.0, head + total)
+        a = 0.5 * dof
+        if half > a and (half - a) - a * math.log(half / a) > _CHI2_ZERO_EXPONENT:
+            return 0.0
+        n = round(half / _LN2)
+        start, shift = math.exp(n * _LN2_LO - (half - n * _LN2_HI)), -n
+    head = total = 0.0
+    if dof % 2 == 0:
+        offset, term = 0.0, start
+    else:
+        offset, root = 0.5, math.sqrt(half)
+        if scaled:
+            series, ratio = 1.0, 1.0
+            for m in range(1, 8):
+                ratio *= (0.5 - m) / half
+                series += ratio
+            total = start / (root * math.sqrt(math.pi)) * series
+        else:
+            head = math.erfc(root)
+        term = 2.0 * root / math.sqrt(math.pi) * start if dof > 1 else 0.0  # k = 1
+    total += term
+    for k in range(1, dof // 2):
+        term *= half / (k + offset)
+        total += term
+        if term > _CHI2_RESCALE:
+            term /= _CHI2_RESCALE
+            total /= _CHI2_RESCALE
+            shift += _CHI2_RESCALE_BITS
+    return min(1.0, head + math.ldexp(total, shift))
 
 
 def nnls(a: NDArray, b: NDArray) -> tuple[NDArray[np.float64], float]:

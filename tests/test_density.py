@@ -942,7 +942,44 @@ class TestMixtureKernelProperties:
             np.testing.assert_array_equal(a.chol_cov, b.chol_cov)
 
 
+def _masked_draw_mixture(weights, means, chols, n, seed):
+    """Reference for :func:`draw_mixture`: one masked pass per component,
+    each transforming the rows ``eps[ks == i]`` that it drew."""
+    k, d = means.shape
+    rng = np.random.default_rng(seed)
+    ks = rng.choice(k, size=n, p=weights)
+    eps = rng.standard_normal((n, d))
+    out = np.empty((n, d))
+    for i in range(k):
+        mask = ks == i
+        if np.any(mask):
+            out[mask] = means[i] + eps[mask] @ chols[i].T
+    return out
+
+
+@st.composite
+def _draw_cases(draw):
+    """Mixtures with n = 1..4096 draws, K = 1..6 and d = 1..16. Each weight
+    is zero, about one draw's worth or a bulk weight, so that components
+    get 0, 1 or many draws."""
+    n = draw(st.integers(1, 4096))
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 16))
+    kinds = draw(st.lists(st.sampled_from(["zero", "lone", "bulk"]), min_size=k, max_size=k))
+    if "bulk" not in kinds and "lone" not in kinds:
+        kinds[0] = "bulk"
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = np.array([{"zero": 0.0, "lone": 1.0 / n, "bulk": 1.0}[kind] for kind in kinds])
+    means = 3.0 * rng.standard_normal((k, d))
+    chols = np.tril(rng.standard_normal((k, d, d)))
+    return raw / raw.sum(), means, chols, n, draw(st.integers(0, 2**32 - 1))
+
+
 class TestMixtureSample:
+    @given(_draw_cases())
+    def test_draws_equal_the_masked_passes_bytewise(self, case):
+        assert draw_mixture(*case).tobytes() == _masked_draw_mixture(*case).tobytes()
+
     def test_single_component_mean(self):
         mix = MixtureModel((GaussianComponent(np.zeros(3), np.eye(3)),), np.ones(1))
         n = 10**5

@@ -14,15 +14,20 @@ from scipy.stats import qmc
 
 from postmix.exceptions import SingularMatrixError
 from postmix.exemplar import (
+    _PADE13,
     ShearFrame,
     _expm_batch,
     _frame_template,
+    _pade_identity_terms,
     _state_matrices,
     default_scenario,
     simulate,
 )
 from postmix.mathkit import (
+    _CHI2_SCALE_SWITCH,
     SOBOL_MAX_DIM,
+    _chi_square_sums,
+    _sobol_direction_table,
     chi_square_survival,
     cholesky_spd,
     nnls,
@@ -123,6 +128,15 @@ class TestMatrixExponential:
         stack[[1, 3]] = 0.0
         out = _expm_batch(stack)
         np.testing.assert_array_equal(out[[1, 3]], np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+    def test_cached_pade_identity_terms_are_read_only(self):
+        eye, b1_eye, b0_eye = _pade_identity_terms(4)
+        np.testing.assert_array_equal(eye, np.eye(4))
+        np.testing.assert_array_equal(b1_eye, _PADE13[1] * np.eye(4))
+        np.testing.assert_array_equal(b0_eye, _PADE13[0] * np.eye(4))
+        for term in (eye, b1_eye, b0_eye):
+            with pytest.raises(ValueError, match="read-only"):
+                term[0, 0] = 2.0
 
     def test_nonfinite_rejected(self):
         # the exponential itself returns NaN, so non-finite exponents are
@@ -243,6 +257,16 @@ class TestSobolPoints:
             np.testing.assert_array_equal(ref[0], np.zeros(dim))
             np.testing.assert_array_equal(ours, ref[1:])
 
+    def test_cached_table_gives_the_points_of_a_fresh_one(self):
+        for dim in range(1, SOBOL_MAX_DIM + 1):
+            cached = sobol_points(dim, 300)
+            table = _sobol_direction_table(dim)
+            np.testing.assert_array_equal(table, _sobol_direction_table.__wrapped__(dim))
+            _sobol_direction_table.cache_clear()
+            assert sobol_points(dim, 300).tobytes() == cached.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 1] = 0
+
     def test_dimension_cap(self):
         assert sobol_points(SOBOL_MAX_DIM, 2).shape == (2, 64)
         with pytest.raises(ValueError):
@@ -309,6 +333,38 @@ class TestChiSquareSurvival:
             for x in (300.0, 500.0, 1000.0, 1400.0, 1e4, 1e300, sys.float_info.max):
                 want = float(scipy.stats.chi2.sf(x, dof))
                 assert chi_square_survival(x, dof) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_past_the_underflow_of_the_first_term_matches_scipy(self):
+        # relative agreement wherever the value is a normal double; scipy
+        # flushes some subnormal tails to 0, hence the absolute floor
+        tiny = sys.float_info.min
+        for x, dof, want in ((1450.0, 1500, 0.81885486609), (1500.0, 1600, 0.964),
+                             (2000.0, 2000, 0.496)):
+            assert chi_square_survival(x, dof) == pytest.approx(want, rel=2e-3)
+        switch = 2.0 * _CHI2_SCALE_SWITCH
+        for dof in [*range(1, 65), *range(65, 4097, 61), 4096]:
+            # the far tail of a small dof, the bulk of a large one, and beyond
+            bulk = [dof + t * math.sqrt(2.0 * dof) for t in (-3.0, 0.0, 3.0, 10.0, 30.0)]
+            xs = [np.nextafter(switch, math.inf), switch + 10.0, switch + 40.0,
+                  switch + 80.0, *(x for x in bulk if x > switch),
+                  2e4, 1e6, 1e300, sys.float_info.max]
+            for x in xs:
+                want = float(scipy.stats.chi2.sf(x, dof))
+                assert chi_square_survival(float(x), dof) == pytest.approx(
+                    want, rel=1e-10, abs=tiny), (x, dof)
+
+    def test_the_two_forms_agree_at_the_switch(self):
+        # the scaled sums repeat the closed form's roundings on a start
+        # within an ulp of e^{-x/2}; dof 1 is left out, because its closed
+        # form is a subnormal erfc there
+        halves = [_CHI2_SCALE_SWITCH * (1.0 + t) for t in (-1e-6, -1e-12, 1e-12, 1e-6)]
+        halves += [np.nextafter(_CHI2_SCALE_SWITCH, 0.0),
+                   np.nextafter(_CHI2_SCALE_SWITCH, math.inf)]
+        for dof in [*range(2, 129), *range(129, 4097, 37)]:
+            for half in halves:
+                scaled = _chi_square_sums(half, dof, scaled=True)
+                closed = _chi_square_sums(half, dof, scaled=False)
+                assert abs(scaled - closed) <= 4 * np.spacing(max(scaled, closed)), (dof, half)
 
     def test_zero_at_infinity(self):
         # the closed-form sums would meet 0 * inf, a NaN that min(1, .) read as 1
