@@ -31,7 +31,7 @@ from .density import (
     random_sinh_arcsinh_mixture,
 )
 from .exceptions import PostmixError, check_fields
-from .exemplar import MIN_PUSHFORWARD, default_scenario, pushforward
+from .exemplar import MIN_PUSHFORWARD, damping_log_likelihood, default_scenario, pushforward
 from .gola import GolaConfig, run_gola
 from .metrics import jsd_normalized
 from .sensibench import (
@@ -241,7 +241,7 @@ def _factor_spec(cfg: RunConfig) -> FactorSpec:
     doc = dict(cfg.factors)
     preset = doc.pop("preset", "broad")
     if preset == "broad":
-        spec = FactorSpec.broad()
+        spec = FactorSpec()
     elif preset == "hard":
         spec = FactorSpec.hard()
     else:
@@ -348,7 +348,7 @@ def _cmd_exemplar(cfg: RunConfig, out: Path) -> dict:
     obs.to_csv(out / "observations.csv")
     _json_dump(obs.sidecar_dict(scenario.frame_true), out / "observations.json")
 
-    target = scenario.target()
+    target = damping_log_likelihood(obs, scenario.constants(), scenario.search_box)
     gola_cfg = _gola_config(cfg, gradient_tol=cfg.gola.get("gradient_tol", 1e-5),
                             n_starts=cfg.gola.get("n_starts", 96))
     report = run_gola(target, gola_cfg)

@@ -22,6 +22,7 @@ from .density import (
     MixtureModel,
     UnnormalizedTarget,
     _inverse_lower,
+    draw_mixture,
     eval_hessian,
     eval_log_density_and_gradient,
     eval_log_density_batch,
@@ -268,18 +269,17 @@ def run_lockstep(target: UnnormalizedTarget, starts: NDArray,
     alpha = np.ones(len(index))
     flat, iters, backtracks = (np.zeros(len(index), dtype=int) for _ in range(3))
     while True:
-        # A row at its start or an accepted trial (no backtracks) stops when
-        # converged or out of iterations. Any row stops after
-        # _MAX_BACKTRACKS rejected trials or _MAX_FLAT_STEPS flat ones in a
-        # row, or when its trial has no first-order decrease.
+        # A row stops when converged or out of iterations (never first at a
+        # rejected trial, which keeps z, g and iters), after _MAX_BACKTRACKS
+        # rejected trials or _MAX_FLAT_STEPS flat ones in a row, or when its
+        # trial has no first-order decrease.
         r = z - _clamp(z + g, lo, hi)
         pg = np.sqrt(_row_dots(r, r))
         trial = _clamp(z + alpha[:, np.newaxis] * g, lo, hi)
         dz = z - trial
         decrease = -_row_dots(g, dz)
-        done = ((backtracks == 0) & ((pg <= tol) | (iters == _MAX_LOCAL_ITERS))
-                | (flat >= _MAX_FLAT_STEPS) | (backtracks == _MAX_BACKTRACKS)
-                | (decrease <= 0.0))
+        done = ((pg <= tol) | (iters == _MAX_LOCAL_ITERS) | (flat >= _MAX_FLAT_STEPS)
+                | (backtracks == _MAX_BACKTRACKS) | (decrease <= 0.0))
         if lost is not None:  # rows whose gradient stencil failed leave too
             done |= lost
         if done.any():
@@ -376,13 +376,13 @@ def _is_indefinite(hess: NDArray) -> bool:
     return float(eigenvalues[0]) < -1e-8 * scale
 
 
-def _valley_between(target: UnnormalizedTarget, mean: NDArray, peak: float,
+def _valley_between(target: UnnormalizedTarget, mean: NDArray,
                     cand: LocalMinimum) -> bool:
-    """Whether ``log phi`` on the segment from an accepted ``mean`` (where it
-    is ``peak``) to a candidate dips below both ends, by ``_VALLEY_DEPTH``."""
+    """Whether ``log phi`` on the segment from an accepted ``mean`` to a
+    candidate dips below both ends, by ``_VALLEY_DEPTH``. Candidates come
+    sorted by objective, so the candidate's end is the lower one."""
     points = mean + _VALLEY_POINTS[:, np.newaxis] * (cand.location - mean)
-    lower_end = min(peak, -cand.objective)
-    return bool(eval_log_density_batch(target, points).min() < lower_end - _VALLEY_DEPTH)
+    return bool(eval_log_density_batch(target, points).min() < -cand.objective - _VALLEY_DEPTH)
 
 
 def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
@@ -390,9 +390,10 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     """Reduce candidate minima to distinct modes by a greedy Mahalanobis test
     with a hill-valley check.
 
-    Candidates must arrive sorted by objective ascending so the deepest
-    modes anchor the accepted set. Each accepted component whitens every
-    later candidate in one call, so each candidate holds its smallest
+    Candidates must arrive sorted by objective ascending, so that the
+    deepest modes anchor the accepted set and a candidate is the lower end
+    of the segment its valley test walks. Each accepted component whitens
+    every later candidate in one call, so each candidate holds its smallest
     squared Mahalanobis distance to the components accepted before it (the
     first one on a tie). That distance is referred to a chi-square with
     ``dim`` degrees of freedom; a candidate typical under the nearest
@@ -409,21 +410,18 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
     the Laplace stage, whose contract requires a true minimum.
     """
     accepted: list[GaussianComponent] = []
-    peaks: list[float] = []  # log phi at each accepted mean
     decisions: list[DedupDecision] = []
     locations = np.array([c.location for c in candidates])
     # Each candidate's smallest squared whitened distance to the accepted
-    # set, and where it is reached (the first such component on a tie).
+    # set (inf, of survival 0, while the set is empty), and where it is
+    # reached (the first such component on a tie).
     best = np.full(len(candidates), np.inf)
     nearest = np.zeros(len(candidates), dtype=int)
     for idx, cand in enumerate(candidates):
-        survival, note = 0.0, ""
-        if accepted:
-            survival = chi_square_survival(float(best[idx]), target.dim)
+        survival, note = chi_square_survival(float(best[idx]), target.dim), ""
         if survival >= _DEDUP_THRESHOLD:
-            j = nearest[idx]
             if (best[idx] <= _VALLEY_GATE ** 2 or not _valley_between(
-                    target, accepted[j].mean, peaks[j], cand)):
+                    target, accepted[nearest[idx]].mean, cand)):
                 decisions.append(DedupDecision(idx, survival, False, "duplicate"))
                 continue
             note = "valley"
@@ -441,7 +439,6 @@ def dedup_modes(candidates: list[LocalMinimum], target: UnnormalizedTarget,
         best[idx + 1:][closer] = dist2[closer]
         nearest[idx + 1:][closer] = len(accepted)
         accepted.append(comp)
-        peaks.append(-cand.objective)
         decisions.append(DedupDecision(idx, survival, True, note))
     return accepted, decisions
 
@@ -470,8 +467,9 @@ def solve_weights(target: UnnormalizedTarget,
         raise ValueError("need at least one component")
     if n < k:
         raise ValueError(f"need at least K={k} samples, got {n}")
-    sampler = MixtureModel(tuple(components), np.full(k, 1.0 / k))
-    points = sampler.sample(n, seed)
+    means = np.array([c.mean for c in components])
+    chols = np.array([c.chol_cov for c in components])
+    points = draw_mixture(np.full(k, 1.0 / k), means, chols, n, seed)
     log_phi = eval_log_density_batch(target, points)
     offset = float(np.max(log_phi))
     if not np.isfinite(offset):
@@ -481,7 +479,7 @@ def solve_weights(target: UnnormalizedTarget,
             "would not help)"
         )
     y = np.exp(log_phi - offset)
-    design = np.exp(gaussian_log_pdfs(sampler._means, sampler._chol_invs, points)[0])
+    design = np.exp(gaussian_log_pdfs(means, _inverse_lower(chols), points)[0])
     x, rnorm = nnls(design, y)
     with np.errstate(over="ignore"):  # an overflow raises below
         pi_tilde = np.where(x > 0.0, np.exp(np.log(np.where(x > 0.0, x, 1.0)) + offset), 0.0)

@@ -84,11 +84,6 @@ class FactorSpec:
             raise ValueError("overlap interval must lie inside (0, 1)")
 
     @classmethod
-    def broad(cls) -> "FactorSpec":
-        """The broad benchmark distributions."""
-        return cls()
-
-    @classmethod
     def hard(cls) -> "FactorSpec":
         """Refined distributions that favor more complex posteriors."""
         return cls(d_range=(8, 10), m_range=(3, 4), omega_range=(1.3, 2.0),
@@ -114,7 +109,8 @@ class FactorSpec:
 
 
 def _simplex_directions(m: int, d: int) -> NDArray[np.float64]:
-    """Unit-norm placement directions for ``m`` component means in ``d`` dims.
+    """Unit-norm placement directions for ``m >= 2`` component means in
+    ``d`` dims.
 
     Vertices of a regular (m-1)-simplex when it fits (m <= d + 1), else a
     regular m-gon in the first two coordinates, so d = 1 admits at most
@@ -122,8 +118,6 @@ def _simplex_directions(m: int, d: int) -> NDArray[np.float64]:
     """
     if d == 1 and m > 2:
         raise GenerationError(f"cannot place {m} component means on a line (d = 1)")
-    if m == 1:
-        return np.zeros((1, d))
     if m <= d + 1:
         centered = np.eye(m) - 1.0 / m
         _, _, vt = np.linalg.svd(centered)
@@ -165,15 +159,12 @@ def generate_test_gmm(factors: ProblemFactors, seed: int) -> MixtureModel:
     weights = raw / raw.sum()
     cov = (1.0 - c) * np.eye(d) + c * np.ones((d, d))
     chol = np.linalg.cholesky(cov)
+    if m == 1:
+        return MixtureModel((GaussianComponent(np.zeros(d), chol),), np.ones(1))
 
     rng = np.random.default_rng(seed)
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
     directions = _simplex_directions(m, d) @ rotation.T
-
-    if m == 1:
-        return MixtureModel(
-            (GaussianComponent(np.zeros(d), chol),), np.ones(1)
-        )
 
     # All components share cov = L L^T, so the Dice overlap of the means
     # s u_i and s u_j is exp(-s^2 |L^-1 (u_i - u_j)|^2 / 4), and the pair of

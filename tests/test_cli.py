@@ -215,6 +215,20 @@ class TestFitCommand:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_sinh_target_from_a_config(self, tmp_path):
+        # the built-in sinh-arcsinh target, sized by its config keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "target": {"name": "sinh", "dim": 3, "n_components": 2},
+            "gola": {"n_starts": 32, "gradient_tol": 1e-6}}))
+        for run in ("a", "b"):
+            assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+        mixture = mixture_from_dict(_read_json(tmp_path / "a" / "mixture.json"))
+        assert (mixture.dim, mixture.n_components) == (3, 2)
+        for name in ("mixture.json", "gola_report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
     def test_error_json_on_failure(self, tmp_path):
         code = main(["fit", "--out", str(tmp_path)])  # no target given
         assert code == 1
@@ -255,6 +269,23 @@ class TestEvalCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out.strip())
         assert abs(doc["jsd"] - PINNED_REGRESSION_JSD) <= 3.0 * doc["std_error"]
+
+    def test_out_writes_the_estimate_and_a_manifest(self, tmp_path, capsys):
+        code = main(["eval", "--p", str(DATA / "mixture_p.json"),
+                     "--q", str(DATA / "mixture_q.json"), "--n", "1000",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        doc = _read_json(tmp_path / "jsd.json")
+        assert doc == json.loads(capsys.readouterr().out.strip())
+        assert doc["n"] == 1000
+        assert _read_json(tmp_path / "run_manifest.json")["artifacts"] == ["jsd.json"]
+
+    def test_missing_mixture_paths_is_a_config_error(self, tmp_path):
+        code = main(["eval", "--p", str(DATA / "mixture_p.json"), "--out", str(tmp_path)])
+        assert code == 1
+        err = _read_json(tmp_path / "error.json")
+        assert err["error"] == "ConfigError"
+        assert "--p and --q" in err["message"]
 
     def test_dimension_mismatch_fails(self, tmp_path, capsys):
         two_d = {"dim": 2, "weights": [1.0],
@@ -607,6 +638,15 @@ class TestGenerateCommand:
         assert {d for d, _ in shapes} == {3}
         assert len(shapes) > 1
 
+    def test_hard_preset_draws_from_its_ranges(self, tmp_path):
+        for seed in range(3):
+            mixture = self._generate(tmp_path, {"preset": "hard"}, seed)
+            assert 8 <= mixture.dim <= 10 and 3 <= mixture.n_components <= 4
+
+    def test_one_component_sits_at_the_origin(self, tmp_path):
+        mixture = self._generate(tmp_path, {"M": [1, 1]}, 3)
+        assert mixture.n_components == 1 and mixture.weights.tolist() == [1.0]
+        assert not mixture.components[0].mean.any()
 
     def _generate_error(self, tmp_path, factors):
         cfg = tmp_path / "cfg.json"

@@ -21,6 +21,7 @@ from postmix.density import (
     gradient_rows,
 )
 from postmix.exceptions import (
+    DegenerateModeError,
     DerivativeError,
     EvidenceOverflowError,
     NoModesFoundError,
@@ -851,6 +852,18 @@ class TestDedup:
         for a, b in zip(comps, comps2):
             np.testing.assert_array_equal(a.mean, b.mean)
 
+    def test_a_hessian_no_jitter_repairs_raises_degenerate_mode(self):
+        # log phi = 5e-10 |z|^2: the Hessian of -log phi is -1e-9 I, within
+        # the saddle test's rounding noise, and its negative trace scales
+        # every rung of the jitter ladder by tiny, so each factorization fails
+        target = UnnormalizedTarget(
+            dim=2, log_phi=lambda z: 5e-10 * float(z @ z), search_box=_box(2),
+            gradient=lambda z: 1e-9 * z, hessian=lambda z: 1e-9 * np.eye(2))
+        cands = self._minima([[0.0, 0.0]], [0.0])
+        with pytest.raises(DegenerateModeError) as raised:
+            dedup_modes(cands, target)
+        np.testing.assert_array_equal(raised.value.mode, cands[0].location)
+
     def test_empty_input(self):
         _, target = _gaussian_mixture_target([[0.0]], [np.eye(1)], [1.0])
         comps, log = dedup_modes([], target)
@@ -1370,7 +1383,7 @@ class TestFirstOrderDecrease:
 def _reference_dedup(candidates, target):
     """:func:`dedup_modes` in its reference form: each candidate whitened
     against all components accepted so far, in a call of its own."""
-    accepted, peaks, decisions = [], [], []
+    accepted, decisions = [], []
     for idx, cand in enumerate(candidates):
         survival, note = 0.0, ""
         if accepted:
@@ -1383,7 +1396,7 @@ def _reference_dedup(candidates, target):
             survival = chi_square_survival(float(dist2[nearest]), target.dim)
         if survival >= _DEDUP_THRESHOLD:
             if (dist2[nearest] <= _VALLEY_GATE ** 2 or not _valley_between(
-                    target, accepted[nearest].mean, peaks[nearest], cand)):
+                    target, accepted[nearest].mean, cand)):
                 decisions.append((idx, survival, False, "duplicate"))
                 continue
             note = "valley"
@@ -1392,7 +1405,6 @@ def _reference_dedup(candidates, target):
             decisions.append((idx, survival, False, "saddle"))
             continue
         accepted.append(_component_from_hessian(cand.location, hess))
-        peaks.append(-cand.objective)
         decisions.append((idx, survival, True, note))
     return accepted, decisions
 

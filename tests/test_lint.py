@@ -1,6 +1,7 @@
-"""Two lint rules for ``src/postmix``, read from the syntax tree with the
-standard library alone: every import is used, and every private
-module-level name has a reader besides its own definition. An import
+"""Three lint rules for ``src/postmix``, read from the syntax tree with the
+standard library alone: every import is used, every private module-level
+name has a reader besides its own definition, and no module reads a
+private attribute of an object other than ``self`` or ``cls``. An import
 named in ``__all__`` or marked ``# noqa: F401`` is exempt."""
 
 import ast
@@ -88,6 +89,18 @@ def _unread_private_names(paths):
     return unread
 
 
+def _foreign_private_reads(path):
+    """Each read of a private attribute (``x._name``, not a dunder) of an
+    object other than ``self`` or ``cls``, as ``file:line expression``."""
+    reads = []
+    for node in ast.walk(_tree(path)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return reads
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
@@ -97,11 +110,21 @@ def test_every_private_name_has_a_reader():
     assert _unread_private_names(MODULES) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_attribute_of_another_object_is_read(path):
+    assert _foreign_private_reads(path) == []
+
+
 def test_the_rules_catch_what_they_name(tmp_path):
-    # an unused import, one kept by noqa, and a private function read only
-    # by its own recursive body
+    # an unused import, one kept by noqa, a private function read only by
+    # its own recursive body, and a private attribute read off another
+    # object (its own, a dunder and a write pass)
     module = tmp_path / "sample.py"
     module.write_text("import math\nimport os  # noqa: F401\nimport sys\n\n"
-                      "def _spin(n):\n    return _spin(n - 1) + sys.maxsize\n")
+                      "def _spin(n):\n    return _spin(n - 1) + sys.maxsize\n\n"
+                      "class Box:\n    def peek(self, other):\n"
+                      "        self._seen = other.__class__\n"
+                      "        return self._seen, other._hidden\n")
     assert _unused_imports(module) == ["sample.py:1 math"]
     assert _unread_private_names([module]) == ["sample.py: _spin"]
+    assert _foreign_private_reads(module) == ["sample.py:11 other._hidden"]
